@@ -72,6 +72,7 @@ from .gaussian_state import (
 from .quadrature import (
     IntegralResult,
     QuadratureSpec,
+    integrate_gaussian_lattice,
     integrate_lattice_signed,
     integrate_line_signed,
     integrate_rect,

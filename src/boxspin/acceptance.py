@@ -375,10 +375,10 @@ class CriterionResult:
 CRITERIA: list[tuple[int, str, float | None, Callable[[], str]]] = [
     (1, "normalization of the joint density", 5.0, criterion_normalization),
     (2, "large-box asymptote of czz", 30.0, criterion_asymptote),
-    (3, "small-box limit of x measurements", 30.0, criterion_small_l),
-    (4, "standard-settings CHSH values at r=2", 120.0, criterion_chsh_values),
-    (5, "multibit inequality total and bound", 120.0, criterion_multibit),
-    (6, "no violation for the product state", 60.0, criterion_no_violation_unsqueezed),
+    (3, "small-box limit of x measurements", 10.0, criterion_small_l),
+    (4, "standard-settings CHSH values at r=2", 10.0, criterion_chsh_values),
+    (5, "multibit inequality total and bound", 10.0, criterion_multibit),
+    (6, "no violation for the product state", 10.0, criterion_no_violation_unsqueezed),
     (7, "orthogonal-axis and single-site symmetry", None, criterion_symmetry),
     (8, "exact operator algebra and hierarchy", 30.0, criterion_operator_algebra),
     (9, "Monte Carlo and matrix oracle agreement", 120.0, criterion_oracle_agreement),

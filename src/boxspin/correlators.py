@@ -4,14 +4,16 @@ Site spin components are defined from position boxes of length ``l``:
 ``s_z`` is +1 on even boxes and -1 on odd boxes, while ``s_x`` and
 ``s_y`` are built from the translation that maps each odd box onto the
 even box below it.  Every two-site correlator then reduces to a signed
-sum over box pairs of a Gaussian integral with the separable form
+sum over box pairs of one Gaussian integral,
 
-    exp(kappa*u*v + A(u) + B(v) + log_prefactor),
+    exp(log_pref) * sum su(n)*sv(m) * integral of
+        exp(2s*u*v - c*(u - a)**2 - c*(v - b)**2),
 
-where A and B are downward parabolas shifted so their peaks are zero.
-The shifted form keeps every exponent in a safe floating-point range;
-analytic prefactors (including the ratio exp(sinh(2r)*l**2) between the
-two translate products entering xx and yy) are applied afterwards.  See
+with c = cosh 2r, s = sinh 2r, per-piece shifts (a, b), sign functions
+that factor over the two sites, and the whole assembly prefactor in
+``log_pref``.  :func:`boxspin.quadrature.integrate_gaussian_lattice`
+sums one axis in closed form (erf differences) and folds ``log_pref``
+into the exponent, so nothing overflows up to l = 50, r = 5.  See
 docs/correlator-reduction.md for the derivations.
 
 Results are cached per (piece, l, r, spec); the cache is a plain dict,
@@ -27,11 +29,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidScale, RangeError
-from .gaussian_state import SqueezeState, joint_density, marginal_density
+from .gaussian_state import SqueezeState, marginal_density
 from .quadrature import (
     IntegralResult,
     QuadratureSpec,
-    integrate_lattice_signed,
+    integrate_gaussian_lattice,
     integrate_line_signed,
     spec_for_gaussian,
 )
@@ -134,73 +136,58 @@ def _check_box_length(l: float) -> float:
     return l
 
 
-# Sign functions over box index pairs.  Boxes are [n*l, (n+1)*l); the
-# box parity (-1)**n and the even-box indicator both follow Python's
-# floor-mod convention for negative n.
+# Sign functions over box indices.  Boxes are [n*l, (n+1)*l); the box
+# parity (-1)**n and the even-box indicator both follow Python's
+# floor-mod convention for negative n.  Every piece's sign over a box
+# pair is a product su(n) * sv(m) of two of these.
 
-def _sign_parity_parity(n, m):
-    return 1 - 2 * ((n + m) % 2)
-
-
-def _sign_even_even(n, m):
-    return ((n % 2 == 0) & (m % 2 == 0)).astype(int)
+def _parity(n):
+    return 1 - 2 * (n % 2)
 
 
-def _sign_parity_even(n, m):
-    return (1 - 2 * (n % 2)) * (m % 2 == 0)
+def _even(n):
+    return (n % 2 == 0).astype(int)
 
 
-def _sign_even_parity(n, m):
-    return (n % 2 == 0) * (1 - 2 * (m % 2))
-
-
-def _sign_even_all(n, m):
-    return (n % 2 == 0) * np.ones_like(m)
+def _one(n):
+    return np.ones_like(n)
 
 
 def _piece_exp_part(name: str, l: float, state: SqueezeState):
-    """Shifted exponent closure, coupling sign function, and log prefactor.
+    """Shifts (a, b), sign functions (su, sv) and log prefactor of a piece.
 
-    The raw lattice integral L of exp(kappa*u*v + A(u) + B(v)) relates
-    to the physical piece through value = exp(log_pref) * L; A and B
-    peak at zero so the integrand never overflows for l <= 50, r <= 5.
+    The piece equals exp(log_pref) times the signed lattice sum of
+    exp(2s*u*v - c*(u - a)**2 - c*(v - b)**2).  ``log_pref`` holds the
+    whole assembly prefactor, so the piece is the correlator itself:
+    czz for density, cxx for step (cyy = -tanh(s*l**2/2) * cxx), czx,
+    cxz, and <s_x> for site_x.
     """
     c = state.cosh2r
     s = state.sinh2r
-    kappa = 2.0 * s
-    log_pi = math.log(math.pi)
+    log_two_over_pi = math.log(2.0 / math.pi)
     if name == "density":
-        a_shift, b_shift = 0.0, 0.0
-        log_pref = -log_pi
+        a = b = 0.0
+        su, sv = _parity, _parity
+        log_pref = -math.log(math.pi)
     elif name == "step":
-        # Translate product psi(u, v+l)*psi(u+l, v); both axes peak at
-        # (s - c)*l / (2c).
-        a_shift = b_shift = (s - c) * l / (2.0 * c)
-        log_pref = -log_pi - l * l * (1.0 + 2.0 * s * c) / (2.0 * c)
+        # Anti-diagonal translate product psi(u, v+l)*psi(u+l, v), weighted
+        # by (2/pi)*(e_diag + e_anti) with e_anti/e_diag = exp(-s*l**2).
+        a = b = (s - c) * l / (2.0 * c)
+        su, sv = _even, _even
+        log_pref = log_two_over_pi - l * l / (2.0 * c) + math.log1p(math.exp(-s * l * l))
     elif name == "zx":
-        a_shift = s * l / (2.0 * c)
-        b_shift = -l / 2.0
-        log_pref = -log_pi - l * l / (4.0 * c)
+        a = s * l / (2.0 * c)
+        b = -l / 2.0
+        su, sv = _parity, _even
+        log_pref = log_two_over_pi - l * l / (4.0 * c)
     elif name in ("xz", "site_x"):
-        a_shift = -l / 2.0
-        b_shift = s * l / (2.0 * c)
-        log_pref = -log_pi - l * l / (4.0 * c)
+        a = -l / 2.0
+        b = s * l / (2.0 * c)
+        su, sv = _even, (_parity if name == "xz" else _one)
+        log_pref = log_two_over_pi - l * l / (4.0 * c)
     else:
         raise ValueError(f"unknown piece {name!r}")
-
-    def f(u, v):
-        du = u - a_shift
-        dv = v - b_shift
-        return np.exp(kappa * (u * v) - c * (du * du) - c * (dv * dv))
-
-    signs = {
-        "density": _sign_parity_parity,
-        "step": _sign_even_even,
-        "zx": _sign_parity_even,
-        "xz": _sign_even_parity,
-        "site_x": _sign_even_all,
-    }
-    return f, signs[name], log_pref
+    return a, b, su, sv, log_pref
 
 
 _PIECE_CACHE: dict = {}
@@ -211,32 +198,17 @@ def clear_cache() -> None:
 
 
 def _lattice_piece(name: str, l: float, state: SqueezeState, spec: QuadratureSpec) -> IntegralResult:
-    """Raw lattice integral L for one piece, cached per (name, l, r, spec)."""
+    """One piece, prefactor included, cached per (name, l, r, spec)."""
     key = (name, l, state.r, spec)
     hit = _PIECE_CACHE.get(key)
     if hit is not None:
         return hit
-    f, sign, _ = _piece_exp_part(name, l, state)
-    result = integrate_lattice_signed(f, l, sign, spec)
+    a, b, su, sv, log_pref = _piece_exp_part(name, l, state)
+    result = integrate_gaussian_lattice(
+        l, state.cosh2r, state.sinh2r, a, b, su, sv, log_pref, spec
+    )
     _PIECE_CACHE[key] = result
     return result
-
-
-def _xx_yy_prefactors(l: float, state: SqueezeState) -> tuple[float, float]:
-    """Coefficients p_xx, p_yy with xx = p_xx * L_step, yy = -p_yy * L_step.
-
-    The diagonal translate product equals exp(s*l**2) times the
-    anti-diagonal one, so xx = 2*(exp(s*l**2) + 1) * pref * L and
-    yy = 2*(1 - exp(s*l**2)) * pref * L.  Folding exp(s*l**2) into the
-    step prefactor keeps both exponents negative.
-    """
-    c = state.cosh2r
-    s = state.sinh2r
-    e_anti = math.exp(-l * l * (1.0 + 2.0 * s * c) / (2.0 * c))
-    e_diag = math.exp(-l * l / (2.0 * c))
-    p_xx = (2.0 / math.pi) * (e_diag + e_anti)
-    p_yy = (2.0 / math.pi) * (e_diag - e_anti)
-    return p_xx, p_yy
 
 
 def correlator(
@@ -258,20 +230,19 @@ def correlator(
 
     if pair == "zz":
         res = _lattice_piece("density", l, state, spec)
-        pref = 1.0 / math.pi
-        return pref * res.value, pref * res.error_estimate
-    if pair in ("xx", "yy"):
+    elif pair in ("xx", "yy"):
         res = _lattice_piece("step", l, state, spec)
-        p_xx, p_yy = _xx_yy_prefactors(l, state)
-        if pair == "xx":
-            return p_xx * res.value, p_xx * res.error_estimate
-        return -p_yy * res.value, p_yy * res.error_estimate
-    # zx / xz: a parity sum on one site against the translate overlap
-    # on the other; the factor 2 counts both off-diagonal directions.
-    res = _lattice_piece(pair, l, state, spec)
-    c = state.cosh2r
-    pref = (2.0 / math.pi) * math.exp(-l * l / (4.0 * c))
-    return pref * res.value, pref * res.error_estimate
+        if pair == "yy":
+            # The diagonal translate product is exp(s*l**2) times the
+            # anti-diagonal one, so cyy/cxx = -(1 - e)/(1 + e) with
+            # e = exp(-s*l**2).
+            ratio = math.tanh(state.sinh2r * l * l / 2.0)
+            return -ratio * res.value, ratio * res.error_estimate
+    else:
+        # zx / xz: a parity sum on one site against the translate overlap
+        # on the other.
+        res = _lattice_piece(pair, l, state, spec)
+    return res.value, res.error_estimate
 
 
 def single_site(
@@ -295,9 +266,7 @@ def single_site(
         return res.value, res.error_estimate
     if axis == "x":
         res = _lattice_piece("site_x", l, state, spec)
-        c = state.cosh2r
-        pref = (2.0 / math.pi) * math.exp(-l * l / (4.0 * c))
-        return pref * res.value, pref * res.error_estimate
+        return res.value, res.error_estimate
     raise ValueError(f"axis must be 'z' or 'x', got {axis!r}")
 
 

@@ -1,20 +1,26 @@
-"""Tensor-product Gauss-Legendre quadrature over rectangles and box lattices.
+"""Gauss-Legendre quadrature over rectangles and signed box lattices.
 
 Integrands here are smooth Gaussians times polynomials, so fixed-order
 Gauss-Legendre panels converge extremely fast once the panel width is
-small compared to the length scale of the integrand.  Two entry points:
+small compared to the length scale of the integrand.  Entry points:
 
-* :func:`integrate_rect` integrates one rectangle.
-* :func:`integrate_lattice_signed` integrates every box pair
-  ``[n*l, (n+1)*l) x [m*l, (m+1)*l)`` whose center lies within
-  ``tail_radius`` of the origin and sums the results with integer
-  weights ``sign(n, m)``.  This is how box-parity and box-translation
-  expectation values are computed.
+* :func:`integrate_gaussian_lattice` evaluates the signed box-lattice
+  sum of a correlated two-dimensional Gaussian.  One axis is summed in
+  closed form as erf differences, the other is integrated on panels
+  aligned with the boxes.  This is the production correlator kernel.
+* :func:`integrate_lattice_signed` integrates an arbitrary ``f(u, v)``
+  over every box pair ``[n*l, (n+1)*l) x [m*l, (m+1)*l)`` whose center
+  lies within ``tail_radius`` of the origin on a full tensor grid and
+  sums the results with integer weights ``sign(n, m)``.  It shares no
+  reduction with the erf evaluator and serves as its independent check.
+* :func:`integrate_rect` and :func:`integrate_line_signed` cover one
+  rectangle and the one-dimensional signed box sum.
 
-Error estimates combine three terms: the difference between the
-full-order and half-order rules (panel truncation), a geometric-decay
-bound on the discarded Gaussian tail (lattice integrals only), and a
-floating-point noise floor proportional to the summed absolute mass.
+Error estimates combine the difference between the full-order and
+half-order rules (panel truncation), what the cut-off tail carries (an
+erfc bound for the erf evaluator, a geometric-decay estimate for the
+tensor grid and the line sum), and a floating-point rounding floor
+proportional to the summed absolute mass.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_legendre
+from scipy.special import erfc, roots_legendre
 
 from .errors import InvalidScale, NonFiniteIntegrand
 
@@ -34,6 +40,7 @@ __all__ = [
     "IntegralResult",
     "spec_for_gaussian",
     "integrate_rect",
+    "integrate_gaussian_lattice",
     "integrate_lattice_signed",
     "integrate_line_signed",
 ]
@@ -44,6 +51,16 @@ _NOISE_FLOOR = 1e-14
 # Flattened chunks are kept below this many integrand evaluations so the
 # per-box-pair reduction never materializes more than ~32 MB at once.
 _CHUNK_ENTRIES = 4_000_000
+
+# The erf evaluator keeps the v-edges within this many erf widths
+# (1/sqrt(c)) of each node's v-centre; the boxes beyond carry at most
+# erfc(6.5) ~ 4e-20 of the v-mass, and that bound is reported.
+_ERF_WINDOW = 6.5
+
+# Node-by-edge entries the erf evaluator holds at once (~8 MB per array).
+_EDGE_CHUNK_ENTRIES = 1_000_000
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -58,8 +75,9 @@ class QuadratureSpec:
         Upper bound on panel side length; each rectangle or box edge is
         split into equal panels no wider than this.
     tail_radius : float
-        Lattice integrals keep boxes whose centers lie within this
-        Euclidean distance of the origin.
+        Tensor-grid lattice integrals keep boxes whose centers lie within
+        this Euclidean distance of the origin; the erf evaluator cuts its
+        Gaussian axis at this distance from the Gaussian's centre.
     abs_tol : float
         Absolute tolerance the caller is targeting; recorded so results
         can be checked against it.
@@ -296,6 +314,156 @@ def integrate_lattice_signed(
     )
 
 
+def _sign_values(sign, idx: np.ndarray) -> np.ndarray:
+    """sign(idx) as floats, checked to lie in {-1, 0, +1}."""
+    values = np.asarray(sign(idx), dtype=float)
+    if values.shape != idx.shape:
+        values = np.asarray(np.vectorize(sign)(idx), dtype=float)
+    if not np.all(np.isin(values, (-1.0, 0.0, 1.0))):
+        raise InvalidScale("sign function must return values in {-1, 0, +1}")
+    return values
+
+
+def _erf_box_sums(mu, l, root_c, sv_table, m_first, n_edges):
+    """Signed and absolute erf-difference box sums, one pair per v-centre.
+
+    For each centre mu, sums sv(m) * [erf(root_c*(e_{m+1} - mu)) -
+    erf(root_c*(e_m - mu))] over the ``n_edges`` edges e_k = k*l from
+    the first one at or below mu - _ERF_WINDOW/root_c.
+    """
+    k0 = np.floor((mu - _ERF_WINDOW / root_c) / l)
+    x = (k0[:, None] + np.arange(n_edges)) * l
+    x -= mu[:, None]
+    x *= root_c
+    above = x >= 0.0
+    tails = erfc(np.abs(x, out=x), out=x)
+    # One erfc per edge, shared by the two boxes that meet there.  A box
+    # on one side of mu is the difference of its two tails, which keeps
+    # full relative accuracy far out; the box holding mu is 2 minus both.
+    lo, hi = tails[:, :-1], tails[:, 1:]
+    diff = lo - hi
+    np.negative(diff, out=diff, where=~above[:, :-1])
+    straddle = above[:, 1:] & ~above[:, :-1]
+    diff[straddle] = 2.0 - lo[straddle] - hi[straddle]
+    rows = (k0 - m_first).astype(np.intp)
+    diff *= sv_table[rows[:, None] + np.arange(n_edges - 1)]
+    return diff.sum(axis=1), np.abs(diff, out=diff).sum(axis=1)
+
+
+def integrate_gaussian_lattice(
+    l: float,
+    c: float,
+    s: float,
+    a: float,
+    b: float,
+    su: Callable[[np.ndarray], np.ndarray],
+    sv: Callable[[np.ndarray], np.ndarray],
+    log_factor: float,
+    spec: QuadratureSpec,
+) -> IntegralResult:
+    """Signed box-lattice sum of a correlated Gaussian, one axis in closed form.
+
+    Computes
+
+        exp(log_factor) * sum over (n, m) of su(n) * sv(m) * integral over
+        B_n x B_m of exp(2*s*u*v - c*(u - a)**2 - c*(v - b)**2) du dv
+
+    with boxes B_n = [n*l, (n+1)*l), c = cosh(2r) and s = sinh(2r) for
+    some r >= 0.  For fixed u the v-factor is a Gaussian of centre
+    mu(u) = b + (s/c)*u and width 1/sqrt(2c), so the v box-sum H(u) is
+    sqrt(pi/c)/2 times a signed sum of erf differences over the edges
+    within 6.5/sqrt(c) of mu.  What remains is
+
+        integral of exp(log_factor + g0 - (u - u0)**2 / c) * su(n(u)) * H(u) du,
+
+    u0 = c*(a*c + b*s), g0 = c*(a*c + b*s)**2 - c*a**2, taken
+    on Gauss-Legendre panels aligned with the u-boxes (at most
+    ``max_panel_width`` wide, ``panel_order`` nodes) over u0 +/-
+    ``tail_radius``.  ``log_factor`` is folded into that exponent, so no
+    intermediate overflows even where the lattice sum alone would.
+
+    The u-curvature 1/c = (c**2 - s**2)/c uses c**2 - s**2 = 1: the
+    difference c - s = exp(-2r) cancels catastrophically in floating
+    point (to 4e-8 relative at r = 5), which shifts the result as much.
+
+    The error estimate is |full-order - half-order value| + an erfc bound
+    on the cut u-tail + a bound on the v-boxes outside the erf windows +
+    a rounding floor.  The floor is eps * sqrt(terms) * sum of |terms|,
+    plus eps * |exponent| * |term| summed over the nodes, since exp()
+    turns the absolute rounding of a large exponent into relative error
+    that a cancelling signed sum does not average away.  ``panels_used``
+    counts u-panels.
+    """
+    if not l > 0.0:
+        raise InvalidScale(f"box_length must be positive, got {l!r}")
+    if not (c >= 1.0 and abs((c - s) * (c + s) - 1.0) <= 1e-6):
+        raise InvalidScale(f"need c = cosh(2r), s = sinh(2r); got c={c!r}, s={s!r}")
+    root_c = math.sqrt(c)
+    u0 = c * (a * c + b * s)
+    g0 = u0 * u0 / c - c * a * a
+    log_w = log_factor + g0
+    # Absolute size of the terms that make up each node's exponent.
+    exponent_scale = abs(log_factor) + u0 * u0 / c + c * a * a
+    u_lo = u0 - spec.tail_radius
+    u_hi = u0 + spec.tail_radius
+
+    # u-panels: each kept box split into equal panels, clipped to the cut.
+    boxes = np.arange(math.floor(u_lo / l), math.floor(u_hi / l) + 1)
+    box_signs = _sign_values(su, boxes)
+    kept = box_signs != 0.0
+    per_box = max(1, math.ceil(l / spec.max_panel_width - 1e-12))
+    h = l / per_box
+    starts = (boxes[kept, None] * l + h * np.arange(per_box)).ravel()
+    signs = np.repeat(box_signs[kept], per_box)
+    ends = np.minimum(starts + h, u_hi)
+    starts = np.maximum(starts, u_lo)
+    live = ends > starts
+    starts, widths, signs = starts[live], (ends - starts)[live], signs[live]
+
+    # v-signs of every edge window any node can reach, looked up by index.
+    n_edges = math.ceil(2.0 * _ERF_WINDOW / (root_c * l)) + 2
+    mu_ends = (b + (s / c) * u_lo, b + (s / c) * u_hi)
+    m_first = math.floor((min(mu_ends) - _ERF_WINDOW / root_c) / l) - 1
+    m_last = math.floor((max(mu_ends) - _ERF_WINDOW / root_c) / l) + n_edges + 1
+    sv_table = _sign_values(sv, np.arange(m_first, m_last + 1))
+
+    totals = []
+    magnitude = 0.0
+    exponent_error = 0.0
+    for order in (spec.panel_order, max(2, spec.panel_order // 2)):
+        x, w = _unit_rule(order)
+        step = max(1, _EDGE_CHUNK_ENTRIES // (order * n_edges))
+        total = 0.0
+        for i in range(0, starts.size, step):
+            width = widths[i:i + step, None]
+            u = (starts[i:i + step, None] + width * x).ravel()
+            weight = ((width * signs[i:i + step, None]) * w).ravel()
+            spread = (u - u0) ** 2 / c
+            weight *= np.exp(log_w - spread)
+            hsum, habs = _erf_box_sums(b + (s / c) * u, l, root_c, sv_table, m_first, n_edges)
+            total += float(weight @ hsum)
+            if order == spec.panel_order:
+                habs *= np.abs(weight)
+                magnitude += float(habs.sum())
+                exponent_error += float(spread @ habs)
+        totals.append(total)
+
+    v_scale = 0.5 * math.sqrt(math.pi / c)
+    # sqrt(pi/c) bounds |H(u)| and sqrt(pi*c) is the full u-weight mass.
+    mass_bound = math.exp(log_w) * math.pi
+    tail = mass_bound * float(erfc(spec.tail_radius / root_c))
+    window = mass_bound * float(erfc(_ERF_WINDOW))
+    terms = starts.size * spec.panel_order * n_edges
+    rounding = _EPS * v_scale * (
+        (math.sqrt(terms) + exponent_scale) * magnitude + exponent_error
+    )
+    value = v_scale * totals[0]
+    error = v_scale * abs(totals[0] - totals[1]) + tail + window + rounding
+    if not (math.isfinite(value) and math.isfinite(error)):
+        raise NonFiniteIntegrand("Gaussian lattice sum is not finite")
+    return IntegralResult(value=value, error_estimate=error, panels_used=int(starts.size))
+
+
 def _line_box_integrals(f, nodes, weights, n_boxes: int, per_box: int) -> np.ndarray:
     fv = np.asarray(f(nodes), dtype=float)
     if fv.shape != nodes.shape:
@@ -321,12 +489,7 @@ def integrate_line_signed(
     _, nodes_h, weights_h, ppb_h = _lattice_axis(spec, box_length, half)
     coarse = _line_box_integrals(f, nodes_h, weights_h, ns.size, ppb_h * half)
 
-    sv = np.asarray(sign(ns), dtype=float)
-    if sv.shape != ns.shape:
-        sv = np.asarray(np.vectorize(sign)(ns), dtype=float)
-    if not np.all(np.isin(sv, (-1.0, 0.0, 1.0))):
-        raise InvalidScale("sign function must return values in {-1, 0, +1}")
-
+    sv = _sign_values(sign, ns)
     active = sv != 0.0
     value = float((sv * fine)[active].sum())
     panel_err = float(np.abs(fine - coarse)[active].sum())

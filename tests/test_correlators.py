@@ -1,31 +1,48 @@
-"""Correlators against a direct dense-sampling oracle.
+"""Correlators against a direct dense-sampling oracle and against bounds.
 
-The oracle discretizes the two-mode wavefunction on a fine midpoint
-mesh and applies the box operators literally: parity signs multiply
-rows and columns, and the flip operator moves amplitude by one box
-length between box partners.  No lattice reduction, prefactor algebra,
-or shared quadrature code is involved, so agreement pins both the
-integrand derivation and the panel sums.
+The dense oracle discretizes the two-mode wavefunction on a fine
+midpoint mesh and applies the box operators literally: parity signs
+multiply rows and columns, and the flip operator moves amplitude by one
+box length between box partners.  No lattice reduction, prefactor
+algebra, or shared quadrature code is involved, so agreement pins both
+the integrand derivation and the panel sums.
+
+The error-bound tests check that every reported error covers the
+distance to an independent value: the tensor-grid lattice integrator on
+a refined spec, the exact mass 1, and Monte Carlo sampling.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxspin import (
     CorrelatorSet,
     InvalidScale,
     RangeError,
     SqueezeState,
+    bit_bell_from_correlators,
+    chsh_from_correlators,
     correlator,
     correlator_set,
     czz_sampled,
+    integrate_gaussian_lattice,
+    integrate_lattice_signed,
     rotated_correlator,
     single_site,
     wavefunction,
 )
-from boxspin.correlators import MAX_BOX_LENGTH, clear_cache, default_spec
+from boxspin.correlators import (
+    MAX_BOX_LENGTH,
+    _lattice_piece,
+    _piece_exp_part,
+    clear_cache,
+    default_spec,
+)
 
 
 class _DenseOracle:
@@ -221,3 +238,64 @@ class TestSpecAndCache:
         clear_cache()
         fresh = correlator("zz", 0.6, 0.9)
         assert first == fresh
+
+
+class TestReportedErrorIsABound:
+    @pytest.mark.parametrize(
+        "r, l", [(0.5, 0.25), (0.5, 1.0), (0.5, 4.0), (1.0, 1.0), (1.0, 4.0), (1.5, 4.0)]
+    )
+    def test_pieces_match_refined_tensor_grid(self, r, l):
+        """Every piece against the 2D grid at half the panel width and 12 sigma."""
+        state = SqueezeState(r)
+        spec = default_spec(l, state)
+        refined = dataclasses.replace(
+            spec, max_panel_width=spec.max_panel_width / 2.0, tail_radius=12.0 * state.sigma
+        )
+        c, s = state.cosh2r, state.sinh2r
+        for name in ("density", "step", "zx", "xz", "site_x"):
+            a, b, su, sv, log_pref = _piece_exp_part(name, l, state)
+            grid = integrate_lattice_signed(
+                lambda u, v: np.exp(2.0 * s * u * v - c * (u - a) ** 2 - c * (v - b) ** 2),
+                l,
+                lambda n, m: su(n) * sv(m),
+                refined,
+            )
+            want = math.exp(log_pref) * grid.value
+            want_err = math.exp(log_pref) * grid.error_estimate
+            got = _lattice_piece(name, l, state, spec)
+            assert abs(got.value - want) <= got.error_estimate + want_err, name
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 3.0, 5.0])
+    @pytest.mark.parametrize("l", [0.25, 1.0, 4.0, 50.0])
+    def test_mass_is_one(self, r, l):
+        """The density piece with every sign +1 sums the whole joint density."""
+        state = SqueezeState(r)
+        a, b, _, _, log_pref = _piece_exp_part("density", l, state)
+        res = integrate_gaussian_lattice(
+            l, state.cosh2r, state.sinh2r, a, b, np.ones_like, np.ones_like, log_pref,
+            default_spec(l, state),
+        )
+        assert abs(res.value - 1.0) <= res.error_estimate
+
+    @pytest.mark.parametrize("r", [3.0, 5.0])
+    def test_czz_matches_sampling_at_strong_squeezing(self, r):
+        value, err = correlator("zz", 1.0, r)
+        est, se = czz_sampled(1.0, r, 200_000, seed=11)
+        assert abs(value - est) <= 4.0 * se + err
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(r=st.floats(0.0, 3.0), l=st.floats(0.1, 50.0))
+def test_invariants_hold_within_reported_errors(r, l):
+    """cyy <= 0, czx = cxz = 0, digit form = CHSH / 2, and r = 0 factorizes."""
+    cs = correlator_set(l, r)
+    assert cs.cyy <= cs.cyy_err
+    assert abs(cs.czx - cs.cxz) <= cs.czx_err + cs.cxz_err
+    assert abs(cs.czx) < 1e-5
+    chsh = chsh_from_correlators(cs).value
+    assert bit_bell_from_correlators(cs).value == pytest.approx(chsh / 2.0, abs=1e-12)
+
+    product = correlator_set(l, 0.0)
+    sx, sx_err = single_site("x", l, 0.0)
+    assert abs(product.czz) <= product.czz_err
+    assert abs(product.cxx - sx * sx) <= product.cxx_err + (2.0 * abs(sx) + sx_err) * sx_err

@@ -14,6 +14,7 @@ from boxspin import (
     InvalidScale,
     NonFiniteIntegrand,
     QuadratureSpec,
+    integrate_gaussian_lattice,
     integrate_lattice_signed,
     integrate_line_signed,
     integrate_rect,
@@ -161,6 +162,69 @@ class TestLatticeSigned:
         with pytest.raises(InvalidScale):
             integrate_lattice_signed(
                 _std_normal_2d, 10.0, lambda n, m: np.ones_like(n + m), spec
+            )
+
+
+def _box_integrals(l: float, centre: float, ns: np.ndarray) -> np.ndarray:
+    """Integral of exp(-(x - centre)**2) over each box [n*l, (n+1)*l)."""
+    return np.array(
+        [0.5 * math.sqrt(math.pi) * (math.erf((n + 1) * l - centre) - math.erf(n * l - centre))
+         for n in ns]
+    )
+
+
+class TestGaussianLattice:
+    """At r = 0 (c = 1, s = 0) the coordinates are independent, so every
+    signed box sum factorizes into two one-dimensional erf sums."""
+
+    @pytest.mark.parametrize(
+        "spec, max_err",
+        [
+            (QuadratureSpec(max_panel_width=0.5, tail_radius=9.0), 1e-12),
+            # Under-resolved panels: the half-order difference must carry the error.
+            (QuadratureSpec(panel_order=4, max_panel_width=0.7, tail_radius=9.0), 1e-2),
+        ],
+    )
+    def test_independent_coordinates_factorize(self, spec, max_err):
+        l, a, b = 0.7, 0.3, -0.2
+        parity = lambda n: 1 - 2 * (n % 2)
+        even = lambda n: (n % 2 == 0).astype(int)
+        res = integrate_gaussian_lattice(l, 1.0, 0.0, a, b, parity, even, math.log(2.0), spec)
+        ns = np.arange(-40, 40)
+        expected = 2.0 * float(
+            np.sum(parity(ns) * _box_integrals(l, a, ns))
+            * np.sum(even(ns) * _box_integrals(l, b, ns))
+        )
+        assert abs(expected) > 1e-3  # the oracle must not be trivially zero
+        assert abs(res.value - expected) <= res.error_estimate
+        assert res.error_estimate < max_err
+
+    def test_log_factor_is_folded_into_the_exponent(self):
+        """Far-shifted peaks reach exp(g0) ~ exp(8862), beyond double range.
+
+        Over the whole plane the integral is pi * exp(g0) with
+        g0 = c*(a*c + b*s)**2 - c*a**2, so log_factor = -g0 must give pi.
+        """
+        r, a, b = 0.5, 30.0, 30.0
+        c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+        g0 = c * (a * c + b * s) ** 2 - c * a * a
+        assert g0 > 800.0
+        one = np.ones_like
+        spec = QuadratureSpec(max_panel_width=0.5, tail_radius=10.0)
+        res = integrate_gaussian_lattice(0.6, c, s, a, b, one, one, -g0, spec)
+        assert res.value == pytest.approx(math.pi, rel=1e-9)
+        assert abs(res.value - math.pi) <= res.error_estimate
+
+    def test_rejects_bad_inputs(self):
+        one = np.ones_like
+        spec = QuadratureSpec(tail_radius=5.0)
+        with pytest.raises(InvalidScale):
+            integrate_gaussian_lattice(0.0, 1.0, 0.0, 0.0, 0.0, one, one, 0.0, spec)
+        with pytest.raises(InvalidScale):  # not a (cosh 2r, sinh 2r) pair
+            integrate_gaussian_lattice(1.0, 2.0, 0.5, 0.0, 0.0, one, one, 0.0, spec)
+        with pytest.raises(InvalidScale):
+            integrate_gaussian_lattice(
+                1.0, 1.0, 0.0, 0.0, 0.0, lambda n: 2 * np.ones_like(n), one, 0.0, spec
             )
 
 
