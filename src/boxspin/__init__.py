@@ -23,7 +23,6 @@ from .bell import (
     optimize_settings,
 )
 from .bits import (
-    MeasuredPosition,
     TruncationWindow,
     bit_at,
     format_binary,

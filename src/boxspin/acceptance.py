@@ -383,7 +383,7 @@ CRITERIA: list[tuple[int, str, float | None, Callable[[], str]]] = [
     (8, "exact operator algebra and hierarchy", 30.0, criterion_operator_algebra),
     (9, "Monte Carlo and matrix oracle agreement", 120.0, criterion_oracle_agreement),
     (10, "local bounds by enumeration", 1.0, criterion_lhv_bounds),
-    (11, "settings optimizer vs grid search", 120.0, criterion_optimizer),
+    (11, "settings optimizer vs grid search", 10.0, criterion_optimizer),
     (12, "bit machinery round trips", None, criterion_bits),
 ]
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bits import TruncationWindow, xor_expectation
 from .correlators import CorrelatorSet, rotated_correlator
@@ -240,17 +239,17 @@ def _chsh_of_directions(params, corr: CorrelatorSet) -> float:
     return abs(e_ag + e_ad) + abs(e_bg - e_bd)
 
 
-# Two starting offsets per angle; offsets pi apart are gauge copies
-# (flipping one setting by pi negates its correlators and the absolute
-# values cancel the sign), so the pair is chosen pi/2 apart.
-_START_OFFSETS = (math.pi / 8.0, 5.0 * math.pi / 8.0)
-
-_NM_OPTIONS = {"xatol": 1e-9, "fatol": 1e-9, "maxiter": 4000, "maxfev": 8000}
-
-
-def _polished(objective, start: np.ndarray) -> tuple[float, np.ndarray]:
-    res = minimize(objective, start, method="Nelder-Mead", options=_NM_OPTIONS)
-    return -float(res.fun), np.asarray(res.x)
+def _optimal_vectors(t: np.ndarray):
+    """Analyzer vectors (a, a', b, b') maximizing CHSH for correlation matrix t."""
+    u, sv, vh = np.linalg.svd(t)
+    # LAPACK may return either sign of a singular pair; fixing the sign of
+    # each u_i's first nonzero component makes the settings reproducible.
+    for i in (0, 1):
+        if u[np.flatnonzero(u[:, i])[0], i] < 0.0:
+            u[:, i], vh[i] = -u[:, i], -vh[i]
+    phi = math.atan2(sv[1], sv[0])
+    c, s = math.cos(phi), math.sin(phi)
+    return u[:, 0], u[:, 1], c * vh[0] + s * vh[1], c * vh[0] - s * vh[1]
 
 
 def optimize_settings(
@@ -263,40 +262,31 @@ def optimize_settings(
     By default settings are single angles in the x-z plane and the
     result is (ChshSettings, value).  With ``include_y`` each setting
     becomes a (theta, phi) direction so the yy correlator participates;
-    the result is then (((theta, phi),)*4 tuple, value).  Both modes run
-    Nelder-Mead from a fixed 16-point start lattice plus the standard
-    settings, so repeated runs are identical; ties are broken toward
-    the lexicographically smallest settings.  The planar value is never
-    below the standard-settings value.
-    """
-    if include_y:
-        objective = lambda v: -_chsh_of_directions(v, corr)
-        std = np.asarray(STANDARD_SETTINGS.as_tuple())
-        starts = [np.asarray([std[0], 0.0, std[1], 0.0, std[2], 0.0, std[3], 0.0])]
-        for combo in itertools.product(_START_OFFSETS, repeat=4):
-            starts.append(
-                np.asarray([combo[0], math.pi / 4.0, combo[1], math.pi / 4.0,
-                            combo[2], math.pi / 4.0, combo[3], math.pi / 4.0])
-            )
-        candidates = [_polished(objective, s) for s in starts]
-        best_value, best = max(
-            candidates, key=lambda vc: (vc[0], tuple(-x for x in vc[1]))
-        )
-        directions = tuple(
-            (_wrap_angle(best[i]), _wrap_angle(best[i + 1])) for i in range(0, 8, 2)
-        )
-        return directions, best_value
+    the result is then (((theta, phi),)*4 tuple, value).
 
-    objective = lambda v: -_chsh_of_angles(v, corr)
-    starts = [np.asarray(STANDARD_SETTINGS.as_tuple())]
-    starts.extend(
-        np.asarray(combo) for combo in itertools.product(_START_OFFSETS, repeat=4)
-    )
-    candidates = [_polished(objective, s) for s in starts]
-    best_value, best = max(
-        candidates, key=lambda vc: (vc[0], tuple(-x for x in vc[1]))
-    )
-    standard_value = _chsh_of_angles(np.asarray(STANDARD_SETTINGS.as_tuple()), corr)
-    if best_value < standard_value:
+    The maximum is closed-form (Horodecki, Horodecki & Horodecki, Phys.
+    Lett. A 200, 340 (1995)): with T = U diag(t1, t2, ...) V^T the
+    correlation matrix over (z, x[, y]), a = u1, a' = u2 and b, b' =
+    cos(phi) v1 +- sin(phi) v2, tan(phi) = t2/t1, give 2*sqrt(t1**2 + t2**2).
+    The value returned is the CHSH expression at the returned settings.
+    The result is deterministic, and the planar value is never below the
+    standard-settings value.
+    """
+    t = np.array([
+        [corr.czz, corr.czx, 0.0],
+        [corr.cxz, corr.cxx, 0.0],
+        [0.0, 0.0, corr.cyy],
+    ])
+    if include_y:
+        directions = tuple(
+            (_wrap_angle(math.atan2(math.hypot(x, y), z)), _wrap_angle(math.atan2(y, x)))
+            for z, x, y in _optimal_vectors(t)
+        )
+        return directions, _chsh_of_directions([p for d in directions for p in d], corr)
+
+    settings = ChshSettings(*(math.atan2(x, z) for z, x in _optimal_vectors(t[:2, :2])))
+    value = _chsh_of_angles(settings.as_tuple(), corr)
+    standard_value = _chsh_of_angles(STANDARD_SETTINGS.as_tuple(), corr)
+    if value < standard_value:
         return STANDARD_SETTINGS, standard_value
-    return ChshSettings(*best), best_value
+    return settings, value

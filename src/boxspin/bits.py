@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .errors import RangeError
 
 __all__ = [
-    "MeasuredPosition",
     "TruncationWindow",
     "bit_at",
     "spin_from_bit",
@@ -29,8 +28,6 @@ __all__ = [
     "truncated_value",
     "format_binary",
 ]
-
-MeasuredPosition = float
 
 # Tolerated overshoot of |spin correlator| beyond 1 before RangeError.
 _CORR_TOL = 1e-9
@@ -58,7 +55,7 @@ class TruncationWindow:
         return math.ldexp(1.0, self.k_hi + 1) - math.ldexp(1.0, self.k_lo)
 
 
-def bit_at(q: MeasuredPosition, k: int) -> int:
+def bit_at(q: float, k: int) -> int:
     """Digit of q at scale 2**k: floor(q / 2**k) mod 2, computed exactly."""
     q = float(q)
     if not math.isfinite(q):
@@ -79,7 +76,7 @@ def spin_from_bit(bit: int) -> int:
     return 1 - 2 * bit
 
 
-def spin_at(q: MeasuredPosition, k: int) -> int:
+def spin_at(q: float, k: int) -> int:
     """Box spin of q at box length 2**k."""
     return spin_from_bit(bit_at(q, k))
 
@@ -94,12 +91,12 @@ def xor_expectation(spin_corr: float) -> float:
     return min(1.0, max(0.0, (1.0 - spin_corr) / 2.0))
 
 
-def truncated_value(q: MeasuredPosition, window: TruncationWindow) -> float:
+def truncated_value(q: float, window: TruncationWindow) -> float:
     """Sum of 2**k * bit_at(q, k) over the window; exact in floats."""
     return math.fsum(math.ldexp(float(bit_at(q, k)), k) for k in window.ks())
 
 
-def format_binary(q: MeasuredPosition, window: TruncationWindow) -> str:
+def format_binary(q: float, window: TruncationWindow) -> str:
     """Binary rendering of q's digits over the window.
 
     Digits run from max(k_hi, 0) down to k_lo with a radix point after

@@ -49,7 +49,6 @@ class SweepConfig:
     l_max: float = 7.5
     points: int = 64
     tol: float = 1e-7
-    seed: int = 0
     format: str = "csv"
     out: str = "-"
 
@@ -80,7 +79,6 @@ class SweepConfig:
             "l_max": self.l_max,
             "points": self.points,
             "tol": self.tol,
-            "seed": self.seed,
             "format": self.format,
             "out": self.out,
         }
@@ -93,7 +91,6 @@ class SweepConfig:
             l_max=data["l_max"],
             points=data["points"],
             tol=data["tol"],
-            seed=data["seed"],
             format=data["format"],
             out=data["out"],
         )
@@ -312,7 +309,6 @@ def _config_from_args(args) -> SweepConfig:
         l_max=args.l_max,
         points=args.points,
         tol=args.tol,
-        seed=args.seed,
         format=args.format,
         out=args.out,
     )
@@ -332,7 +328,6 @@ def _add_sweep_flags(parser) -> None:
     parser.add_argument("--l-max", type=float, default=7.5)
     parser.add_argument("--points", type=int, default=64,
                         help="box lengths, spaced evenly in log2")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--jobs", type=int, default=1,
                         help="concurrent sweep points (BOXSPIN_JOBS overrides)")
 

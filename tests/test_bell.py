@@ -5,8 +5,14 @@ the tests exercise the Bell layer without any quadrature.
 """
 
 import math
+import subprocess
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
 from boxspin import (
     STANDARD_SETTINGS,
@@ -30,7 +36,13 @@ from boxspin import (
 ROOT2 = math.sqrt(2.0)
 
 
-def _make_set(czz, cxx, cyy=0.0, czx=0.0, cxz=0.0):
+def _svd_chsh_max(t):
+    """2*sqrt(t1**2 + t2**2) over the two largest singular values of t."""
+    sv = np.linalg.svd(np.asarray(t, dtype=float), compute_uv=False)
+    return 2.0 * math.hypot(sv[0], sv[1])
+
+
+def _make_set(czz, cxx, cyy=0.0, czx=0.0, cxz=0.0, cross_err=0.0):
     return CorrelatorSet(
         l=1.0,
         r=0.8,
@@ -42,8 +54,8 @@ def _make_set(czz, cxx, cyy=0.0, czx=0.0, cxz=0.0):
         czz_err=0.0,
         cxx_err=0.0,
         cyy_err=0.0,
-        czx_err=0.0,
-        cxz_err=0.0,
+        czx_err=cross_err,
+        cxz_err=cross_err,
     )
 
 
@@ -208,3 +220,60 @@ class TestOptimizer:
         first = optimize_settings(corr)
         second = optimize_settings(corr)
         assert first == second
+
+    def test_settings_do_not_depend_on_singular_vector_signs(self, monkeypatch):
+        corr = _make_set(0.6, -0.45, cyy=-0.3, czx=0.2, cxz=0.2)
+        want = (optimize_settings(corr), optimize_settings(corr, include_y=True))
+        real_svd = np.linalg.svd
+
+        def flipped_svd(t):
+            u, sv, vh = real_svd(t)
+            return -u, sv, -vh
+
+        monkeypatch.setattr(np.linalg, "svd", flipped_svd)
+        assert (optimize_settings(corr), optimize_settings(corr, include_y=True)) == want
+
+    def test_y_axis_strictly_wins_when_cyy_is_large(self):
+        corr = _make_set(0.9, 0.2, cyy=-0.7)
+        _, planar = optimize_settings(corr)
+        _, value = optimize_settings(corr, include_y=True)
+        assert planar == pytest.approx(2.0 * math.sqrt(0.85), abs=1e-12)
+        assert value == pytest.approx(2.0 * math.sqrt(1.30), abs=1e-12)
+
+    def test_zero_set_gives_zero_with_finite_angles(self):
+        corr = _make_set(0.0, 0.0)
+        settings, planar = optimize_settings(corr)
+        directions, value = optimize_settings(corr, include_y=True)
+        assert planar == 0.0 and value == 0.0
+        assert all(math.isfinite(a) for a in settings.as_tuple())
+        assert all(math.isfinite(a) for d in directions for a in d)
+
+
+_unit = st.floats(-1.0, 1.0)
+
+
+@hypothesis_settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(czz=_unit, cxx=_unit, cyy=_unit, czx=_unit, cxz=_unit)
+def test_closed_form_is_the_maximum(czz, cxx, cyy, czx, cxz):
+    """The SVD settings reach 2 sqrt(t1^2 + t2^2) and no other settings beat them."""
+    # Scale so no setting pair gives |E| > 1, which chsh_from_correlators rejects.
+    norm = max(1.0, np.linalg.norm([[czz, czx], [cxz, cxx]], 2))
+    czz, cxx, cyy, czx, cxz = (c / norm for c in (czz, cxx, cyy, czx, cxz))
+    # A cross error of 0.1 lets czx and cxz differ by up to 2.
+    corr = _make_set(czz, cxx, cyy=cyy, czx=czx, cxz=cxz, cross_err=0.1)
+    settings, planar = optimize_settings(corr)
+    assert planar == pytest.approx(chsh_from_correlators(corr, settings).value, abs=1e-12)
+    assert planar == pytest.approx(_svd_chsh_max([[czz, czx], [cxz, cxx]]), abs=1e-12)
+    rng = np.random.default_rng(0)
+    for angles in rng.uniform(-math.pi, math.pi, size=(64, 4)):
+        assert planar >= chsh_from_correlators(corr, ChshSettings(*angles)).value - 1e-12
+    _, value = optimize_settings(corr, include_y=True)
+    assert value >= planar - 1e-12
+    t3 = [[czz, czx, 0.0], [cxz, cxx, 0.0], [0.0, 0.0, cyy]]
+    assert value == pytest.approx(_svd_chsh_max(t3), abs=1e-12)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    code = "import sys, boxspin, boxspin.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
