@@ -72,9 +72,8 @@ from .quadrature import (
     IntegralResult,
     QuadratureSpec,
     integrate_gaussian_lattice,
+    integrate_gaussian_line,
     integrate_lattice_signed,
-    integrate_line_signed,
-    integrate_rect,
     spec_for_gaussian,
 )
 

@@ -33,9 +33,8 @@ from .bell import (
     optimize_settings,
 )
 from .bits import TruncationWindow, bit_at, format_binary, spin_from_bit, truncated_value
-from .correlators import correlator, correlator_set, default_spec
+from .correlators import correlator, correlator_set
 from .errors import InvalidScale, MisalignedGrid, RangeError
-from .gaussian_state import SqueezeState
 
 __all__ = ["SweepConfig", "build_parser", "main"]
 
@@ -48,7 +47,6 @@ class SweepConfig:
     l_min: float = 0.03
     l_max: float = 7.5
     points: int = 64
-    tol: float = 1e-7
     format: str = "csv"
     out: str = "-"
 
@@ -78,7 +76,6 @@ class SweepConfig:
             "l_min": self.l_min,
             "l_max": self.l_max,
             "points": self.points,
-            "tol": self.tol,
             "format": self.format,
             "out": self.out,
         }
@@ -90,7 +87,6 @@ class SweepConfig:
             l_min=data["l_min"],
             l_max=data["l_max"],
             points=data["points"],
-            tol=data["tol"],
             format=data["format"],
             out=data["out"],
         )
@@ -112,10 +108,6 @@ def _resolve_jobs(flag_jobs: int) -> int:
     else:
         jobs = flag_jobs
     return max(1, jobs)
-
-
-def _spec_for(l: float, r: float, tol: float):
-    return default_spec(l, SqueezeState(r), abs_tol=tol)
 
 
 def _emit(text: str, out: str) -> None:
@@ -154,10 +146,9 @@ def _cmd_fig1(args) -> int:
     jobs = _resolve_jobs(args.jobs)
 
     def point(r: float, l: float):
-        spec = _spec_for(l, r, config.tol)
-        czz, czz_err = correlator("zz", l, r, spec)
-        cxx, cxx_err = correlator("xx", l, r, spec)
-        cyy, cyy_err = correlator("yy", l, r, spec)
+        czz, czz_err = correlator("zz", l, r)
+        cxx, cxx_err = correlator("xx", l, r)
+        cyy, cyy_err = correlator("yy", l, r)
         return [r, l, math.log2(l), czz, cxx, cyy, czz_err, cxx_err, cyy_err]
 
     header = ["r", "l", "log2_l", "czz", "cxx", "cyy", "czz_err", "cxx_err", "cyy_err"]
@@ -170,8 +161,7 @@ def _cmd_fig2(args) -> int:
     jobs = _resolve_jobs(args.jobs)
 
     def point(r: float, l: float):
-        spec = _spec_for(l, r, config.tol)
-        report = chsh_from_correlators(correlator_set(l, r, spec))
+        report = chsh_from_correlators(correlator_set(l, r))
         if config.format == "csv":
             return [r, l, report.value, _fmt_bool(report.violated)]
         return [r, l, report.value, report.violated]
@@ -182,8 +172,7 @@ def _cmd_fig2(args) -> int:
 
 
 def _cmd_correlators(args) -> int:
-    spec = _spec_for(args.l, args.r, args.tol)
-    cs = correlator_set(args.l, args.r, spec)
+    cs = correlator_set(args.l, args.r)
     _emit(json.dumps(cs.as_dict(), sort_keys=True, indent=2) + "\n", args.out)
     return 0
 
@@ -194,8 +183,7 @@ def _cmd_bell_bits(args) -> int:
     rows = []
     for k in window.ks():
         l = math.ldexp(1.0, k)
-        spec = _spec_for(l, args.r, args.tol)
-        report = bit_bell_from_correlators(correlator_set(l, args.r, spec))
+        report = bit_bell_from_correlators(correlator_set(l, args.r))
         per_bit[k] = report.value
         rows.append(
             {
@@ -232,8 +220,7 @@ def _cmd_bell_bits(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    spec = _spec_for(args.l, args.r, args.tol)
-    cs = correlator_set(args.l, args.r, spec)
+    cs = correlator_set(args.l, args.r)
     standard = chsh_from_correlators(cs, STANDARD_SETTINGS)
     payload = {
         "r": args.r,
@@ -308,17 +295,16 @@ def _config_from_args(args) -> SweepConfig:
         l_min=args.l_min,
         l_max=args.l_max,
         points=args.points,
-        tol=args.tol,
         format=args.format,
         out=args.out,
     )
 
 
-def _add_output_flags(parser, default_format: str) -> None:
-    parser.add_argument("--format", choices=("csv", "json"), default=default_format)
+def _add_output_flags(parser, default_format: str | None = None) -> None:
+    """--out, and --format for the commands that can render csv as well as json."""
+    if default_format is not None:
+        parser.add_argument("--format", choices=("csv", "json"), default=default_format)
     parser.add_argument("--out", default="-", help="output path, '-' for stdout")
-    parser.add_argument("--tol", type=float, default=1e-7,
-                        help="quadrature absolute tolerance target")
 
 
 def _add_sweep_flags(parser) -> None:
@@ -355,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlators", help="full correlator set at one (r, l)")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--l", type=float, required=True)
-    _add_output_flags(p, "json")
+    _add_output_flags(p)
     p.set_defaults(func=_cmd_correlators)
 
     p = sub.add_parser("bell-bits", help="per-bit Bell values and multibit total")
@@ -370,13 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=float, required=True)
     p.add_argument("--include-y", action="store_true",
                    help="optimize (theta, phi) directions so cyy participates")
-    _add_output_flags(p, "json")
+    _add_output_flags(p)
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("lhv", help="enumerated local bounds")
     p.add_argument("--k-hi", type=int, default=1)
     p.add_argument("--k-lo", type=int, default=-3)
-    _add_output_flags(p, "json")
+    _add_output_flags(p)
     p.set_defaults(func=_cmd_lhv)
 
     p = sub.add_parser("bits-demo", help="binary rendering and truncation of q")
@@ -385,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-lo", type=int, default=-7, help="display window bottom scale")
     p.add_argument("--trunc-hi", type=int, default=1)
     p.add_argument("--trunc-lo", type=int, default=-3)
-    _add_output_flags(p, "json")
+    _add_output_flags(p)
     p.set_defaults(func=_cmd_bits_demo)
 
     p = sub.add_parser("selftest", help="run the acceptance battery")

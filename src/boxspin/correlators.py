@@ -29,12 +29,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidScale, RangeError
-from .gaussian_state import SqueezeState, marginal_density
+from .gaussian_state import SqueezeState
 from .quadrature import (
     IntegralResult,
     QuadratureSpec,
     integrate_gaussian_lattice,
-    integrate_line_signed,
+    integrate_gaussian_line,
     spec_for_gaussian,
 )
 
@@ -57,7 +57,8 @@ PAIRS = ("zz", "xx", "yy", "zx", "xz")
 MAX_BOX_LENGTH = 50.0
 
 # A set's cross correlators must agree within this multiple of their
-# combined error estimates (the estimates are not strict bounds).
+# combined error bounds (czx = cxz exactly, so a multiple of 1 already
+# holds for correct values; 10 leaves a margin).
 _SYMMETRY_SLACK = 10.0
 
 
@@ -112,7 +113,7 @@ class CorrelatorSet:
         }
 
 
-def default_spec(l: float, state: SqueezeState, *, abs_tol: float = 1e-7) -> QuadratureSpec:
+def default_spec(l: float, state: SqueezeState) -> QuadratureSpec:
     """Quadrature spec sized to this box length and state width.
 
     The tail radius follows the marginal std; the panel cap follows the
@@ -123,7 +124,6 @@ def default_spec(l: float, state: SqueezeState, *, abs_tol: float = 1e-7) -> Qua
         l,
         state.sigma,
         slice_scale=state.sigma / state.cosh2r,
-        abs_tol=abs_tol,
     )
 
 
@@ -251,19 +251,18 @@ def single_site(
     r: float,
     spec: QuadratureSpec | None = None,
 ) -> tuple[float, float]:
-    """Single-site expectation of s_z or s_x.  Returns (value, error)."""
+    """Single-site expectation of s_z or s_x.  Returns (value, error).
+
+    <s_z> is the parity sum over the position marginal, a centred normal,
+    in closed form; ``spec`` applies to <s_x> only.
+    """
     l = _check_box_length(l)
     state = SqueezeState(r)
+    if axis == "z":
+        res = integrate_gaussian_line(l, state.sigma, _parity)
+        return res.value, res.error_estimate
     if spec is None:
         spec = default_spec(l, state)
-    if axis == "z":
-        res = integrate_line_signed(
-            lambda q: marginal_density(q, state),
-            l,
-            lambda n: 1 - 2 * (n % 2),
-            spec,
-        )
-        return res.value, res.error_estimate
     if axis == "x":
         res = _lattice_piece("site_x", l, state, spec)
         return res.value, res.error_estimate

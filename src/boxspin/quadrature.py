@@ -1,8 +1,10 @@
-"""Gauss-Legendre quadrature over rectangles and signed box lattices.
+"""Signed box sums of Gaussians: erf closed forms and Gauss-Legendre panels.
 
 Integrands here are smooth Gaussians times polynomials, so fixed-order
 Gauss-Legendre panels converge extremely fast once the panel width is
-small compared to the length scale of the integrand.  Entry points:
+small compared to the length scale of the integrand, and any axis along
+which the integrand is a plain Gaussian is summed exactly as erf
+differences.  Entry points:
 
 * :func:`integrate_gaussian_lattice` evaluates the signed box-lattice
   sum of a correlated two-dimensional Gaussian.  One axis is summed in
@@ -13,14 +15,14 @@ small compared to the length scale of the integrand.  Entry points:
   lies within ``tail_radius`` of the origin on a full tensor grid and
   sums the results with integer weights ``sign(n, m)``.  It shares no
   reduction with the erf evaluator and serves as its independent check.
-* :func:`integrate_rect` and :func:`integrate_line_signed` cover one
-  rectangle and the one-dimensional signed box sum.
+* :func:`integrate_gaussian_line` is the one-dimensional signed box sum
+  of a centred normal density, entirely in erf differences.
 
 Error estimates combine the difference between the full-order and
 half-order rules (panel truncation), what the cut-off tail carries (an
-erfc bound for the erf evaluator, a geometric-decay estimate for the
-tensor grid and the line sum), and a floating-point rounding floor
-proportional to the summed absolute mass.
+erfc bound for the erf sums, a geometric-decay estimate for the tensor
+grid), and a floating-point rounding floor proportional to the summed
+absolute mass.
 """
 
 from __future__ import annotations
@@ -39,10 +41,9 @@ __all__ = [
     "QuadratureSpec",
     "IntegralResult",
     "spec_for_gaussian",
-    "integrate_rect",
     "integrate_gaussian_lattice",
+    "integrate_gaussian_line",
     "integrate_lattice_signed",
-    "integrate_line_signed",
 ]
 
 # Relative rounding-noise floor applied to the summed absolute mass.
@@ -52,9 +53,9 @@ _NOISE_FLOOR = 1e-14
 # per-box-pair reduction never materializes more than ~32 MB at once.
 _CHUNK_ENTRIES = 4_000_000
 
-# The erf evaluator keeps the v-edges within this many erf widths
-# (1/sqrt(c)) of each node's v-centre; the boxes beyond carry at most
-# erfc(6.5) ~ 4e-20 of the v-mass, and that bound is reported.
+# The erf sums keep the edges within this many erf widths (1/sqrt(c))
+# of each Gaussian centre; the boxes beyond carry at most erfc(6.5) ~
+# 4e-20 of the mass, and that bound is reported.
 _ERF_WINDOW = 6.5
 
 # Node-by-edge entries the erf evaluator holds at once (~8 MB per array).
@@ -72,21 +73,17 @@ class QuadratureSpec:
     panel_order : int
         Nodes per panel per axis (>= 2).
     max_panel_width : float
-        Upper bound on panel side length; each rectangle or box edge is
-        split into equal panels no wider than this.
+        Upper bound on panel side length; each box edge is split into
+        equal panels no wider than this.
     tail_radius : float
         Tensor-grid lattice integrals keep boxes whose centers lie within
         this Euclidean distance of the origin; the erf evaluator cuts its
         Gaussian axis at this distance from the Gaussian's centre.
-    abs_tol : float
-        Absolute tolerance the caller is targeting; recorded so results
-        can be checked against it.
     """
 
     panel_order: int = 20
     max_panel_width: float = math.inf
     tail_radius: float
-    abs_tol: float = 1e-7
 
     def __post_init__(self) -> None:
         if self.panel_order < 2:
@@ -95,8 +92,6 @@ class QuadratureSpec:
             raise InvalidScale("max_panel_width must be positive")
         if not (math.isfinite(self.tail_radius) and self.tail_radius > 0.0):
             raise InvalidScale("tail_radius must be positive and finite")
-        if not self.abs_tol > 0.0:
-            raise InvalidScale("abs_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -111,8 +106,6 @@ def spec_for_gaussian(
     sigma: float,
     *,
     slice_scale: float | None = None,
-    panel_order: int = 20,
-    abs_tol: float = 1e-7,
 ) -> QuadratureSpec:
     """Spec sized for a Gaussian of marginal std ``sigma`` on boxes of ``box_length``.
 
@@ -131,10 +124,8 @@ def spec_for_gaussian(
     if not scale > 0.0:
         raise InvalidScale(f"slice_scale must be positive, got {slice_scale!r}")
     return QuadratureSpec(
-        panel_order=panel_order,
         max_panel_width=min(box_length, 2.0 * scale),
         tail_radius=max(8.0 * sigma, 3.0 * box_length),
-        abs_tol=abs_tol,
     )
 
 
@@ -143,18 +134,6 @@ def _unit_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1]."""
     x, w = roots_legendre(order)
     return (x + 1.0) / 2.0, w / 2.0
-
-
-def _axis_panels(a: float, b: float, spec: QuadratureSpec, order: int):
-    """Panel nodes and weights covering [a, b] with one shared flat array per axis."""
-    width = b - a
-    n_panels = max(1, math.ceil(width / spec.max_panel_width - 1e-12))
-    edges = np.linspace(a, b, n_panels + 1)
-    u, wu = _unit_rule(order)
-    h = width / n_panels
-    nodes = (edges[:-1, None] + h * u[None, :]).ravel()
-    weights = np.broadcast_to(h * wu, (n_panels, order)).ravel()
-    return nodes, weights, n_panels
 
 
 def _evaluate(f, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -166,31 +145,6 @@ def _evaluate(f, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise NonFiniteIntegrand("integrand returned a non-finite value")
     return out
-
-
-def _rect_value(f, rect, spec: QuadratureSpec, order: int) -> tuple[float, float, int]:
-    (a, b), (c, d) = rect
-    x, wx, nx = _axis_panels(a, b, spec, order)
-    y, wy, ny = _axis_panels(c, d, spec, order)
-    fv = _evaluate(f, x, y)
-    value = float(wx @ fv @ wy)
-    abs_mass = float(wx @ np.abs(fv) @ wy)
-    return value, abs_mass, nx * ny
-
-
-def integrate_rect(f, rect, spec: QuadratureSpec) -> IntegralResult:
-    """Integrate ``f(q, q2)`` over ``rect = ((a, b), (c, d))``.
-
-    The error estimate is |full-order value - half-order value| plus a
-    rounding floor of 1e-14 times the integrated |f|.
-    """
-    (a, b), (c, d) = rect
-    if not (b > a and d > c):
-        raise InvalidScale("rectangle sides must have positive length")
-    value, abs_mass, panels = _rect_value(f, rect, spec, spec.panel_order)
-    coarse, _, _ = _rect_value(f, rect, spec, max(2, spec.panel_order // 2))
-    error = abs(value - coarse) + _NOISE_FLOOR * abs_mass
-    return IntegralResult(value=value, error_estimate=error, panels_used=panels)
 
 
 def _lattice_axis(spec: QuadratureSpec, box_length: float, order: int):
@@ -324,6 +278,21 @@ def _sign_values(sign, idx: np.ndarray) -> np.ndarray:
     return values
 
 
+def _erf_window(sv, l, root_c, mu_min, mu_max):
+    """Edge window shared by every centre in [mu_min, mu_max].
+
+    Returns ``(n_edges, m_first, sv_table)``: each centre mu sums
+    ``n_edges`` edges from the first one at or below
+    mu - _ERF_WINDOW/root_c, enough to reach past mu + _ERF_WINDOW/root_c,
+    and ``sv_table[k]`` is sv(m_first + k) for every box those windows
+    touch.
+    """
+    n_edges = math.ceil(2.0 * _ERF_WINDOW / (root_c * l)) + 2
+    m_first = math.floor((mu_min - _ERF_WINDOW / root_c) / l) - 1
+    m_last = math.floor((mu_max - _ERF_WINDOW / root_c) / l) + n_edges + 1
+    return n_edges, m_first, _sign_values(sv, np.arange(m_first, m_last + 1))
+
+
 def _erf_box_sums(mu, l, root_c, sv_table, m_first, n_edges):
     """Signed and absolute erf-difference box sums, one pair per v-centre.
 
@@ -420,12 +389,8 @@ def integrate_gaussian_lattice(
     live = ends > starts
     starts, widths, signs = starts[live], (ends - starts)[live], signs[live]
 
-    # v-signs of every edge window any node can reach, looked up by index.
-    n_edges = math.ceil(2.0 * _ERF_WINDOW / (root_c * l)) + 2
     mu_ends = (b + (s / c) * u_lo, b + (s / c) * u_hi)
-    m_first = math.floor((min(mu_ends) - _ERF_WINDOW / root_c) / l) - 1
-    m_last = math.floor((max(mu_ends) - _ERF_WINDOW / root_c) / l) + n_edges + 1
-    sv_table = _sign_values(sv, np.arange(m_first, m_last + 1))
+    n_edges, m_first, sv_table = _erf_window(sv, l, root_c, min(mu_ends), max(mu_ends))
 
     totals = []
     magnitude = 0.0
@@ -464,49 +429,29 @@ def integrate_gaussian_lattice(
     return IntegralResult(value=value, error_estimate=error, panels_used=int(starts.size))
 
 
-def _line_box_integrals(f, nodes, weights, n_boxes: int, per_box: int) -> np.ndarray:
-    fv = np.asarray(f(nodes), dtype=float)
-    if fv.shape != nodes.shape:
-        fv = np.broadcast_to(fv, nodes.shape).copy()
-    if not np.all(np.isfinite(fv)):
-        raise NonFiniteIntegrand("integrand returned a non-finite value")
-    return (fv * weights).reshape(n_boxes, per_box).sum(axis=1)
-
-
-def integrate_line_signed(
-    f,
-    box_length: float,
+def integrate_gaussian_line(
+    l: float,
+    sigma: float,
     sign: Callable[[np.ndarray], np.ndarray],
-    spec: QuadratureSpec,
 ) -> IntegralResult:
-    """1D analogue of :func:`integrate_lattice_signed` for single-site sums."""
-    if not box_length > 0.0:
-        raise InvalidScale(f"box_length must be positive, got {box_length!r}")
-    order = spec.panel_order
-    half = max(2, order // 2)
-    ns, nodes, weights, ppb = _lattice_axis(spec, box_length, order)
-    fine = _line_box_integrals(f, nodes, weights, ns.size, ppb * order)
-    _, nodes_h, weights_h, ppb_h = _lattice_axis(spec, box_length, half)
-    coarse = _line_box_integrals(f, nodes_h, weights_h, ns.size, ppb_h * half)
+    """Signed box sum of a centred normal density, in closed form.
 
-    sv = _sign_values(sign, ns)
-    active = sv != 0.0
-    value = float((sv * fine)[active].sum())
-    panel_err = float(np.abs(fine - coarse)[active].sum())
-    noise = _NOISE_FLOOR * float(np.abs(fine)[active].sum())
-    absf = np.abs(fine)
-    # Outermost kept box on each side and its inward neighbor give the
-    # same geometric tail bound as the 2D ring estimate.
-    r1 = float(absf[0] + absf[-1])
-    r2 = float(absf[1] + absf[-2]) if ns.size >= 4 else 0.0
-    if r1 == 0.0:
-        tail = 0.0
-    elif r2 <= r1:
-        tail = r1
-    else:
-        tail = r1 * (r1 / r2) / (1.0 - r1 / r2)
-    return IntegralResult(
-        value=value,
-        error_estimate=panel_err + noise + tail,
-        panels_used=int(ns.size) * ppb,
-    )
+    Computes the sum over m of sign(m) * P(N(0, sigma**2) in B_m) with
+    boxes B_m = [m*l, (m+1)*l), as half the signed erf-difference sum
+    over the edges within _ERF_WINDOW erf widths (sigma*sqrt(2)) of 0.
+
+    The error is a bound: erfc(_ERF_WINDOW) on the mass of the boxes
+    beyond the window, plus a rounding floor eps * sqrt(boxes) * sum of
+    |terms|.  ``panels_used`` is 0, since no panel rule is involved.
+    """
+    if not l > 0.0:
+        raise InvalidScale(f"box_length must be positive, got {l!r}")
+    if not sigma > 0.0:
+        raise InvalidScale(f"sigma must be positive, got {sigma!r}")
+    root_c = 1.0 / (math.sqrt(2.0) * sigma)
+    n_edges, m_first, sv_table = _erf_window(sign, l, root_c, 0.0, 0.0)
+    hsum, habs = _erf_box_sums(np.zeros(1), l, root_c, sv_table, m_first, n_edges)
+    value = 0.5 * float(hsum[0])
+    rounding = 0.5 * _EPS * math.sqrt(n_edges - 1) * float(habs[0])
+    error = float(erfc(_ERF_WINDOW)) + rounding
+    return IntegralResult(value=value, error_estimate=error, panels_used=0)

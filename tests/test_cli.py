@@ -5,6 +5,7 @@ stdout/stderr are asserted directly.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -30,6 +31,7 @@ class TestSweepConfig:
     def test_dict_roundtrip(self):
         config = SweepConfig(r_list=(0.5, 1.0), l_min=0.1, l_max=4.0, points=7)
         assert SweepConfig.from_dict(config.as_dict()) == config
+        assert set(config.as_dict()) == {f.name for f in dataclasses.fields(SweepConfig)}
 
     def test_l_values_span_the_range_in_log2(self):
         config = SweepConfig(l_min=0.25, l_max=4.0, points=5)
@@ -88,6 +90,7 @@ class TestSweeps:
         assert payload["columns"][:3] == ["r", "l", "log2_l"]
         assert len(payload["rows"]) == 3
         assert payload["config"]["points"] == 3
+        assert "tol" not in payload["config"]
 
     def test_fig2_product_state_never_violates(self, capsys):
         code, out, _ = _run(
@@ -243,3 +246,31 @@ class TestErrorPaths:
         assert code == 2
         assert err.startswith("error:")
         assert out == ""
+
+
+class TestRemovedFlags:
+    """Flags that would change nothing are rejected by argparse."""
+
+    COMMANDS = {
+        "fig1": ["fig1", "--points", "2"],
+        "fig2": ["fig2", "--points", "2"],
+        "correlators": ["correlators", "--r", "0.5", "--l", "1"],
+        "bell-bits": ["bell-bits", "--r", "0.5"],
+        "optimize": ["optimize", "--r", "0.5", "--l", "1"],
+        "lhv": ["lhv"],
+        "bits-demo": ["bits-demo", "--q", "1.5"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_tol_is_rejected(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.COMMANDS[command], "--tol", "1e-7"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["correlators", "optimize", "lhv", "bits-demo"])
+    def test_format_is_rejected_on_json_only_commands(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.COMMANDS[command], "--format", "json"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err

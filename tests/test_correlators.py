@@ -9,7 +9,8 @@ the integrand derivation and the panel sums.
 
 The error-bound tests check that every reported error covers the
 distance to an independent value: the tensor-grid lattice integrator on
-a refined spec, the exact mass 1, and Monte Carlo sampling.
+a refined spec, the exact mass 1, the exact <s_z> = 0, and Monte Carlo
+sampling.
 """
 
 import dataclasses
@@ -276,6 +277,13 @@ class TestReportedErrorIsABound:
             default_spec(l, state),
         )
         assert abs(res.value - 1.0) <= res.error_estimate
+
+    @pytest.mark.parametrize("r", [0.0, 2.0, 5.0])
+    @pytest.mark.parametrize("l", [0.03, 1.0, 50.0])
+    def test_sz_vanishes_within_error_at_corners(self, r, l):
+        """Reflection maps box m onto box -m - 1 of opposite parity, so <s_z> = 0."""
+        value, err = single_site("z", l, r)
+        assert abs(value) <= err
 
     @pytest.mark.parametrize("r", [3.0, 5.0])
     def test_czz_matches_sampling_at_strong_squeezing(self, r):

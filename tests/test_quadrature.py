@@ -1,8 +1,8 @@
 """Panel quadrature against closed forms computed through erf.
 
-The lattice integrators are checked against exact box probabilities of
-the standard normal: with independent coordinates every signed box sum
-factorizes, so 2D answers follow from 1D erf differences.
+The box-sum evaluators are checked against exact box probabilities of
+the normal distribution: with independent coordinates every signed box
+sum factorizes, so 2D answers follow from 1D erf differences.
 """
 
 import math
@@ -15,9 +15,8 @@ from boxspin import (
     NonFiniteIntegrand,
     QuadratureSpec,
     integrate_gaussian_lattice,
+    integrate_gaussian_line,
     integrate_lattice_signed,
-    integrate_line_signed,
-    integrate_rect,
     spec_for_gaussian,
 )
 
@@ -58,10 +57,6 @@ class TestSpecValidation:
         with pytest.raises(InvalidScale):
             QuadratureSpec(tail_radius=math.inf)
 
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(InvalidScale):
-            QuadratureSpec(tail_radius=5.0, abs_tol=0.0)
-
     def test_spec_for_gaussian_scaling(self):
         spec = spec_for_gaussian(0.5, 2.0)
         assert spec.tail_radius == 16.0  # 8*sigma dominates 3*l
@@ -77,38 +72,6 @@ class TestSpecValidation:
             spec_for_gaussian(1.0, -1.0)
         with pytest.raises(InvalidScale):
             spec_for_gaussian(1.0, 1.0, slice_scale=0.0)
-
-
-class TestRect:
-    def test_polynomial_is_exact(self):
-        spec = QuadratureSpec(tail_radius=10.0)
-        res = integrate_rect(lambda u, v: u**3 * v**2, ((0.0, 1.0), (-1.0, 2.0)), spec)
-        assert res.value == pytest.approx(0.25 * 3.0, abs=1e-13)
-
-    def test_gaussian_mass_in_square(self):
-        spec = QuadratureSpec(max_panel_width=1.0, tail_radius=10.0)
-        res = integrate_rect(_std_normal_2d, ((-6.0, 6.0), (-6.0, 6.0)), spec)
-        exact = (_normal_cdf(6.0) - _normal_cdf(-6.0)) ** 2
-        assert abs(res.value - exact) < 1e-12
-        assert abs(res.value - exact) <= res.error_estimate + 1e-15
-
-    def test_panel_splitting_counts(self):
-        spec = QuadratureSpec(max_panel_width=0.3, tail_radius=10.0)
-        res = integrate_rect(lambda u, v: u * 0 + 1.0, ((0.0, 1.0), (0.0, 1.0)), spec)
-        assert res.panels_used == 16  # ceil(1/0.3) = 4 per axis
-        assert res.value == pytest.approx(1.0, abs=1e-14)
-
-    def test_rejects_degenerate_rectangle(self):
-        spec = QuadratureSpec(tail_radius=10.0)
-        with pytest.raises(InvalidScale):
-            integrate_rect(_std_normal_2d, ((1.0, 1.0), (0.0, 1.0)), spec)
-
-    def test_nonfinite_integrand_is_an_error(self):
-        spec = QuadratureSpec(tail_radius=10.0)
-        with pytest.raises(NonFiniteIntegrand):
-            integrate_rect(
-                lambda u, v: np.full_like(u + v, np.nan), ((0.0, 1.0), (0.0, 1.0)), spec
-            )
 
 
 class TestLatticeSigned:
@@ -162,6 +125,14 @@ class TestLatticeSigned:
         with pytest.raises(InvalidScale):
             integrate_lattice_signed(
                 _std_normal_2d, 10.0, lambda n, m: np.ones_like(n + m), spec
+            )
+
+    def test_nonfinite_integrand_is_an_error(self):
+        spec = QuadratureSpec(tail_radius=3.0)
+        with pytest.raises(NonFiniteIntegrand):
+            integrate_lattice_signed(
+                lambda u, v: np.full_like(u + v, np.nan), 1.0,
+                lambda n, m: np.ones_like(n + m), spec,
             )
 
 
@@ -228,28 +199,50 @@ class TestGaussianLattice:
             )
 
 
-class TestLineSigned:
-    def test_marginal_mass(self):
-        spec = QuadratureSpec(max_panel_width=0.5, tail_radius=9.0)
-        res = integrate_line_signed(
-            lambda q: np.exp(-0.5 * q * q) / math.sqrt(2.0 * math.pi),
-            0.6,
-            lambda n: np.ones_like(n),
-            spec,
-        )
-        assert abs(res.value - 1.0) < 1e-9
+class TestGaussianLine:
+    """The closed-form box sum of a centred normal; the cases take the erf
+    window from 2 boxes (l = 50, sigma = 0.7) to ~45000 (l = 0.03,
+    sigma = 74, the marginal width at r = 5)."""
 
-    def test_alternating_signs_match_erf_sum(self):
-        l = 1.5  # wide boxes keep the alternating sum well away from zero
-        mu = 0.3
-        spec = QuadratureSpec(max_panel_width=0.4, tail_radius=9.0)
-        res = integrate_line_signed(
-            lambda q: np.exp(-0.5 * (q - mu) ** 2) / math.sqrt(2.0 * math.pi),
-            l,
-            lambda n: 1 - 2 * (n % 2),
-            spec,
+    CASES = [(0.6, 1.0), (1.5, 1.0), (0.03, 0.7), (50.0, 0.7), (0.03, 74.0), (7.5, 74.0)]
+
+    @pytest.mark.parametrize("l, sigma", CASES)
+    def test_total_mass_is_one(self, l, sigma):
+        res = integrate_gaussian_line(l, sigma, np.ones_like)
+        assert abs(res.value - 1.0) <= res.error_estimate
+        assert res.error_estimate < 1e-13
+
+    @pytest.mark.parametrize(
+        "sign",
+        [
+            lambda n: (n % 2 == 0).astype(int),
+            lambda n: (n % 3 == 0).astype(int) - (n % 3 == 1).astype(int),
+        ],
+        ids=["even", "mod3"],
+    )
+    @pytest.mark.parametrize("l, sigma", CASES)
+    def test_signed_boxes_match_cdf_sum(self, l, sigma, sign):
+        """Against a sum of normal-cdf differences.
+
+        Reflection maps box m onto box -m - 1, so the even-box sum is 1/2
+        at every l; the mod-3 signs have no such pairing, so a sign table
+        shifted by one box shows.
+        """
+        res = integrate_gaussian_line(l, sigma, sign)
+        n_max = math.ceil(12.0 * sigma / l) + 1
+        ns = np.arange(-n_max, n_max)
+        expected = math.fsum(
+            int(k) * (_normal_cdf((n + 1) * l / sigma) - _normal_cdf(n * l / sigma))
+            for n, k in zip(ns, sign(ns))
         )
-        expected = _signed_box_sum(l, mu=mu)
-        assert abs(expected) > 1e-3  # the oracle must not be trivially zero
-        assert res.value == pytest.approx(expected, abs=1e-11)
-        assert abs(res.value - expected) <= res.error_estimate + 1e-14
+        # Each cdf difference carries at most ~1.5 eps of rounding.
+        oracle_err = 4.0 * np.finfo(float).eps * n_max
+        assert abs(res.value - expected) <= res.error_estimate + oracle_err
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(InvalidScale):
+            integrate_gaussian_line(0.0, 1.0, np.ones_like)
+        with pytest.raises(InvalidScale):
+            integrate_gaussian_line(1.0, 0.0, np.ones_like)
+        with pytest.raises(InvalidScale):  # signs outside {-1, 0, +1}
+            integrate_gaussian_line(1.0, 1.0, lambda n: 2 * np.ones_like(n))
