@@ -73,6 +73,7 @@ from .quadrature import (
     QuadratureSpec,
     integrate_gaussian_lattice,
     integrate_gaussian_line,
+    integrate_gaussian_poisson,
     integrate_lattice_signed,
     spec_for_gaussian,
 )

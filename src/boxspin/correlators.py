@@ -3,18 +3,23 @@
 Site spin components are defined from position boxes of length ``l``:
 ``s_z`` is +1 on even boxes and -1 on odd boxes, while ``s_x`` and
 ``s_y`` are built from the translation that maps each odd box onto the
-even box below it.  Every two-site correlator then reduces to a signed
-sum over box pairs of one Gaussian integral,
-
-    exp(log_pref) * sum su(n)*sv(m) * integral of
-        exp(2s*u*v - c*(u - a)**2 - c*(v - b)**2),
-
-with c = cosh 2r, s = sinh 2r, per-piece shifts (a, b), sign functions
-that factor over the two sites, and the whole assembly prefactor in
-``log_pref``.  :func:`boxspin.quadrature.integrate_gaussian_lattice`
-sums one axis in closed form (erf differences) and folds ``log_pref``
-into the exponent, so nothing overflows up to l = 50, r = 5.  See
+even box below it.  Every two-site correlator then reduces to one
+piece: a mass times the expectation of su(n) * sv(m) under a normal law
+with covariance [[c, s], [s, c]]/2 (c = cosh 2r, s = sinh 2r), where n
+and m are the boxes of the two coordinates, su and sv are the parity,
+the even-box indicator or 1, and the mean is 0 or -l/2 on each axis.
+The masses are closed forms, written without the difference
+c - s = exp(-2r), which cancels; the whole assembly prefactor is in
+them, so each piece is its correlator.  See
 docs/correlator-reduction.md for the derivations.
+
+Each piece is evaluated by one of two closed forms in
+:mod:`boxspin.quadrature`: the theta series of
+:func:`~boxspin.quadrature.integrate_gaussian_poisson`, or the erf
+lattice of :func:`~boxspin.quadrature.integrate_gaussian_lattice`.
+:func:`_lattice_piece` picks the one with less predicted work from (l, r)
+alone, and falls back to the lattice where the series leaves a
+nonnegative piece with few significant digits.
 
 Results are cached per (piece, l, r, spec); the cache is a plain dict,
 safe under concurrent reads with at worst duplicated work on a race.
@@ -24,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -33,8 +37,11 @@ from .gaussian_state import SqueezeState
 from .quadrature import (
     IntegralResult,
     QuadratureSpec,
+    gaussian_lattice_work,
+    gaussian_poisson_terms,
     integrate_gaussian_lattice,
     integrate_gaussian_line,
+    integrate_gaussian_poisson,
     spec_for_gaussian,
 )
 
@@ -153,41 +160,66 @@ def _one(n):
     return np.ones_like(n)
 
 
-def _piece_exp_part(name: str, l: float, state: SqueezeState):
-    """Shifts (a, b), sign functions (su, sv) and log prefactor of a piece.
+# Each piece is exp(log_mass) times the expectation of su(n) * sv(m) under
+# the normal law of covariance [[c, s], [s, c]]/2 and mean -(hu, hv)*l/2;
+# per piece: (su, sv, (hu, hv)).
+_PIECES = {
+    "density": (_parity, _parity, (0, 0)),
+    "step": (_even, _even, (1, 1)),
+    "zx": (_parity, _even, (0, 1)),
+    "xz": (_even, _parity, (1, 0)),
+    "site_x": (_even, _one, (1, 0)),
+}
 
-    The piece equals exp(log_pref) times the signed lattice sum of
-    exp(2s*u*v - c*(u - a)**2 - c*(v - b)**2).  ``log_pref`` holds the
-    whole assembly prefactor, so the piece is the correlator itself:
-    czz for density, cxx for step (cyy = -tanh(s*l**2/2) * cxx), czx,
-    cxz, and <s_x> for site_x.
+
+# Pieces whose signs are never negative, and the relative error of the
+# theta series above which they go to the lattice instead.
+_NONNEGATIVE_PIECES = ("step", "site_x")
+_SERIES_RELATIVE_ERROR = 1e-12
+
+
+def _log_mass(name: str, l: float, state: SqueezeState) -> float:
+    """Log of the piece's mass, whole assembly prefactor included.
+
+    The piece is then the correlator itself: czz for density, cxx for
+    step (cyy = -tanh(s*l**2/2) * cxx), czx, cxz, and <s_x> for site_x.
+    Written with exp(-2r) where c - s = exp(-2r) would cancel.
     """
-    c = state.cosh2r
-    s = state.sinh2r
-    log_two_over_pi = math.log(2.0 / math.pi)
     if name == "density":
-        a = b = 0.0
-        su, sv = _parity, _parity
-        log_pref = -math.log(math.pi)
-    elif name == "step":
-        # Anti-diagonal translate product psi(u, v+l)*psi(u+l, v), weighted
-        # by (2/pi)*(e_diag + e_anti) with e_anti/e_diag = exp(-s*l**2).
-        a = b = (s - c) * l / (2.0 * c)
-        su, sv = _even, _even
-        log_pref = log_two_over_pi - l * l / (2.0 * c) + math.log1p(math.exp(-s * l * l))
-    elif name == "zx":
-        a = s * l / (2.0 * c)
-        b = -l / 2.0
-        su, sv = _parity, _even
-        log_pref = log_two_over_pi - l * l / (4.0 * c)
-    elif name in ("xz", "site_x"):
-        a = -l / 2.0
-        b = s * l / (2.0 * c)
-        su, sv = _even, (_parity if name == "xz" else _one)
-        log_pref = log_two_over_pi - l * l / (4.0 * c)
-    else:
-        raise ValueError(f"unknown piece {name!r}")
-    return a, b, su, sv, log_pref
+        return 0.0
+    if name == "step":
+        # (2/pi)*(e_diag + e_anti) times the anti-diagonal translate
+        # product's mass, with e_anti/e_diag = exp(-s*l**2).
+        return (
+            math.log(2.0)
+            + math.log1p(math.exp(-state.sinh2r * l * l))
+            - l * l * math.exp(-2.0 * state.r) / 2.0
+        )
+    if name in _PIECES:
+        return math.log(2.0) - state.cosh2r * l * l / 4.0
+    raise ValueError(f"unknown piece {name!r}")
+
+
+def _poisson_pays(name: str, l: float, state: SqueezeState) -> bool:
+    """Whether the theta series takes fewer terms than the lattice's u-nodes x edges."""
+    su, sv, shifts = _PIECES[name]
+    terms = gaussian_poisson_terms(l, state.r, su, sv, _log_mass(name, l, state), shifts)
+    return terms < gaussian_lattice_work(l, state.cosh2r, default_spec(l, state))
+
+
+def _series_lost_digits(name: str, result: IntegralResult) -> bool:
+    """Whether the theta series left a nonnegative piece with few digits.
+
+    The series adds and subtracts terms as large as the mass, so a piece
+    far below its mass keeps few digits; with nonnegative signs the
+    lattice only adds box masses and keeps them all.  A value of 0 means
+    the mass underflowed, which the lattice would repeat.
+    """
+    return (
+        name in _NONNEGATIVE_PIECES
+        and result.value != 0.0
+        and result.error_estimate > _SERIES_RELATIVE_ERROR * abs(result.value)
+    )
 
 
 _PIECE_CACHE: dict = {}
@@ -197,16 +229,35 @@ def clear_cache() -> None:
     _PIECE_CACHE.clear()
 
 
+def _series_piece(name: str, l: float, state: SqueezeState) -> IntegralResult:
+    """One piece by the theta series."""
+    su, sv, shifts = _PIECES[name]
+    return integrate_gaussian_poisson(l, state.r, su, sv, _log_mass(name, l, state), shifts)
+
+
+def _erf_piece(name: str, l: float, state: SqueezeState, spec: QuadratureSpec) -> IntegralResult:
+    """One piece by the erf lattice on ``spec``."""
+    su, sv, shifts = _PIECES[name]
+    mean = (-shifts[0] * l / 2.0, -shifts[1] * l / 2.0)
+    return integrate_gaussian_lattice(
+        l, state.cosh2r, state.sinh2r, mean, su, sv, _log_mass(name, l, state), spec
+    )
+
+
 def _lattice_piece(name: str, l: float, state: SqueezeState, spec: QuadratureSpec) -> IntegralResult:
-    """One piece, prefactor included, cached per (name, l, r, spec)."""
+    """One piece, prefactor included, cached per (name, l, r, spec).
+
+    The theta series evaluates it where it predicts fewer terms than the
+    erf lattice's u-nodes x edges, and the lattice (on ``spec``) elsewhere
+    and where the series leaves a nonnegative piece with few digits.
+    """
     key = (name, l, state.r, spec)
     hit = _PIECE_CACHE.get(key)
     if hit is not None:
         return hit
-    a, b, su, sv, log_pref = _piece_exp_part(name, l, state)
-    result = integrate_gaussian_lattice(
-        l, state.cosh2r, state.sinh2r, a, b, su, sv, log_pref, spec
-    )
+    result = _series_piece(name, l, state) if _poisson_pays(name, l, state) else None
+    if result is None or _series_lost_digits(name, result):
+        result = _erf_piece(name, l, state, spec)
     _PIECE_CACHE[key] = result
     return result
 
@@ -219,7 +270,8 @@ def correlator(
 ) -> tuple[float, float]:
     """Two-site correlator for ``pair`` in {'zz', 'xx', 'yy', 'zx', 'xz'}.
 
-    Returns (value, error_estimate).
+    Returns (value, error_estimate).  ``spec`` applies only to pieces
+    evaluated on the erf lattice; the theta series has no spec.
     """
     if pair not in PAIRS:
         raise ValueError(f"pair must be one of {PAIRS}, got {pair!r}")
@@ -254,7 +306,8 @@ def single_site(
     """Single-site expectation of s_z or s_x.  Returns (value, error).
 
     <s_z> is the parity sum over the position marginal, a centred normal,
-    in closed form; ``spec`` applies to <s_x> only.
+    in closed form; ``spec`` applies to <s_x> only, and only where it is
+    evaluated on the erf lattice.
     """
     l = _check_box_length(l)
     state = SqueezeState(r)

@@ -1,28 +1,36 @@
-"""Signed box sums of Gaussians: erf closed forms and Gauss-Legendre panels.
+"""Signed box sums of Gaussians: theta series, erf closed forms and panels.
 
-Integrands here are smooth Gaussians times polynomials, so fixed-order
-Gauss-Legendre panels converge extremely fast once the panel width is
-small compared to the length scale of the integrand, and any axis along
-which the integrand is a plain Gaussian is summed exactly as erf
-differences.  Entry points:
+Every correlator piece is exp(log_mass) times the expectation of
+su(n) * sv(m) under a correlated normal law, with (n, m) the boxes of
+length l holding the two coordinates.  Entry points:
 
-* :func:`integrate_gaussian_lattice` evaluates the signed box-lattice
-  sum of a correlated two-dimensional Gaussian.  One axis is summed in
-  closed form as erf differences, the other is integrated on panels
-  aligned with the boxes.  This is the production correlator kernel.
+* :func:`integrate_gaussian_poisson` sums that expectation as a theta
+  series.  Each sign function has period 2 in the box index, so Poisson
+  summation turns the box sum into a double series over the sign
+  functions' Fourier coefficients, whose terms fall off as Gaussians in
+  the frequencies.  Its error is an explicit tail bound plus a rounding
+  floor.
+* :func:`integrate_gaussian_lattice` evaluates the same expectation in
+  position space.  One axis is summed in closed form as erf
+  differences, the other is integrated on Gauss-Legendre panels
+  aligned with the boxes.
+* :func:`gaussian_poisson_terms` and :func:`gaussian_lattice_work`
+  predict the work of the two, so a caller can pick the cheaper one
+  without running either.
 * :func:`integrate_lattice_signed` integrates an arbitrary ``f(u, v)``
   over every box pair ``[n*l, (n+1)*l) x [m*l, (m+1)*l)`` whose center
   lies within ``tail_radius`` of the origin on a full tensor grid and
   sums the results with integer weights ``sign(n, m)``.  It shares no
-  reduction with the erf evaluator and serves as its independent check.
+  reduction with the closed-form evaluators and serves as their
+  independent check.
 * :func:`integrate_gaussian_line` is the one-dimensional signed box sum
   of a centred normal density, entirely in erf differences.
 
-Error estimates combine the difference between the full-order and
-half-order rules (panel truncation), what the cut-off tail carries (an
-erfc bound for the erf sums, a geometric-decay estimate for the tensor
-grid), and a floating-point rounding floor proportional to the summed
-absolute mass.
+Error estimates of the panel rules combine the difference between the
+full-order and half-order rules (panel truncation), what the cut-off
+tail carries (an erfc bound for the erf sums, a geometric-decay
+estimate for the tensor grid), and a floating-point rounding floor
+proportional to the summed absolute mass.
 """
 
 from __future__ import annotations
@@ -43,7 +51,10 @@ __all__ = [
     "spec_for_gaussian",
     "integrate_gaussian_lattice",
     "integrate_gaussian_line",
+    "integrate_gaussian_poisson",
     "integrate_lattice_signed",
+    "gaussian_lattice_work",
+    "gaussian_poisson_terms",
 ]
 
 # Relative rounding-noise floor applied to the summed absolute mass.
@@ -278,6 +289,15 @@ def _sign_values(sign, idx: np.ndarray) -> np.ndarray:
     return values
 
 
+def _edge_count(l, root_c):
+    """Edges one erf window spans: enough to reach _ERF_WINDOW/root_c past either side."""
+    return math.ceil(2.0 * _ERF_WINDOW / (root_c * l)) + 2
+
+
+def _panels_per_box(l, spec):
+    return max(1, math.ceil(l / spec.max_panel_width - 1e-12))
+
+
 def _erf_window(sv, l, root_c, mu_min, mu_max):
     """Edge window shared by every centre in [mu_min, mu_max].
 
@@ -287,7 +307,7 @@ def _erf_window(sv, l, root_c, mu_min, mu_max):
     and ``sv_table[k]`` is sv(m_first + k) for every box those windows
     touch.
     """
-    n_edges = math.ceil(2.0 * _ERF_WINDOW / (root_c * l)) + 2
+    n_edges = _edge_count(l, root_c)
     m_first = math.floor((mu_min - _ERF_WINDOW / root_c) / l) - 1
     m_last = math.floor((mu_max - _ERF_WINDOW / root_c) / l) + n_edges + 1
     return n_edges, m_first, _sign_values(sv, np.arange(m_first, m_last + 1))
@@ -323,37 +343,36 @@ def integrate_gaussian_lattice(
     l: float,
     c: float,
     s: float,
-    a: float,
-    b: float,
+    mean: tuple[float, float],
     su: Callable[[np.ndarray], np.ndarray],
     sv: Callable[[np.ndarray], np.ndarray],
-    log_factor: float,
+    log_mass: float,
     spec: QuadratureSpec,
 ) -> IntegralResult:
     """Signed box-lattice sum of a correlated Gaussian, one axis in closed form.
 
-    Computes
+    Computes exp(log_mass) times the expectation of su(n(u)) * sv(n(v))
+    for (u, v) normal with mean ``mean`` = (u0, v0) and covariance
+    [[c, s], [s, c]]/2, where c = cosh(2r), s = sinh(2r) for some r >= 0
+    and n(u) is the box B_n = [n*l, (n+1)*l) holding u.  The density is
+    exp(-c*x**2 - c*y**2 + 2*s*x*y)/pi in (x, y) = (u - u0, v - v0).  For
+    fixed u the v-factor is a Gaussian of centre mu(u) = v0 + (s/c)*(u - u0)
+    and width 1/sqrt(2c), so the v box-sum H(u) is sqrt(pi/c)/2 times a
+    signed sum of erf differences over the edges within 6.5/sqrt(c) of mu.
+    What remains is
 
-        exp(log_factor) * sum over (n, m) of su(n) * sv(m) * integral over
-        B_n x B_m of exp(2*s*u*v - c*(u - a)**2 - c*(v - b)**2) du dv
+        integral of exp(log_mass - (u - u0)**2 / c) / pi * su(n(u)) * H(u) du,
 
-    with boxes B_n = [n*l, (n+1)*l), c = cosh(2r) and s = sinh(2r) for
-    some r >= 0.  For fixed u the v-factor is a Gaussian of centre
-    mu(u) = b + (s/c)*u and width 1/sqrt(2c), so the v box-sum H(u) is
-    sqrt(pi/c)/2 times a signed sum of erf differences over the edges
-    within 6.5/sqrt(c) of mu.  What remains is
-
-        integral of exp(log_factor + g0 - (u - u0)**2 / c) * su(n(u)) * H(u) du,
-
-    u0 = c*(a*c + b*s), g0 = c*(a*c + b*s)**2 - c*a**2, taken
-    on Gauss-Legendre panels aligned with the u-boxes (at most
+    taken on Gauss-Legendre panels aligned with the u-boxes (at most
     ``max_panel_width`` wide, ``panel_order`` nodes) over u0 +/-
-    ``tail_radius``.  ``log_factor`` is folded into that exponent, so no
-    intermediate overflows even where the lattice sum alone would.
+    ``tail_radius``.  ``log_mass`` is folded into that exponent.
 
     The u-curvature 1/c = (c**2 - s**2)/c uses c**2 - s**2 = 1: the
     difference c - s = exp(-2r) cancels catastrophically in floating
     point (to 4e-8 relative at r = 5), which shifts the result as much.
+    The mean is an input for the same reason: derived from the shifts of
+    an exponent 2*s*u*v - c*(u - a)**2 - c*(v - b)**2, it is
+    c*(a*c + b*s), which cancels to c**2 times the rounding of a and b.
 
     The error estimate is |full-order - half-order value| + an erfc bound
     on the cut u-tail + a bound on the v-boxes outside the erf windows +
@@ -368,11 +387,10 @@ def integrate_gaussian_lattice(
     if not (c >= 1.0 and abs((c - s) * (c + s) - 1.0) <= 1e-6):
         raise InvalidScale(f"need c = cosh(2r), s = sinh(2r); got c={c!r}, s={s!r}")
     root_c = math.sqrt(c)
-    u0 = c * (a * c + b * s)
-    g0 = u0 * u0 / c - c * a * a
-    log_w = log_factor + g0
+    u0, v0 = (float(m) for m in mean)
+    log_w = log_mass - math.log(math.pi)
     # Absolute size of the terms that make up each node's exponent.
-    exponent_scale = abs(log_factor) + u0 * u0 / c + c * a * a
+    exponent_scale = abs(log_mass) + math.log(math.pi)
     u_lo = u0 - spec.tail_radius
     u_hi = u0 + spec.tail_radius
 
@@ -380,7 +398,7 @@ def integrate_gaussian_lattice(
     boxes = np.arange(math.floor(u_lo / l), math.floor(u_hi / l) + 1)
     box_signs = _sign_values(su, boxes)
     kept = box_signs != 0.0
-    per_box = max(1, math.ceil(l / spec.max_panel_width - 1e-12))
+    per_box = _panels_per_box(l, spec)
     h = l / per_box
     starts = (boxes[kept, None] * l + h * np.arange(per_box)).ravel()
     signs = np.repeat(box_signs[kept], per_box)
@@ -389,7 +407,7 @@ def integrate_gaussian_lattice(
     live = ends > starts
     starts, widths, signs = starts[live], (ends - starts)[live], signs[live]
 
-    mu_ends = (b + (s / c) * u_lo, b + (s / c) * u_hi)
+    mu_ends = (v0 - (s / c) * spec.tail_radius, v0 + (s / c) * spec.tail_radius)
     n_edges, m_first, sv_table = _erf_window(sv, l, root_c, min(mu_ends), max(mu_ends))
 
     totals = []
@@ -405,19 +423,20 @@ def integrate_gaussian_lattice(
             weight = ((width * signs[i:i + step, None]) * w).ravel()
             spread = (u - u0) ** 2 / c
             weight *= np.exp(log_w - spread)
-            hsum, habs = _erf_box_sums(b + (s / c) * u, l, root_c, sv_table, m_first, n_edges)
-            total += float(weight @ hsum)
+            hsum, habs = _erf_box_sums(v0 + (s / c) * (u - u0), l, root_c, sv_table, m_first, n_edges)
+            total += float((weight * hsum).sum())
             if order == spec.panel_order:
                 habs *= np.abs(weight)
                 magnitude += float(habs.sum())
-                exponent_error += float(spread @ habs)
+                exponent_error += float((spread * habs).sum())
         totals.append(total)
 
     v_scale = 0.5 * math.sqrt(math.pi / c)
-    # sqrt(pi/c) bounds |H(u)| and sqrt(pi*c) is the full u-weight mass.
-    mass_bound = math.exp(log_w) * math.pi
-    tail = mass_bound * float(erfc(spec.tail_radius / root_c))
-    window = mass_bound * float(erfc(_ERF_WINDOW))
+    # sqrt(pi/c) bounds |H(u)| and sqrt(pi*c)*exp(log_w) is the full
+    # u-weight mass; their product is the mass exp(log_mass).
+    mass = math.exp(log_mass)
+    tail = mass * float(erfc(spec.tail_radius / root_c))
+    window = mass * float(erfc(_ERF_WINDOW))
     terms = starts.size * spec.panel_order * n_edges
     rounding = _EPS * v_scale * (
         (math.sqrt(terms) + exponent_scale) * magnitude + exponent_error
@@ -454,4 +473,211 @@ def integrate_gaussian_line(
     value = 0.5 * float(hsum[0])
     rounding = 0.5 * _EPS * math.sqrt(n_edges - 1) * float(habs[0])
     error = float(erfc(_ERF_WINDOW)) + rounding
+    return IntegralResult(value=value, error_estimate=error, panels_used=0)
+
+
+def gaussian_lattice_work(l: float, c: float, spec: QuadratureSpec) -> int:
+    """Predicted u-nodes x edges of one :func:`integrate_gaussian_lattice` call.
+
+    The full-order nodes on every box within ``tail_radius`` of the
+    centre times the edges of one erf window; the half-order rule adds
+    half as much again.  Boxes whose sign is 0 are counted, so this
+    overestimates the even-box indicator's work.
+    """
+    boxes = math.floor(2.0 * spec.tail_radius / l) + 2
+    nodes = boxes * _panels_per_box(l, spec) * spec.panel_order
+    return nodes * _edge_count(l, math.sqrt(c))
+
+
+# The theta series stops where the dropped terms carry at most this
+# share of the Gaussian's mass.
+_POISSON_TAIL = 1e-18
+
+
+@lru_cache(maxsize=64)
+def _sign_fourier(sign) -> tuple[float, float]:
+    """Fourier data of a sign function of period 2 in the box index.
+
+    On boxes of length l, u -> sign(floor(u/l)) has period 2l.  Its
+    coefficient of exp(i*pi*j*u/l) is (sign(0) + sign(1))/2 at j = 0,
+    (sign(0) - sign(1))/(i*pi*j) at odd j, and 0 at even j != 0.
+    Returns ``(F0, f)``: the odd coefficients are -i * f / j.
+    """
+    values = _sign_values(sign, np.arange(-2, 2))
+    if not np.array_equal(values[:2], values[2:]):
+        raise InvalidScale("Poisson summation needs a sign function of period 2")
+    s0, s1 = float(values[2]), float(values[3])
+    return 0.5 * (s0 + s1), (s0 - s1) / math.pi
+
+
+def _theta_bound(x: float, cut: float) -> float:
+    """1 + sqrt(pi*cut/x), at least the sum over integers n of exp(-x*n**2/cut)."""
+    return 1.0 + math.sqrt(math.pi * cut / x)
+
+
+@dataclass(frozen=True)
+class _PoissonPlan:
+    """The blocks of one theta series, where each stops, and its tail bound.
+
+    Indices split by whether j and k are 0 or odd.  The blocks (j, 0)
+    and (0, k) have exponent ``axis * j**2`` and ``axis * k**2``; the odd
+    block, in p = (j + k)/2 and q = (j - k)/2, has ``a*p**2 + b*q**2``.
+    A block's coefficient is 0 when its terms vanish or all have zero
+    real part.  A term equals its mirror at (-j, -k), so the sums run
+    over j > 0 and over the half-plane p > 0 or p = 0 < q, doubled.
+    The odd block keeps |q| <= ``q_max[p]`` in band p; every kept term
+    has exponent at most ``cut``, and ``tail`` bounds the dropped terms
+    as a share of the mass.  ``kept`` counts the kept terms, and
+    ``underflow`` says that exp(log_mass) is 0, so every term is.
+    """
+
+    a: float
+    b: float
+    axis: float
+    origin: float
+    u_axis: float
+    v_axis: float
+    odd: float
+    shifts: tuple[int, int]
+    tail: float
+    axis_j: int
+    q_max: np.ndarray
+    kept: int
+    underflow: bool
+
+
+def _odd_bands(q_max: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First q and the count of q per band p = 0, 1, ...: |q| <= q_max[p],
+    q of the parity opposite to p, and q > 0 in band 0."""
+    p = np.arange(q_max.size)
+    first = np.where(p == 0, 1, (q_max + p + 1) % 2 - q_max)
+    return first, np.maximum(0, (q_max - first) // 2 + 1)
+
+
+def _poisson_plan(l, r, su, sv, log_mass, mean_half_boxes) -> _PoissonPlan:
+    if not l > 0.0:
+        raise InvalidScale(f"box_length must be positive, got {l!r}")
+    if not (math.isfinite(r) and r >= 0.0):
+        raise InvalidScale(f"squeezing must be finite and >= 0, got {r!r}")
+    f0u, fu = _sign_fourier(su)
+    f0v, fv = _sign_fourier(sv)
+    hu, hv = (int(h) for h in mean_half_boxes)
+    # The phase of F_j G_k is (-i)**(1 + h*j) on an axis block and
+    # (-i)**(2 + hu*j + hv*k) on the odd block; when that power is odd
+    # for every term the block has no real part.
+    u_axis = fu * f0v if hu % 2 else 0.0
+    v_axis = f0u * fv if hv % 2 else 0.0
+    odd = fu * fv if (hu + hv) % 2 == 0 else 0.0
+    # pi**2/(4*l**2) * [exp(-2r)*(j**2 + k**2) + sinh(2r)*(j + k)**2]
+    # is a*p**2 + b*q**2 and, on the axes, (a + b)/4 * j**2: no c - s.
+    scale = math.pi**2 / (2.0 * l * l)
+    a = scale * math.exp(2.0 * r)
+    b = scale * math.exp(-2.0 * r)
+    axis = 0.25 * (a + b)
+
+    def weight(cut):
+        return (
+            (abs(u_axis) + abs(v_axis)) * _theta_bound(axis, cut)
+            + abs(odd) * _theta_bound(a, cut) * _theta_bound(b, cut)
+        )
+
+    # With theta = 1 - 1/cut, a dropped exp(-E) (E > cut) is at most
+    # exp(-theta*cut) * exp(-E/cut), and no coefficient exceeds its
+    # block's, so the dropped terms sum to at most exp(1 - cut) *
+    # weight(cut).  A few steps move the cut to where that is _POISSON_TAIL.
+    cut = 1.0 - math.log(_POISSON_TAIL)
+    tail = 0.0
+    if weight(cut) > 0.0:
+        for _ in range(3):
+            cut = 1.0 + math.log(weight(cut) / _POISSON_TAIL)
+        tail = math.exp(1.0 - cut) * weight(cut)
+    axis_j = math.isqrt(int(cut / axis))
+    p = np.arange(math.isqrt(int(cut / a)) + 1 if odd else 0)
+    q_max = np.floor(np.sqrt(np.maximum(cut - a * p * p, 0.0) / b)).astype(np.int64)
+    kept = (
+        int(f0u * f0v != 0.0)
+        + ((u_axis != 0.0) + (v_axis != 0.0)) * ((axis_j + 1) // 2)
+        + int(_odd_bands(q_max)[1].sum())
+    )
+    return _PoissonPlan(
+        a=a, b=b, axis=axis, origin=f0u * f0v, u_axis=u_axis, v_axis=v_axis, odd=odd,
+        shifts=(hu, hv), tail=tail, axis_j=axis_j, q_max=q_max, kept=kept,
+        underflow=math.exp(log_mass) == 0.0,
+    )
+
+
+def gaussian_poisson_terms(l, r, su, sv, log_mass, mean_half_boxes=(0, 0)) -> int:
+    """Exponentials :func:`integrate_gaussian_poisson` takes for these arguments."""
+    plan = _poisson_plan(l, r, su, sv, log_mass, tuple(mean_half_boxes))
+    return 0 if plan.underflow else plan.kept
+
+
+def integrate_gaussian_poisson(
+    l: float,
+    r: float,
+    su: Callable[[np.ndarray], np.ndarray],
+    sv: Callable[[np.ndarray], np.ndarray],
+    log_mass: float,
+    mean_half_boxes: tuple[int, int] = (0, 0),
+) -> IntegralResult:
+    """Signed box-lattice sum of a correlated Gaussian as a theta series.
+
+    Computes exp(log_mass) times the expectation of su(n(u)) * sv(n(v))
+    for (u, v) normal with mean -(hu, hv) * l/2, (hu, hv) =
+    ``mean_half_boxes``, and covariance [[c, s], [s, c]]/2 (c = cosh 2r,
+    s = sinh 2r), where n(u) is the box [n*l, (n+1)*l) holding u.  Both
+    sign functions must have period 2 in the box index.  Each is then a
+    2l-periodic step function with Fourier coefficients F_j, G_k, and
+    Poisson summation gives
+
+        exp(log_mass) * sum over (j, k) of F_j * G_k * (-i)**(hu*j + hv*k)
+                        * exp(-pi**2/(4*l**2) * [exp(-2r)*(j**2 + k**2)
+                                                 + s*(j + k)**2]).
+
+    Only j, k in {0} and the odd integers carry coefficients, every
+    phase is a power of -i, and the sum is real.  ``log_mass`` is folded
+    into each term's exponent.  The terms fall off in j + k on the scale
+    l*exp(-r) and in j - k on the scale l*exp(r), so small boxes and
+    strong squeezing need few of them.
+
+    The error is a bound: the Gaussian-tail bound on the dropped terms,
+    plus a rounding floor.  The terms are summed exactly (``math.fsum``),
+    so the floor covers each term's own rounding: 8 * eps * (1 +
+    |log_mass| + exponent) * |term| summed over the terms, since exp()
+    turns the absolute rounding of its argument into relative error,
+    plus the smallest subnormal per term.  ``panels_used`` is 0.
+    """
+    plan = _poisson_plan(l, r, su, sv, log_mass, tuple(mean_half_boxes))
+    if plan.underflow:
+        return IntegralResult(value=0.0, error_estimate=plan.kept * math.ulp(0.0), panels_used=0)
+    hu, hv = plan.shifts
+    exponents = [np.zeros(1 if plan.origin else 0)]
+    coefs = [np.full(exponents[0].size, plan.origin)]
+    j = np.arange(1, plan.axis_j + 1, 2)
+    for coef, h in ((plan.u_axis, hu), (plan.v_axis, hv)):
+        if coef:
+            # Twice the j > 0 half of F_j G_0 (-i)**(h*j) = coef (-i)**(1 + h*j) / j.
+            exponents.append(plan.axis * j * j)
+            coefs.append((2.0 * coef) * (1 - (1 + h * j) % 4) / j)
+    if plan.odd:
+        first, counts = _odd_bands(plan.q_max)
+        p = np.repeat(np.arange(counts.size), counts)
+        starts = np.cumsum(counts) - counts
+        q = np.repeat(first - 2 * starts, counts) + 2 * np.arange(p.size)
+        # Twice F_j G_k (-i)**(hu*j + hv*k) = odd (-i)**(2 + hu*j + hv*k) / (j*k),
+        # with j*k = p**2 - q**2 and hu*j + hv*k = (hu + hv)*p + (hu - hv)*q.
+        power = (2 + (hu + hv) * p + (hu - hv) * q) % 4
+        exponents.append(plan.a * (p * p) + plan.b * (q * q))
+        coefs.append((2.0 * plan.odd) * (1 - power) / (p * p - q * q))
+    exponent = np.concatenate(exponents)
+    terms = np.concatenate(coefs)
+    terms *= np.exp(log_mass - exponent)
+    # Summed exactly, so mirrored terms that cancel give exactly 0.
+    value = math.fsum(terms.tolist())
+    magnitude = np.abs(terms, out=terms)
+    rounding = 8.0 * _EPS * (
+        (1.0 + abs(log_mass)) * float(magnitude.sum())
+        + float((exponent * magnitude).sum())
+    ) + terms.size * math.ulp(0.0)
+    error = math.exp(log_mass) * plan.tail + rounding
     return IntegralResult(value=value, error_estimate=error, panels_used=0)

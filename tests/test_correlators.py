@@ -9,12 +9,15 @@ the integrand derivation and the panel sums.
 
 The error-bound tests check that every reported error covers the
 distance to an independent value: the tensor-grid lattice integrator on
-a refined spec, the exact mass 1, the exact <s_z> = 0, and Monte Carlo
-sampling.
+a refined spec, applied to the wavefunction products that define each
+piece, the exact mass 1, the exact <s_z> = 0, and Monte Carlo sampling.
+The two closed-form evaluators, the theta series and the erf lattice,
+are also checked against each other over the whole accepted domain.
 """
 
 import dataclasses
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -32,15 +35,23 @@ from boxspin import (
     correlator_set,
     czz_sampled,
     integrate_gaussian_lattice,
+    integrate_gaussian_poisson,
     integrate_lattice_signed,
     rotated_correlator,
     single_site,
     wavefunction,
 )
 from boxspin.correlators import (
+    _PIECES,
     MAX_BOX_LENGTH,
+    _erf_piece,
+    _even,
     _lattice_piece,
-    _piece_exp_part,
+    _log_mass,
+    _one,
+    _parity,
+    _poisson_pays,
+    _series_piece,
     clear_cache,
     default_spec,
 )
@@ -117,6 +128,50 @@ class TestAgainstDenseOracle:
         got, _ = single_site("z", 1.0, 0.6)
         assert abs(want.real) < 1e-6
         assert abs(got) < 1e-9
+
+
+def _derived_mean_and_log_mass(name: str, l: float, r: float):
+    """Mean and log mass from the shifts (a, b) and prefactor of the
+    derivation in docs/correlator-reduction.md, in 50-digit decimals.
+
+    The piece is exp(log_const) times the box sum of exp(2s*u*v -
+    c*(u - a)**2 - c*(v - b)**2).  That Gaussian has mean (c*(a*c + b*s),
+    c*(b*c + a*s)) and mass pi*exp(g0), g0 its exponent at the mean; the
+    log pi cancels against the one in log_const.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        l, r = Decimal(l), Decimal(r)
+        e2r = (2 * r).exp()
+        c, s = (e2r + 1 / e2r) / 2, (e2r - 1 / e2r) / 2
+        if name == "density":
+            a = b = Decimal(0)
+            rest = Decimal(0)  # log pi + log_const = 0
+        elif name == "step":
+            a = b = (s - c) * l / (2 * c)
+            rest = Decimal(2).ln() - l * l / (2 * c) + (1 + (-s * l * l).exp()).ln()
+        else:
+            a, b = s * l / (2 * c), -l / 2
+            if name != "zx":
+                a, b = b, a
+            rest = Decimal(2).ln() - l * l / (4 * c)
+        u0 = c * (a * c + b * s)
+        v0 = c * (b * c + a * s)
+        g0 = 2 * s * u0 * v0 - c * (u0 - a) ** 2 - c * (v0 - b) ** 2
+        return (float(u0), float(v0)), float(rest + g0)
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("r", [0.0, 0.5, 2.0, 5.0])
+    @pytest.mark.parametrize("l", [0.03, 1.0, 7.5, 50.0])
+    def test_means_and_masses_match_the_derivation(self, r, l):
+        """_PIECES and _log_mass against the (a, b) form, without its cancellations."""
+        state = SqueezeState(r)
+        for name, (_, _, shifts) in _PIECES.items():
+            mean, log_mass = _derived_mean_and_log_mass(name, l, r)
+            assert mean == pytest.approx((-shifts[0] * l / 2.0, -shifts[1] * l / 2.0), abs=1e-14)
+            scale = 1.0 + abs(log_mass) + l * l * math.exp(-2.0 * r)
+            assert abs(_log_mass(name, l, state) - log_mass) <= 4e-16 * scale, name
 
 
 class TestStructure:
@@ -241,6 +296,29 @@ class TestSpecAndCache:
         assert first == fresh
 
 
+def _defining_integrand(name: str, l: float, state: SqueezeState):
+    """Integrand and box signs of a piece, straight from the wavefunction.
+
+    <A x B> = <psi|A x B|psi> with s_x = t + t^T, where t pulls psi down
+    by one box onto the even boxes; both translation directions give the
+    same real overlap, hence the factors 2.
+    """
+    def psi(u, v):
+        return wavefunction(u, v, state)
+
+    if name == "density":
+        return (lambda u, v: psi(u, v) ** 2), (lambda n, m: _parity(n) * _parity(m))
+    if name == "step":
+        return (
+            lambda u, v: 2.0 * (psi(u, v) * psi(u + l, v + l) + psi(u, v + l) * psi(u + l, v)),
+            lambda n, m: _even(n) * _even(m),
+        )
+    if name == "zx":
+        return (lambda u, v: 2.0 * psi(u, v) * psi(u, v + l)), (lambda n, m: _parity(n) * _even(m))
+    sv = _parity if name == "xz" else _one
+    return (lambda u, v: 2.0 * psi(u, v) * psi(u + l, v)), (lambda n, m: _even(n) * sv(m))
+
+
 class TestReportedErrorIsABound:
     @pytest.mark.parametrize(
         "r, l", [(0.5, 0.25), (0.5, 1.0), (0.5, 4.0), (1.0, 1.0), (1.0, 4.0), (1.5, 4.0)]
@@ -252,31 +330,24 @@ class TestReportedErrorIsABound:
         refined = dataclasses.replace(
             spec, max_panel_width=spec.max_panel_width / 2.0, tail_radius=12.0 * state.sigma
         )
-        c, s = state.cosh2r, state.sinh2r
-        for name in ("density", "step", "zx", "xz", "site_x"):
-            a, b, su, sv, log_pref = _piece_exp_part(name, l, state)
-            grid = integrate_lattice_signed(
-                lambda u, v: np.exp(2.0 * s * u * v - c * (u - a) ** 2 - c * (v - b) ** 2),
-                l,
-                lambda n, m: su(n) * sv(m),
-                refined,
-            )
-            want = math.exp(log_pref) * grid.value
-            want_err = math.exp(log_pref) * grid.error_estimate
+        for name in _PIECES:
+            f, sign = _defining_integrand(name, l, state)
+            want = integrate_lattice_signed(f, l, sign, refined)
             got = _lattice_piece(name, l, state, spec)
-            assert abs(got.value - want) <= got.error_estimate + want_err, name
+            assert abs(got.value - want.value) <= got.error_estimate + want.error_estimate, name
 
     @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 3.0, 5.0])
     @pytest.mark.parametrize("l", [0.25, 1.0, 4.0, 50.0])
     def test_mass_is_one(self, r, l):
         """The density piece with every sign +1 sums the whole joint density."""
         state = SqueezeState(r)
-        a, b, _, _, log_pref = _piece_exp_part("density", l, state)
+        one = np.ones_like
         res = integrate_gaussian_lattice(
-            l, state.cosh2r, state.sinh2r, a, b, np.ones_like, np.ones_like, log_pref,
-            default_spec(l, state),
+            l, state.cosh2r, state.sinh2r, (0.0, 0.0), one, one, 0.0, default_spec(l, state)
         )
         assert abs(res.value - 1.0) <= res.error_estimate
+        series = integrate_gaussian_poisson(l, r, one, one, 0.0)
+        assert abs(series.value - 1.0) <= series.error_estimate
 
     @pytest.mark.parametrize("r", [0.0, 2.0, 5.0])
     @pytest.mark.parametrize("l", [0.03, 1.0, 50.0])
@@ -292,8 +363,49 @@ class TestReportedErrorIsABound:
         assert abs(value - est) <= 4.0 * se + err
 
 
+# r <= 4 over every ROADMAP box length; at r = 5 the lattice takes about
+# 2 s per box length, so only l = 50 is kept there.
+_CROSS_GRID = [
+    (r, l) for r in (0.0, 1.0, 2.0, 3.0, 4.0) for l in (0.03, 0.25, 1.0, 7.5, 50.0)
+] + [(5.0, 50.0)]
+
+
+class TestEvaluatorsAgree:
+    """The theta series (Fourier side) and the erf lattice (position side)
+    share no summation, so each checks the other's value and bound."""
+
+    @pytest.mark.parametrize("r, l", _CROSS_GRID)
+    def test_pieces_agree_within_summed_bounds(self, r, l):
+        state = SqueezeState(r)
+        spec = default_spec(l, state)
+        for name in _PIECES:
+            series = _series_piece(name, l, state)
+            lattice = _erf_piece(name, l, state, spec)
+            bound = series.error_estimate + lattice.error_estimate
+            assert abs(series.value - lattice.value) <= bound, name
+
+    def test_dispatch_follows_predicted_work(self):
+        """Small boxes need a few series terms and many lattice nodes; at
+        l = 50 and r = 0 the density series needs more terms than the
+        lattice's nodes x edges."""
+        for name in _PIECES:
+            assert _poisson_pays(name, 0.03, SqueezeState(0.0)), name
+        assert not _poisson_pays("density", 50.0, SqueezeState(0.0))
+
+    @pytest.mark.parametrize("name, r, l", [("step", 0.0, 7.5), ("site_x", 1.0, 20.0)])
+    def test_nonnegative_pieces_fall_back_to_the_lattice(self, name, r, l):
+        """Far below its mass a nonnegative piece keeps its digits on the lattice only."""
+        state = SqueezeState(r)
+        spec = default_spec(l, state)
+        assert _poisson_pays(name, l, state)
+        clear_cache()
+        got = _lattice_piece(name, l, state, spec)
+        assert got == _erf_piece(name, l, state, spec)
+        assert got.error_estimate < 1e-3 * _series_piece(name, l, state).error_estimate
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(r=st.floats(0.0, 3.0), l=st.floats(0.1, 50.0))
+@given(r=st.floats(0.0, 5.0), l=st.floats(0.03, 50.0))
 def test_invariants_hold_within_reported_errors(r, l):
     """cyy <= 0, czx = cxz = 0, digit form = CHSH / 2, and r = 0 factorizes."""
     cs = correlator_set(l, r)

@@ -16,9 +16,11 @@ from boxspin import (
     QuadratureSpec,
     integrate_gaussian_lattice,
     integrate_gaussian_line,
+    integrate_gaussian_poisson,
     integrate_lattice_signed,
     spec_for_gaussian,
 )
+from boxspin.quadrature import gaussian_poisson_terms
 
 
 def _normal_cdf(x: float) -> float:
@@ -144,6 +146,14 @@ def _box_integrals(l: float, centre: float, ns: np.ndarray) -> np.ndarray:
     )
 
 
+def _parity(n):
+    return 1 - 2 * (n % 2)
+
+
+def _even(n):
+    return (n % 2 == 0).astype(int)
+
+
 class TestGaussianLattice:
     """At r = 0 (c = 1, s = 0) the coordinates are independent, so every
     signed box sum factorizes into two one-dimensional erf sums."""
@@ -158,31 +168,25 @@ class TestGaussianLattice:
     )
     def test_independent_coordinates_factorize(self, spec, max_err):
         l, a, b = 0.7, 0.3, -0.2
-        parity = lambda n: 1 - 2 * (n % 2)
-        even = lambda n: (n % 2 == 0).astype(int)
-        res = integrate_gaussian_lattice(l, 1.0, 0.0, a, b, parity, even, math.log(2.0), spec)
+        # Mass 2*pi: the sum of 2*exp(-(u - a)**2 - (v - b)**2) over the boxes.
+        res = integrate_gaussian_lattice(
+            l, 1.0, 0.0, (a, b), _parity, _even, math.log(2.0 * math.pi), spec
+        )
         ns = np.arange(-40, 40)
         expected = 2.0 * float(
-            np.sum(parity(ns) * _box_integrals(l, a, ns))
-            * np.sum(even(ns) * _box_integrals(l, b, ns))
+            np.sum(_parity(ns) * _box_integrals(l, a, ns))
+            * np.sum(_even(ns) * _box_integrals(l, b, ns))
         )
         assert abs(expected) > 1e-3  # the oracle must not be trivially zero
         assert abs(res.value - expected) <= res.error_estimate
         assert res.error_estimate < max_err
 
-    def test_log_factor_is_folded_into_the_exponent(self):
-        """Far-shifted peaks reach exp(g0) ~ exp(8862), beyond double range.
-
-        Over the whole plane the integral is pi * exp(g0) with
-        g0 = c*(a*c + b*s)**2 - c*a**2, so log_factor = -g0 must give pi.
-        """
-        r, a, b = 0.5, 30.0, 30.0
-        c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
-        g0 = c * (a * c + b * s) ** 2 - c * a * a
-        assert g0 > 800.0
+    def test_far_mean_keeps_the_mass(self):
+        """A mean about a hundred boxes out: with every sign +1 the sum is the mass."""
+        c, s = math.cosh(1.0), math.sinh(1.0)
         one = np.ones_like
         spec = QuadratureSpec(max_panel_width=0.5, tail_radius=10.0)
-        res = integrate_gaussian_lattice(0.6, c, s, a, b, one, one, -g0, spec)
+        res = integrate_gaussian_lattice(0.6, c, s, (60.3, -40.7), one, one, math.log(math.pi), spec)
         assert res.value == pytest.approx(math.pi, rel=1e-9)
         assert abs(res.value - math.pi) <= res.error_estimate
 
@@ -190,13 +194,64 @@ class TestGaussianLattice:
         one = np.ones_like
         spec = QuadratureSpec(tail_radius=5.0)
         with pytest.raises(InvalidScale):
-            integrate_gaussian_lattice(0.0, 1.0, 0.0, 0.0, 0.0, one, one, 0.0, spec)
+            integrate_gaussian_lattice(0.0, 1.0, 0.0, (0.0, 0.0), one, one, 0.0, spec)
         with pytest.raises(InvalidScale):  # not a (cosh 2r, sinh 2r) pair
-            integrate_gaussian_lattice(1.0, 2.0, 0.5, 0.0, 0.0, one, one, 0.0, spec)
+            integrate_gaussian_lattice(1.0, 2.0, 0.5, (0.0, 0.0), one, one, 0.0, spec)
         with pytest.raises(InvalidScale):
             integrate_gaussian_lattice(
-                1.0, 1.0, 0.0, 0.0, 0.0, lambda n: 2 * np.ones_like(n), one, 0.0, spec
+                1.0, 1.0, 0.0, (0.0, 0.0), lambda n: 2 * np.ones_like(n), one, 0.0, spec
             )
+
+
+class TestGaussianPoisson:
+    """The theta series against the same factorized erf oracle at r = 0,
+    where the coordinates are independent with variance 1/2."""
+
+    @pytest.mark.parametrize("l", [0.3, 0.7, 2.5, 9.0])
+    @pytest.mark.parametrize("half_boxes", [(1, 0), (0, 1), (1, 1), (2, 0)])
+    def test_independent_coordinates_factorize(self, l, half_boxes):
+        res = integrate_gaussian_poisson(l, 0.0, _parity, _even, math.log(2.0), half_boxes)
+        ns = np.arange(-60, 60)
+        a, b = (-h * l / 2.0 for h in half_boxes)
+        expected = 2.0 / math.pi * float(
+            np.sum(_parity(ns) * _box_integrals(l, a, ns))
+            * np.sum(_even(ns) * _box_integrals(l, b, ns))
+        )
+        assert abs(res.value - expected) <= res.error_estimate + 1e-15
+        assert res.error_estimate < 1e-13
+
+    def test_blocks_without_real_part_are_exactly_zero(self):
+        """Parity on u, even boxes on v, mean (0, -l/2): every term is imaginary."""
+        res = integrate_gaussian_poisson(0.8, 1.5, _parity, _even, 0.0, (0, 1))
+        assert res.value == 0.0
+        assert gaussian_poisson_terms(0.8, 1.5, _parity, _even, 0.0, (0, 1)) == 0
+
+    def test_mirrored_terms_cancel_exactly(self):
+        """At r = 0 the density series pairs (j, k) with (j, -k) and sums to 0."""
+        for l in (0.5, 3.0, 20.0):
+            assert integrate_gaussian_poisson(l, 0.0, _parity, _parity, 0.0).value == 0.0
+
+    def test_underflowing_mass_takes_no_terms(self):
+        assert gaussian_poisson_terms(50.0, 0.0, _even, _even, -1250.0, (1, 1)) == 0
+        res = integrate_gaussian_poisson(50.0, 0.0, _even, _even, -1250.0, (1, 1))
+        assert res.value == 0.0
+        assert 0.0 < res.error_estimate < 1e-300
+
+    def test_terms_shrink_with_the_box(self):
+        counts = [gaussian_poisson_terms(l, 2.0, _parity, _parity, 0.0) for l in (50.0, 7.5, 1.0, 0.03)]
+        assert counts == sorted(counts, reverse=True)
+        assert counts[-1] == 0
+
+    def test_rejects_bad_inputs(self):
+        one = np.ones_like
+        with pytest.raises(InvalidScale):
+            integrate_gaussian_poisson(0.0, 0.0, one, one, 0.0)
+        with pytest.raises(InvalidScale):
+            integrate_gaussian_poisson(1.0, -0.5, one, one, 0.0)
+        with pytest.raises(InvalidScale):  # period 3, not 2
+            integrate_gaussian_poisson(1.0, 0.0, lambda n: (n % 3 == 0).astype(int), one, 0.0)
+        with pytest.raises(InvalidScale):
+            integrate_gaussian_poisson(1.0, 0.0, lambda n: 2 * np.ones_like(n), one, 0.0)
 
 
 class TestGaussianLine:

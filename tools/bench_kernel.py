@@ -14,10 +14,11 @@ or time is recorded as failed instead of pressing on the machine.
 
 Recorded per point and side: wall time (median of three runs when one
 run takes under 2 s), the kernel's evaluation count (2-D integrand
-values for the tensor-grid kernel, erfc values for the erf kernel), and
-the largest deviation from ``perfbench/reference.json``, together with
-whether every deviation lies within the reported error plus the
-reference's own.
+values for the tensor-grid kernel, erfc values for the erf kernel, plus
+exponentials for the theta series), and the largest deviation from
+``perfbench/reference.json``, together with whether every deviation
+lies within the reported error plus the reference's own.  Points where
+the reference itself is known to be off carry a note.
 """
 
 from __future__ import annotations
@@ -43,8 +44,18 @@ DEADLINE_S = 30.0
 REPEAT_BELOW_S = 2.0
 
 
+# perfbench/reference.py writes the step shift as (s - c)*l/(2c), which
+# cancels as r grows; these are the points where that exceeds the
+# reference's own error.
+REFERENCE_NOTES = {
+    (2.0, 7.5): "reference cxx and cyy carry the (s - c) step-shift cancellation: off by 5.4e-14",
+    (5.0, 1.0): "reference cxx and cyy carry the (s - c) step-shift cancellation: off by 1.25e-12",
+    (5.0, 50.0): "reference cxx and cyy carry the (s - c) step-shift cancellation: off by 2.85e-9",
+}
+
+
 def _count_evaluations(correlators, quadrature, counter):
-    """Wrap whichever kernel this checkout has so its evaluations are counted."""
+    """Wrap whichever kernels this checkout has so their evaluations are counted."""
     if hasattr(quadrature, "integrate_gaussian_lattice"):
         real_erfc = quadrature.erfc
 
@@ -53,7 +64,16 @@ def _count_evaluations(correlators, quadrature, counter):
             return real_erfc(x, *args, **kwargs)
 
         quadrature.erfc = counted_erfc
-        return "erfc values (u-node x v-edge)"
+        if not hasattr(correlators, "integrate_gaussian_poisson"):
+            return "erfc values (u-node x v-edge)"
+        real_series = correlators.integrate_gaussian_poisson
+
+        def counted_series(*args):
+            counter[0] += quadrature.gaussian_poisson_terms(*args)
+            return real_series(*args)
+
+        correlators.integrate_gaussian_poisson = counted_series
+        return "erfc values (u-node x v-edge) + theta-series exponentials"
 
     import numpy as np
 
@@ -165,6 +185,9 @@ def main() -> int:
     rows = []
     for kind, r, l in grid:
         row = {"set": kind, "r": r, "l": l}
+        for (r_note, l_note), note in REFERENCE_NOTES.items():
+            if r == r_note and abs(l - l_note) <= 1e-12 * l_note:
+                row["note"] = note
         for side, src in (("parent", args.parent_src.resolve()), ("change", ROOT / "src")):
             row[side] = run_side(src, r, l)
             score(row[side], table[(r, l)])
