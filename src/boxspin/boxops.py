@@ -38,6 +38,10 @@ __all__ = [
 
 SPIN_AXES = ("z", "x", "y", "plus", "minus")
 
+# expectation() works on row blocks of psi of about this many entries
+# (2 MB of float64).
+_BLOCK_ENTRIES = 1 << 18
+
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -251,19 +255,47 @@ def position_from_bits(window: TruncationWindow, grid: Grid) -> GridOperator:
     )
 
 
+def _real_parts(matrix: sp.csr_matrix) -> list[tuple[complex, sp.csr_matrix]]:
+    """``matrix`` as sum of unit * part with real parts and unit in {1, 1j};
+    parts with no nonzero entry are left out."""
+    parts = []
+    for unit, part in ((1.0, matrix.real.tocsr()), (1j, matrix.imag.tocsr())):
+        part.eliminate_zeros()
+        if part.nnz:
+            parts.append((unit, part))
+    return parts
+
+
 def expectation(op_a: GridOperator, op_b: GridOperator, state: SqueezeState) -> complex:
     """<psi| A (x) B |psi> / <psi|psi> with psi sampled at cell midpoints.
 
     A acts on the first mode, B on the second; the shared grid supplies
     the sample points.  The cell-width factors cancel in the ratio.
+
+    psi is real, so it is built once as a real n x n array.  Each
+    operator splits into real sparse parts times 1 or i, and the
+    numerator, the sum of psi * (A psi B^T), is accumulated over row
+    blocks of A psi, one real product per pair of parts.  Nothing
+    complex or larger than psi is ever n x n.
     """
     if op_a.grid != op_b.grid:
         raise GridMismatch("operators live on different grids")
     grid = op_a.grid
     mid = grid.midpoints()
-    psi = wavefunction(mid[:, None], mid[None, :], state)
-    applied = op_a.matrix @ psi
-    applied = (op_b.matrix @ applied.T).T
-    numerator = complex(np.sum(np.conj(psi) * applied))
-    denominator = float(np.sum(psi * psi))
+    n = mid.size
+    rows = max(1, _BLOCK_ENTRIES // n)
+    psi = np.empty((n, n))
+    for i in range(0, n, rows):
+        psi[i:i + rows] = wavefunction(mid[i:i + rows, None], mid[None, :], state)
+    parts_a = _real_parts(op_a.matrix)
+    parts_b = [(unit, part.T.tocsr()) for unit, part in _real_parts(op_b.matrix)]
+    numerator = 0j
+    denominator = 0.0
+    for i in range(0, n, rows):
+        block = psi[i:i + rows]
+        denominator += float(np.vdot(block, block))
+        for unit_a, part_a in parts_a:
+            applied = part_a[i:i + rows] @ psi
+            for unit_b, part_bt in parts_b:
+                numerator += unit_a * unit_b * float(np.vdot(block, applied @ part_bt))
     return numerator / denominator

@@ -63,6 +63,9 @@ PAIRS = ("zz", "xx", "yy", "zx", "xz")
 # Beyond this the xx/yy prefactor exponents can overflow double range.
 MAX_BOX_LENGTH = 50.0
 
+# czz_sampled maps its normal draws to parities this many at a time.
+_SAMPLE_CHUNK = 1 << 16
+
 # A set's cross correlators must agree within this multiple of their
 # combined error bounds (czx = cxz exactly, so a multiple of 1 already
 # holds for correct values; 10 leaves a margin).
@@ -381,6 +384,11 @@ def czz_sampled(
     Draws position pairs from the joint density (a bivariate normal
     with per-mode variance cosh(2r)/2 and correlation tanh(2r)) and
     averages the box-parity product.  Returns (estimate, std_error).
+
+    Both normal streams are drawn whole, then mapped to box parities in
+    chunks of _SAMPLE_CHUNK samples.  The mean of the +/-1 products is
+    (n - 2 * odd)/n with ``odd`` the count of odd box-index sums, which
+    is what summing the +/-1 values gives exactly.
     """
     l = _check_box_length(l)
     if n_samples < 2:
@@ -389,12 +397,16 @@ def czz_sampled(
     rng = np.random.Generator(np.random.PCG64(seed))
     sigma = state.sigma
     rho = state.rho
+    root = math.sqrt(1.0 - rho * rho)
     z1 = rng.standard_normal(n_samples)
     z2 = rng.standard_normal(n_samples)
-    q = sigma * z1
-    q2 = sigma * (rho * z1 + math.sqrt(1.0 - rho * rho) * z2)
-    parity = 1 - 2 * ((np.floor(q / l) + np.floor(q2 / l)) % 2)
-    mean = float(parity.mean())
+    odd = 0
+    for i in range(0, n_samples, _SAMPLE_CHUNK):
+        z1c, z2c = z1[i:i + _SAMPLE_CHUNK], z2[i:i + _SAMPLE_CHUNK]
+        q = sigma * z1c
+        q2 = sigma * (rho * z1c + root * z2c)
+        odd += int(np.count_nonzero((np.floor(q / l) + np.floor(q2 / l)) % 2))
+    mean = (n_samples - 2 * odd) / n_samples
     # parity is +/-1, so the sample variance is 1 - mean**2 up to the
     # n/(n-1) correction.
     var = max(0.0, 1.0 - mean * mean) * n_samples / (n_samples - 1)

@@ -379,8 +379,14 @@ def integrate_gaussian_lattice(
     a rounding floor.  The floor is eps * sqrt(terms) * sum of |terms|,
     plus eps * |exponent| * |term| summed over the nodes, since exp()
     turns the absolute rounding of a large exponent into relative error
-    that a cancelling signed sum does not average away.  ``panels_used``
-    counts u-panels.
+    that a cancelling signed sum does not average away, plus what the
+    rounding of absolute positions moves: a node u is off by up to
+    2*eps*|u|, which moves its Gaussian factor by 2|u - u0|/c per unit
+    shift, and mu(u) and the edges near it are off by a few eps*|mu|,
+    which moves H(u) by at most 4*(sqrt(c/pi) + 1/l) per unit shift in
+    erf units, and by at most 7*max(1/l, 17*sqrt(c)) times the node's
+    sum of |box masses|.  Far from the origin this term dominates.
+    ``panels_used`` counts u-panels.
     """
     if not l > 0.0:
         raise InvalidScale(f"box_length must be positive, got {l!r}")
@@ -413,6 +419,24 @@ def integrate_gaussian_lattice(
     totals = []
     magnitude = 0.0
     exponent_error = 0.0
+    position_error = 0.0
+    # The rounding of absolute positions, per unit eps.  A node u is off
+    # by up to 2|u| <= 2(|u0| + d), d = |u - u0|, which moves its Gaussian
+    # factor by 2d/c per unit: 4(|u0| d + d**2)/c per |term|.  Through it
+    # mu = v0 + (s/c)(u - u0) moves by s/c per unit; mu rounds to |v0| +
+    # |mu| + 2(s/c)d itself and the edges near it to |mu| + 1/sqrt(c),
+    # with |mu| <= |v0| + (s/c)d: v_shift0 + v_shift1*d in all.  H moves
+    # by at most h_slope per unit shift, in erf units: every erfc is shared
+    # by two boxes and moves by 2/sqrt(pi) exp(-x**2) sqrt(c), and the sum
+    # of exp(-x**2) over the edges is at most 1 + sqrt(pi)/(sqrt(c) l).
+    # Per box it also moves by at most h_relative times the box's |mass|:
+    # an edge's exp(-x**2) is at most 3.5 max(1/(sqrt(c) l), 2(|x| + 1))
+    # times the erf difference of the box beside it, and |x| <= 7.5 for
+    # every box above 1e-26.
+    h_slope = 4.0 * (root_c / math.sqrt(math.pi) + 1.0 / l)
+    h_relative = 7.0 * max(1.0 / l, 17.0 * root_c)
+    v_shift0 = 3.0 * abs(v0) + 1.0 / root_c + 2.0 * (s / c) * abs(u0)
+    v_shift1 = 6.0 * (s / c)
     for order in (spec.panel_order, max(2, spec.panel_order // 2)):
         x, w = _unit_rule(order)
         step = max(1, _EDGE_CHUNK_ENTRIES // (order * n_edges))
@@ -421,14 +445,24 @@ def integrate_gaussian_lattice(
             width = widths[i:i + step, None]
             u = (starts[i:i + step, None] + width * x).ravel()
             weight = ((width * signs[i:i + step, None]) * w).ravel()
-            spread = (u - u0) ** 2 / c
+            offset = u - u0
+            spread = offset ** 2 / c
             weight *= np.exp(log_w - spread)
-            hsum, habs = _erf_box_sums(v0 + (s / c) * (u - u0), l, root_c, sv_table, m_first, n_edges)
+            hsum, habs = _erf_box_sums(v0 + (s / c) * offset, l, root_c, sv_table, m_first, n_edges)
             total += float((weight * hsum).sum())
             if order == spec.panel_order:
-                habs *= np.abs(weight)
+                abs_weight = np.abs(weight)
+                slope = np.minimum(h_slope, h_relative * habs)
+                slope *= abs_weight
+                habs *= abs_weight
                 magnitude += float(habs.sum())
-                exponent_error += float((spread * habs).sum())
+                spread_sum = float((spread * habs).sum())
+                exponent_error += spread_sum
+                np.abs(offset, out=offset)
+                position_error += (
+                    (4.0 * abs(u0) / c) * float(offset @ habs) + 4.0 * spread_sum
+                    + v_shift0 * float(slope.sum()) + v_shift1 * float(offset @ slope)
+                )
         totals.append(total)
 
     v_scale = 0.5 * math.sqrt(math.pi / c)
@@ -439,7 +473,7 @@ def integrate_gaussian_lattice(
     window = mass * float(erfc(_ERF_WINDOW))
     terms = starts.size * spec.panel_order * n_edges
     rounding = _EPS * v_scale * (
-        (math.sqrt(terms) + exponent_scale) * magnitude + exponent_error
+        (math.sqrt(terms) + exponent_scale) * magnitude + exponent_error + position_error
     )
     value = v_scale * totals[0]
     error = v_scale * abs(totals[0] - totals[1]) + tail + window + rounding

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from boxspin import boxops
 from boxspin import (
     Grid,
     GridMismatch,
@@ -26,6 +27,7 @@ from boxspin import (
     is_zero,
     position_from_bits,
     truncated_value,
+    wavefunction,
 )
 
 
@@ -217,3 +219,72 @@ class TestExpectationOracle:
         b = build_spin_operator("z", 2, Grid(32, 1.0, 0.0))
         with pytest.raises(GridMismatch):
             expectation(a, b, SqueezeState(0.5))
+
+
+def _dense_expectation(a, b, psi):
+    """The definition, densely: <psi| A (x) B |psi> / <psi|psi> with A on
+    the first index of psi and B on the second."""
+    return np.vdot(psi, a @ psi @ b.T) / np.vdot(psi, psi)
+
+
+def _lopsided(q, q2, state):
+    """A real Gaussian whose modes differ in centre and width, so that
+    psi(q, q2) != psi(q2, q) and a swap of the modes shows."""
+    return np.exp(0.4 * q * q2 - 0.5 * (q - 0.7) ** 2 - 0.2 * (q2 + 1.1) ** 2)
+
+
+class TestExpectationIsTheDefinition:
+    """The blocked, real-part expectation against vdot(psi, A psi B^T),
+    on a lopsided psi and in ragged blocks of 3 rows as well as one block."""
+
+    AXES = [("plus", "y"), ("y", "minus"), ("plus", "minus"), ("z", "plus"), ("minus", "x")]
+
+    @pytest.fixture(params=[3 * 32, 1 << 18], ids=["3-row-blocks", "one-block"])
+    def lopsided(self, request, monkeypatch, spin_grid):
+        monkeypatch.setattr(boxops, "_BLOCK_ENTRIES", request.param)
+        monkeypatch.setattr(boxops, "wavefunction", _lopsided)
+        mid = spin_grid.midpoints()
+        return _lopsided(mid[:, None], mid[None, :], None)
+
+    @pytest.mark.parametrize("axes", AXES, ids=["-".join(a) for a in AXES])
+    def test_spin_pairs_match_dense_formula(self, lopsided, spin_grid, axes):
+        op_a, op_b = (build_spin_operator(ax, 2, spin_grid) for ax in axes)
+        expected = _dense_expectation(_dense(op_a), _dense(op_b), lopsided)
+        assert abs(expected) > 1e-3
+        assert abs(expectation(op_a, op_b, SqueezeState(0.5)) - expected) <= 1e-13
+
+    def test_general_operators_match_and_wrong_contractions_do_not(self, lopsided, spin_grid):
+        """Complex, non-Hermitian sparse A != B: a transposed or conjugated
+        operator, or swapped modes, would each give another value."""
+        rng = np.random.default_rng(7)
+        n = spin_grid.n_cells
+
+        def random_op(label):
+            matrix = sp.random(n, n, density=0.2, random_state=rng) + 1j * sp.random(
+                n, n, density=0.2, random_state=rng
+            )
+            return boxops.GridOperator(spin_grid, 2, label, sp.csr_matrix(matrix))
+
+        op_a, op_b = random_op("A"), random_op("B")
+        a, b = _dense(op_a), _dense(op_b)
+        expected = _dense_expectation(a, b, lopsided)
+        for wrong in (
+            _dense_expectation(a, b.T, lopsided),
+            _dense_expectation(a.T, b, lopsided),
+            _dense_expectation(a, b.conj(), lopsided),
+            _dense_expectation(a.conj(), b, lopsided),
+            _dense_expectation(b, a, lopsided),
+        ):
+            assert abs(wrong - expected) > 1e-3
+        assert abs(expectation(op_a, op_b, SqueezeState(0.5)) - expected) <= 1e-13
+
+    def test_matches_dense_formula_on_the_state(self):
+        state = SqueezeState(0.8)
+        grid = Grid(256, cell_width=1.0 / 16.0, origin=-8.0)
+        op_a = build_spin_operator("plus", 8, grid)
+        op_b = build_spin_operator("y", 8, grid)
+        mid = grid.midpoints()
+        psi = wavefunction(mid[:, None], mid[None, :], state)
+        expected = _dense_expectation(_dense(op_a), _dense(op_b), psi)
+        assert abs(expected.imag) > 1e-3
+        assert abs(expectation(op_a, op_b, state) - expected) <= 1e-13

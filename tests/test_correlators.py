@@ -276,6 +276,20 @@ class TestSampling:
         with pytest.raises(ValueError):
             czz_sampled(1.0, 0.8, 1)
 
+    @pytest.mark.parametrize(
+        "l, r, n, seed, expected",
+        [
+            (0.5, 0.3, 1_000_000, 100, (0.000686, 0.0010000002647022296)),
+            (3.0, 2.0, 1_000_000, 103, (0.927614, 0.0003735403680144978)),
+            # An odd count, so the last chunk is ragged.
+            (0.03, 5.0, 200_001, 7, (0.6420617896910515, 0.0017142879837103273)),
+        ],
+    )
+    def test_estimates_are_pinned(self, l, r, n, seed, expected):
+        """The exact floats of the whole-array estimator this one replaced:
+        the same stream and arithmetic, counted in chunks."""
+        assert czz_sampled(l, r, n, seed=seed) == expected
+
 
 class TestSpecAndCache:
     def test_default_spec_tracks_state_scales(self):

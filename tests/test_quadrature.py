@@ -190,6 +190,17 @@ class TestGaussianLattice:
         assert res.value == pytest.approx(math.pi, rel=1e-9)
         assert abs(res.value - math.pi) <= res.error_estimate
 
+    @pytest.mark.parametrize("mean", [(1800.0, -1200.0), (-1800.1, 1799.9), (0.3, 1800.2)])
+    def test_mean_thousands_of_boxes_out_stays_within_the_bound(self, mean):
+        """About 3000 boxes out the rounding of absolute positions, not of
+        the sums, sets the error, and the bound must cover it."""
+        c, s = math.cosh(1.0), math.sinh(1.0)
+        one = np.ones_like
+        spec = QuadratureSpec(max_panel_width=0.5, tail_radius=10.0)
+        res = integrate_gaussian_lattice(0.6, c, s, mean, one, one, math.log(math.pi), spec)
+        assert abs(res.value - math.pi) <= res.error_estimate
+        assert res.error_estimate < 1e-10
+
     def test_rejects_bad_inputs(self):
         one = np.ones_like
         spec = QuadratureSpec(tail_radius=5.0)
