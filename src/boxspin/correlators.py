@@ -15,14 +15,15 @@ docs/correlator-reduction.md for the derivations.
 
 Each piece is evaluated by one of two closed forms in
 :mod:`boxspin.quadrature`: the theta series of
-:func:`~boxspin.quadrature.integrate_gaussian_poisson`, or the erf
-lattice of :func:`~boxspin.quadrature.integrate_gaussian_lattice`.
-:func:`_lattice_piece` picks the one with less predicted work from (l, r)
-alone, and falls back to the lattice where the series leaves a
-nonnegative piece with few significant digits.
+:class:`~boxspin.quadrature.PoissonSeries`, or the erf lattice of
+:func:`~boxspin.quadrature.integrate_gaussian_lattice`.
+:func:`_lattice_piece` plans the series once, sums it if it takes fewer
+terms than the lattice's predicted work, and falls back to the lattice
+where the series leaves a nonnegative piece with few significant digits.
 
-Results are cached per (piece, l, r, spec); the cache is a plain dict,
-safe under concurrent reads with at worst duplicated work on a race.
+Results are cached per (piece, l, r, spec), with spec None for the
+default, so a cache hit builds no spec; the cache is a plain dict, safe
+under concurrent reads with at worst duplicated work on a race.
 """
 
 from __future__ import annotations
@@ -37,11 +38,10 @@ from .gaussian_state import SqueezeState
 from .quadrature import (
     IntegralResult,
     QuadratureSpec,
+    PoissonSeries,
     gaussian_lattice_work,
-    gaussian_poisson_terms,
     integrate_gaussian_lattice,
     integrate_gaussian_line,
-    integrate_gaussian_poisson,
     spec_for_gaussian,
 )
 
@@ -203,13 +203,6 @@ def _log_mass(name: str, l: float, state: SqueezeState) -> float:
     raise ValueError(f"unknown piece {name!r}")
 
 
-def _poisson_pays(name: str, l: float, state: SqueezeState) -> bool:
-    """Whether the theta series takes fewer terms than the lattice's u-nodes x edges."""
-    su, sv, shifts = _PIECES[name]
-    terms = gaussian_poisson_terms(l, state.r, su, sv, _log_mass(name, l, state), shifts)
-    return terms < gaussian_lattice_work(l, state.cosh2r, default_spec(l, state))
-
-
 def _series_lost_digits(name: str, result: IntegralResult) -> bool:
     """Whether the theta series left a nonnegative piece with few digits.
 
@@ -232,12 +225,6 @@ def clear_cache() -> None:
     _PIECE_CACHE.clear()
 
 
-def _series_piece(name: str, l: float, state: SqueezeState) -> IntegralResult:
-    """One piece by the theta series."""
-    su, sv, shifts = _PIECES[name]
-    return integrate_gaussian_poisson(l, state.r, su, sv, _log_mass(name, l, state), shifts)
-
-
 def _erf_piece(name: str, l: float, state: SqueezeState, spec: QuadratureSpec) -> IntegralResult:
     """One piece by the erf lattice on ``spec``."""
     su, sv, shifts = _PIECES[name]
@@ -247,20 +234,27 @@ def _erf_piece(name: str, l: float, state: SqueezeState, spec: QuadratureSpec) -
     )
 
 
-def _lattice_piece(name: str, l: float, state: SqueezeState, spec: QuadratureSpec) -> IntegralResult:
+def _lattice_piece(
+    name: str, l: float, state: SqueezeState, spec: QuadratureSpec | None
+) -> IntegralResult:
     """One piece, prefactor included, cached per (name, l, r, spec).
 
-    The theta series evaluates it where it predicts fewer terms than the
-    erf lattice's u-nodes x edges, and the lattice (on ``spec``) elsewhere
-    and where the series leaves a nonnegative piece with few digits.
+    The theta series evaluates it where it takes fewer terms than the
+    erf lattice's u-nodes x edges under the default spec, and the lattice
+    (on ``spec``, or that default when it is None) elsewhere and where
+    the series leaves a nonnegative piece with few digits.
     """
     key = (name, l, state.r, spec)
     hit = _PIECE_CACHE.get(key)
     if hit is not None:
         return hit
-    result = _series_piece(name, l, state) if _poisson_pays(name, l, state) else None
+    su, sv, shifts = _PIECES[name]
+    series = PoissonSeries(l, state.r, su, sv, _log_mass(name, l, state), shifts)
+    default = default_spec(l, state)
+    pays = series.terms < gaussian_lattice_work(l, state.cosh2r, default)
+    result = series.integrate() if pays else None
     if result is None or _series_lost_digits(name, result):
-        result = _erf_piece(name, l, state, spec)
+        result = _erf_piece(name, l, state, default if spec is None else spec)
     _PIECE_CACHE[key] = result
     return result
 
@@ -280,9 +274,6 @@ def correlator(
         raise ValueError(f"pair must be one of {PAIRS}, got {pair!r}")
     l = _check_box_length(l)
     state = SqueezeState(r)
-    if spec is None:
-        spec = default_spec(l, state)
-
     if pair == "zz":
         res = _lattice_piece("density", l, state, spec)
     elif pair in ("xx", "yy"):
@@ -317,8 +308,6 @@ def single_site(
     if axis == "z":
         res = integrate_gaussian_line(l, state.sigma, _parity)
         return res.value, res.error_estimate
-    if spec is None:
-        spec = default_spec(l, state)
     if axis == "x":
         res = _lattice_piece("site_x", l, state, spec)
         return res.value, res.error_estimate
@@ -401,11 +390,22 @@ def czz_sampled(
     z1 = rng.standard_normal(n_samples)
     z2 = rng.standard_normal(n_samples)
     odd = 0
+    buffers = np.empty((2, min(n_samples, _SAMPLE_CHUNK)))
     for i in range(0, n_samples, _SAMPLE_CHUNK):
         z1c, z2c = z1[i:i + _SAMPLE_CHUNK], z2[i:i + _SAMPLE_CHUNK]
-        q = sigma * z1c
-        q2 = sigma * (rho * z1c + root * z2c)
-        odd += int(np.count_nonzero((np.floor(q / l) + np.floor(q2 / l)) % 2))
+        q, q2 = buffers[:, :z1c.size]
+        # q2 = sigma * (rho * z1c + root * z2c), then both box indices.
+        np.multiply(z1c, rho, out=q2)
+        q2 += np.multiply(z2c, root, out=q)
+        q2 *= sigma
+        q2 /= l
+        np.floor(q2, out=q2)
+        np.multiply(z1c, sigma, out=q)
+        q /= l
+        np.floor(q, out=q)
+        # The floors are integers, so fmod finds the odd sums exactly.
+        q += q2
+        odd += int(np.count_nonzero(np.fmod(q, 2.0, out=q)))
     mean = (n_samples - 2 * odd) / n_samples
     # parity is +/-1, so the sample variance is 1 - mean**2 up to the
     # n/(n-1) correction.

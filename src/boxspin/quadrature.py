@@ -14,9 +14,9 @@ length l holding the two coordinates.  Entry points:
   position space.  One axis is summed in closed form as erf
   differences, the other is integrated on Gauss-Legendre panels
   aligned with the boxes.
-* :func:`gaussian_poisson_terms` and :func:`gaussian_lattice_work`
-  predict the work of the two, so a caller can pick the cheaper one
-  without running either.
+* :class:`PoissonSeries` plans the theta series without summing it,
+  and :func:`gaussian_lattice_work` predicts the lattice's work, so a
+  caller can pick the cheaper one and sum the series only if it wins.
 * :func:`integrate_lattice_signed` integrates an arbitrary ``f(u, v)``
   over every box pair ``[n*l, (n+1)*l) x [m*l, (m+1)*l)`` whose center
   lies within ``tail_radius`` of the origin on a full tensor grid and
@@ -54,7 +54,7 @@ __all__ = [
     "integrate_gaussian_poisson",
     "integrate_lattice_signed",
     "gaussian_lattice_work",
-    "gaussian_poisson_terms",
+    "PoissonSeries",
 ]
 
 # Relative rounding-noise floor applied to the summed absolute mass.
@@ -284,7 +284,7 @@ def _sign_values(sign, idx: np.ndarray) -> np.ndarray:
     values = np.asarray(sign(idx), dtype=float)
     if values.shape != idx.shape:
         values = np.asarray(np.vectorize(sign)(idx), dtype=float)
-    if not np.all(np.isin(values, (-1.0, 0.0, 1.0))):
+    if not np.array_equal(values, np.sign(values)):
         raise InvalidScale("sign function must return values in {-1, 0, +1}")
     return values
 
@@ -549,101 +549,129 @@ def _theta_bound(x: float, cut: float) -> float:
     return 1.0 + math.sqrt(math.pi * cut / x)
 
 
-@dataclass(frozen=True)
-class _PoissonPlan:
-    """The blocks of one theta series, where each stops, and its tail bound.
+class PoissonSeries:
+    """The theta series of one signed box sum, planned but not yet summed.
+
+    Takes the arguments of :func:`integrate_gaussian_poisson`.  Building
+    it finds the blocks, where each stops and the tail bound; ``terms``
+    is the number of exponentials :meth:`integrate` then takes, so a
+    caller can weigh the series against other work before summing it.
 
     Indices split by whether j and k are 0 or odd.  The blocks (j, 0)
     and (0, k) have exponent ``axis * j**2`` and ``axis * k**2``; the odd
     block, in p = (j + k)/2 and q = (j - k)/2, has ``a*p**2 + b*q**2``.
     A block's coefficient is 0 when its terms vanish or all have zero
-    real part.  A term equals its mirror at (-j, -k), so the sums run
-    over j > 0 and over the half-plane p > 0 or p = 0 < q, doubled.
-    The odd block keeps |q| <= ``q_max[p]`` in band p; every kept term
-    has exponent at most ``cut``, and ``tail`` bounds the dropped terms
-    as a share of the mass.  ``kept`` counts the kept terms, and
-    ``underflow`` says that exp(log_mass) is 0, so every term is.
+    real part; when every block's is, nothing else is planned.  A term
+    equals its mirror at (-j, -k), so the sums run over j > 0 and over
+    the half-plane p > 0 or p = 0 < q, doubled.  The odd block keeps
+    ``counts[p]`` values of q from ``first[p]`` in steps of 2 in band p,
+    those with |q| <= q_max[p].  Every kept term has exponent at most
+    ``cut``, and ``tail`` bounds the dropped terms as a share of the
+    mass.  ``kept`` counts the kept terms; when exp(log_mass) underflows
+    to 0, so does every term and ``terms`` is 0.
     """
 
-    a: float
-    b: float
-    axis: float
-    origin: float
-    u_axis: float
-    v_axis: float
-    odd: float
-    shifts: tuple[int, int]
-    tail: float
-    axis_j: int
-    q_max: np.ndarray
-    kept: int
-    underflow: bool
+    def __init__(self, l, r, su, sv, log_mass, mean_half_boxes=(0, 0)) -> None:
+        if not l > 0.0:
+            raise InvalidScale(f"box_length must be positive, got {l!r}")
+        if not (math.isfinite(r) and r >= 0.0):
+            raise InvalidScale(f"squeezing must be finite and >= 0, got {r!r}")
+        f0u, fu = _sign_fourier(su)
+        f0v, fv = _sign_fourier(sv)
+        hu, hv = self.shifts = tuple(int(h) for h in mean_half_boxes)
+        self.log_mass = log_mass
+        self.mass = math.exp(log_mass)
+        # The phase of F_j G_k is (-i)**(1 + h*j) on an axis block and
+        # (-i)**(2 + hu*j + hv*k) on the odd block; when that power is odd
+        # for every term the block has no real part.
+        self.origin = f0u * f0v
+        self.u_axis = u_axis = fu * f0v if hu % 2 else 0.0
+        self.v_axis = v_axis = f0u * fv if hv % 2 else 0.0
+        self.odd = odd = fu * fv if (hu + hv) % 2 == 0 else 0.0
+        self.tail = 0.0
+        self.kept = int(self.origin != 0.0)
+        self.axis_j = 0
+        if not (u_axis or v_axis or odd):
+            return
+        # pi**2/(4*l**2) * [exp(-2r)*(j**2 + k**2) + sinh(2r)*(j + k)**2]
+        # is a*p**2 + b*q**2 and, on the axes, (a + b)/4 * j**2: no c - s.
+        scale = math.pi**2 / (2.0 * l * l)
+        self.a = a = scale * math.exp(2.0 * r)
+        self.b = b = scale * math.exp(-2.0 * r)
+        self.axis = axis = 0.25 * (a + b)
 
+        def weight(cut):
+            return (
+                (abs(u_axis) + abs(v_axis)) * _theta_bound(axis, cut)
+                + abs(odd) * _theta_bound(a, cut) * _theta_bound(b, cut)
+            )
 
-def _odd_bands(q_max: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First q and the count of q per band p = 0, 1, ...: |q| <= q_max[p],
-    q of the parity opposite to p, and q > 0 in band 0."""
-    p = np.arange(q_max.size)
-    first = np.where(p == 0, 1, (q_max + p + 1) % 2 - q_max)
-    return first, np.maximum(0, (q_max - first) // 2 + 1)
-
-
-def _poisson_plan(l, r, su, sv, log_mass, mean_half_boxes) -> _PoissonPlan:
-    if not l > 0.0:
-        raise InvalidScale(f"box_length must be positive, got {l!r}")
-    if not (math.isfinite(r) and r >= 0.0):
-        raise InvalidScale(f"squeezing must be finite and >= 0, got {r!r}")
-    f0u, fu = _sign_fourier(su)
-    f0v, fv = _sign_fourier(sv)
-    hu, hv = (int(h) for h in mean_half_boxes)
-    # The phase of F_j G_k is (-i)**(1 + h*j) on an axis block and
-    # (-i)**(2 + hu*j + hv*k) on the odd block; when that power is odd
-    # for every term the block has no real part.
-    u_axis = fu * f0v if hu % 2 else 0.0
-    v_axis = f0u * fv if hv % 2 else 0.0
-    odd = fu * fv if (hu + hv) % 2 == 0 else 0.0
-    # pi**2/(4*l**2) * [exp(-2r)*(j**2 + k**2) + sinh(2r)*(j + k)**2]
-    # is a*p**2 + b*q**2 and, on the axes, (a + b)/4 * j**2: no c - s.
-    scale = math.pi**2 / (2.0 * l * l)
-    a = scale * math.exp(2.0 * r)
-    b = scale * math.exp(-2.0 * r)
-    axis = 0.25 * (a + b)
-
-    def weight(cut):
-        return (
-            (abs(u_axis) + abs(v_axis)) * _theta_bound(axis, cut)
-            + abs(odd) * _theta_bound(a, cut) * _theta_bound(b, cut)
-        )
-
-    # With theta = 1 - 1/cut, a dropped exp(-E) (E > cut) is at most
-    # exp(-theta*cut) * exp(-E/cut), and no coefficient exceeds its
-    # block's, so the dropped terms sum to at most exp(1 - cut) *
-    # weight(cut).  A few steps move the cut to where that is _POISSON_TAIL.
-    cut = 1.0 - math.log(_POISSON_TAIL)
-    tail = 0.0
-    if weight(cut) > 0.0:
+        # With theta = 1 - 1/cut, a dropped exp(-E) (E > cut) is at most
+        # exp(-theta*cut) * exp(-E/cut), and no coefficient exceeds its
+        # block's, so the dropped terms sum to at most exp(1 - cut) *
+        # weight(cut).  A few steps move the cut to where that is _POISSON_TAIL.
+        cut = 1.0 - math.log(_POISSON_TAIL)
         for _ in range(3):
             cut = 1.0 + math.log(weight(cut) / _POISSON_TAIL)
-        tail = math.exp(1.0 - cut) * weight(cut)
-    axis_j = math.isqrt(int(cut / axis))
-    p = np.arange(math.isqrt(int(cut / a)) + 1 if odd else 0)
-    q_max = np.floor(np.sqrt(np.maximum(cut - a * p * p, 0.0) / b)).astype(np.int64)
-    kept = (
-        int(f0u * f0v != 0.0)
-        + ((u_axis != 0.0) + (v_axis != 0.0)) * ((axis_j + 1) // 2)
-        + int(_odd_bands(q_max)[1].sum())
-    )
-    return _PoissonPlan(
-        a=a, b=b, axis=axis, origin=f0u * f0v, u_axis=u_axis, v_axis=v_axis, odd=odd,
-        shifts=(hu, hv), tail=tail, axis_j=axis_j, q_max=q_max, kept=kept,
-        underflow=math.exp(log_mass) == 0.0,
-    )
+        self.tail = math.exp(1.0 - cut) * weight(cut)
+        self.axis_j = math.isqrt(int(cut / axis))
+        self.kept += ((u_axis != 0.0) + (v_axis != 0.0)) * ((self.axis_j + 1) // 2)
+        if odd:
+            # Band p = 0, 1, ... keeps |q| <= q_max[p] with q of the parity
+            # opposite to p, and q > 0 in band 0: counts[p] values from first[p].
+            p = np.arange(math.isqrt(int(cut / a)) + 1)
+            q_max = np.floor(np.sqrt(np.maximum(cut - a * p * p, 0.0) / b)).astype(np.int64)
+            self.first = (q_max + p + 1) % 2 - q_max
+            self.first[0] = 1
+            self.counts = np.maximum(0, (q_max - self.first) // 2 + 1)
+            self.kept += int(self.counts.sum())
 
+    @property
+    def terms(self) -> int:
+        """Exponentials :meth:`integrate` takes: none when the mass underflows."""
+        return self.kept if self.mass != 0.0 else 0
 
-def gaussian_poisson_terms(l, r, su, sv, log_mass, mean_half_boxes=(0, 0)) -> int:
-    """Exponentials :func:`integrate_gaussian_poisson` takes for these arguments."""
-    plan = _poisson_plan(l, r, su, sv, log_mass, tuple(mean_half_boxes))
-    return 0 if plan.underflow else plan.kept
+    def integrate(self) -> IntegralResult:
+        """Sum the planned terms: see :func:`integrate_gaussian_poisson`."""
+        if self.mass == 0.0:
+            return IntegralResult(value=0.0, error_estimate=self.kept * math.ulp(0.0), panels_used=0)
+        if not self.kept:
+            # The empty sum is exactly 0; only the dropped terms remain.
+            return IntegralResult(value=0.0, error_estimate=self.mass * self.tail, panels_used=0)
+        hu, hv = self.shifts
+        exponents, coefs = [], []
+        if self.origin:
+            exponents.append(np.zeros(1))
+            coefs.append(np.array([self.origin]))
+        if self.axis_j:
+            j = np.arange(1, self.axis_j + 1, 2)
+            for coef, h in ((self.u_axis, hu), (self.v_axis, hv)):
+                if coef:
+                    # Twice the j > 0 half of F_j G_0 (-i)**(h*j) = coef (-i)**(1 + h*j) / j.
+                    exponents.append(self.axis * j * j)
+                    coefs.append((2.0 * coef) * (1 - (1 + h * j) % 4) / j)
+        if self.odd:
+            counts = self.counts
+            p = np.repeat(np.arange(counts.size), counts)
+            starts = np.cumsum(counts) - counts
+            q = np.repeat(self.first - 2 * starts, counts) + 2 * np.arange(p.size)
+            # Twice F_j G_k (-i)**(hu*j + hv*k) = odd (-i)**(2 + hu*j + hv*k) / (j*k),
+            # with j*k = p**2 - q**2 and hu*j + hv*k = (hu + hv)*p + (hu - hv)*q.
+            power = (2 + (hu + hv) * p + (hu - hv) * q) % 4
+            exponents.append(self.a * (p * p) + self.b * (q * q))
+            coefs.append((2.0 * self.odd) * (1 - power) / (p * p - q * q))
+        exponent = np.concatenate(exponents)
+        terms = np.concatenate(coefs)
+        terms *= np.exp(self.log_mass - exponent)
+        # Summed exactly, so mirrored terms that cancel give exactly 0.
+        value = math.fsum(terms.tolist())
+        magnitude = np.abs(terms, out=terms)
+        rounding = 8.0 * _EPS * (
+            (1.0 + abs(self.log_mass)) * float(magnitude.sum())
+            + float((exponent * magnitude).sum())
+        ) + terms.size * math.ulp(0.0)
+        error = self.mass * self.tail + rounding
+        return IntegralResult(value=value, error_estimate=error, panels_used=0)
 
 
 def integrate_gaussian_poisson(
@@ -681,37 +709,4 @@ def integrate_gaussian_poisson(
     turns the absolute rounding of its argument into relative error,
     plus the smallest subnormal per term.  ``panels_used`` is 0.
     """
-    plan = _poisson_plan(l, r, su, sv, log_mass, tuple(mean_half_boxes))
-    if plan.underflow:
-        return IntegralResult(value=0.0, error_estimate=plan.kept * math.ulp(0.0), panels_used=0)
-    hu, hv = plan.shifts
-    exponents = [np.zeros(1 if plan.origin else 0)]
-    coefs = [np.full(exponents[0].size, plan.origin)]
-    j = np.arange(1, plan.axis_j + 1, 2)
-    for coef, h in ((plan.u_axis, hu), (plan.v_axis, hv)):
-        if coef:
-            # Twice the j > 0 half of F_j G_0 (-i)**(h*j) = coef (-i)**(1 + h*j) / j.
-            exponents.append(plan.axis * j * j)
-            coefs.append((2.0 * coef) * (1 - (1 + h * j) % 4) / j)
-    if plan.odd:
-        first, counts = _odd_bands(plan.q_max)
-        p = np.repeat(np.arange(counts.size), counts)
-        starts = np.cumsum(counts) - counts
-        q = np.repeat(first - 2 * starts, counts) + 2 * np.arange(p.size)
-        # Twice F_j G_k (-i)**(hu*j + hv*k) = odd (-i)**(2 + hu*j + hv*k) / (j*k),
-        # with j*k = p**2 - q**2 and hu*j + hv*k = (hu + hv)*p + (hu - hv)*q.
-        power = (2 + (hu + hv) * p + (hu - hv) * q) % 4
-        exponents.append(plan.a * (p * p) + plan.b * (q * q))
-        coefs.append((2.0 * plan.odd) * (1 - power) / (p * p - q * q))
-    exponent = np.concatenate(exponents)
-    terms = np.concatenate(coefs)
-    terms *= np.exp(log_mass - exponent)
-    # Summed exactly, so mirrored terms that cancel give exactly 0.
-    value = math.fsum(terms.tolist())
-    magnitude = np.abs(terms, out=terms)
-    rounding = 8.0 * _EPS * (
-        (1.0 + abs(log_mass)) * float(magnitude.sum())
-        + float((exponent * magnitude).sum())
-    ) + terms.size * math.ulp(0.0)
-    error = math.exp(log_mass) * plan.tail + rounding
-    return IntegralResult(value=value, error_estimate=error, panels_used=0)
+    return PoissonSeries(l, r, su, sv, log_mass, mean_half_boxes).integrate()

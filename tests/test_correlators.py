@@ -41,6 +41,7 @@ from boxspin import (
     single_site,
     wavefunction,
 )
+from boxspin import correlators, quadrature
 from boxspin.correlators import (
     _PIECES,
     MAX_BOX_LENGTH,
@@ -50,11 +51,10 @@ from boxspin.correlators import (
     _log_mass,
     _one,
     _parity,
-    _poisson_pays,
-    _series_piece,
     clear_cache,
     default_spec,
 )
+from boxspin.quadrature import PoissonSeries, gaussian_lattice_work
 
 
 class _DenseOracle:
@@ -384,6 +384,18 @@ _CROSS_GRID = [
 ] + [(5.0, 50.0)]
 
 
+def _series(name: str, l: float, state: SqueezeState) -> PoissonSeries:
+    """The piece's theta series, planned."""
+    su, sv, shifts = _PIECES[name]
+    return PoissonSeries(l, state.r, su, sv, _log_mass(name, l, state), shifts)
+
+
+def _series_pays(name: str, l: float, state: SqueezeState) -> bool:
+    """Whether the series takes fewer terms than the lattice's predicted work."""
+    work = gaussian_lattice_work(l, state.cosh2r, default_spec(l, state))
+    return _series(name, l, state).terms < work
+
+
 class TestEvaluatorsAgree:
     """The theta series (Fourier side) and the erf lattice (position side)
     share no summation, so each checks the other's value and bound."""
@@ -393,7 +405,7 @@ class TestEvaluatorsAgree:
         state = SqueezeState(r)
         spec = default_spec(l, state)
         for name in _PIECES:
-            series = _series_piece(name, l, state)
+            series = _series(name, l, state).integrate()
             lattice = _erf_piece(name, l, state, spec)
             bound = series.error_estimate + lattice.error_estimate
             assert abs(series.value - lattice.value) <= bound, name
@@ -401,21 +413,92 @@ class TestEvaluatorsAgree:
     def test_dispatch_follows_predicted_work(self):
         """Small boxes need a few series terms and many lattice nodes; at
         l = 50 and r = 0 the density series needs more terms than the
-        lattice's nodes x edges."""
+        lattice's nodes x edges.  The piece comes from the predicted winner."""
+        state = SqueezeState(0.0)
+        clear_cache()
         for name in _PIECES:
-            assert _poisson_pays(name, 0.03, SqueezeState(0.0)), name
-        assert not _poisson_pays("density", 50.0, SqueezeState(0.0))
+            assert _series_pays(name, 0.03, state), name
+            assert _lattice_piece(name, 0.03, state, None) == _series(name, 0.03, state).integrate()
+        assert not _series_pays("density", 50.0, state)
+        assert _lattice_piece("density", 50.0, state, None) == _erf_piece(
+            "density", 50.0, state, default_spec(50.0, state)
+        )
 
     @pytest.mark.parametrize("name, r, l", [("step", 0.0, 7.5), ("site_x", 1.0, 20.0)])
     def test_nonnegative_pieces_fall_back_to_the_lattice(self, name, r, l):
         """Far below its mass a nonnegative piece keeps its digits on the lattice only."""
         state = SqueezeState(r)
         spec = default_spec(l, state)
-        assert _poisson_pays(name, l, state)
+        assert _series_pays(name, l, state)
         clear_cache()
         got = _lattice_piece(name, l, state, spec)
         assert got == _erf_piece(name, l, state, spec)
-        assert got.error_estimate < 1e-3 * _series_piece(name, l, state).error_estimate
+        assert got.error_estimate < 1e-3 * _series(name, l, state).integrate().error_estimate
+
+
+# The benchmark's sweep points (r in {0.5, 1, 2}, four box lengths from
+# 0.25 to 7.5) and the ROADMAP corners.
+_SWEEP_AND_CORNERS = [
+    (r, 0.25 * 30.0 ** (i / 3.0)) for r in (0.5, 1.0, 2.0) for i in range(4)
+] + [(r, l) for r in (0.0, 2.0, 5.0) for l in (0.03, 1.0, 50.0)]
+
+
+class TestPieceDispatch:
+    """What one uncached piece builds, and what a cached one skips."""
+
+    @pytest.mark.parametrize(
+        "name, r, l", [("density", 0.5, 0.25), ("step", 2.0, 7.5), ("step", 0.5, 7.5), ("density", 0.0, 50.0)]
+    )
+    def test_an_uncached_piece_plans_its_series_once(self, monkeypatch, name, r, l):
+        """Counting and summing share one plan, whichever evaluator wins:
+        the last two end on the lattice, by fallback and by predicted work."""
+        plans = []
+
+        class Counted(PoissonSeries):
+            def __init__(self, *args):
+                plans.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(correlators, "PoissonSeries", Counted)
+        state = SqueezeState(r)
+        clear_cache()
+        _lattice_piece(name, l, state, None)
+        assert len(plans) == 1
+        _lattice_piece(name, l, state, None)
+        assert len(plans) == 1
+
+    @pytest.mark.parametrize("r, l", _SWEEP_AND_CORNERS)
+    def test_cross_pieces_are_exactly_zero_without_a_series(self, monkeypatch, r, l):
+        """No block of zx or xz has a real part, so their series is planned
+        and summed without a tail bound or any array: (0.0, 0.0), as the
+        summed empty series gives."""
+        state = SqueezeState(r)
+        _series("zx", l, state)  # warms the sign functions' Fourier cache
+
+        def unused(*args):
+            raise AssertionError("an empty series sized its tail")
+
+        monkeypatch.setattr(quadrature, "_theta_bound", unused)
+        for name in ("zx", "xz"):
+            with monkeypatch.context() as m:
+                m.setattr(quadrature, "np", None)
+                series = _series(name, l, state)
+                assert (series.terms, series.tail) == (0, 0.0)
+                assert series.integrate() == quadrature.IntegralResult(0.0, 0.0, 0)
+            clear_cache()
+            assert correlator(name, l, r) == (0.0, 0.0)
+
+    def test_a_cache_hit_builds_no_spec(self, monkeypatch):
+        clear_cache()
+        first = correlator_set(0.7768, 0.5)
+        sx = single_site("x", 0.7768, 0.5)
+
+        def unused(*args):
+            raise AssertionError("a cache hit built a spec")
+
+        monkeypatch.setattr(correlators, "default_spec", unused)
+        assert correlator_set(0.7768, 0.5) == first
+        assert single_site("x", 0.7768, 0.5) == sx
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -12,10 +12,11 @@ piece cache.  It runs in a fresh interpreter per point, with a 2 GiB
 address-space cap and a deadline, so a point whose grid exhausts memory
 or time is recorded as failed instead of pressing on the machine.
 
-Recorded per point and side: wall time (median of three runs when one
-run takes under 2 s), the kernel's evaluation count (2-D integrand
-values for the tensor-grid kernel, erfc values for the erf kernel, plus
-exponentials for the theta series), and the largest deviation from
+Recorded per point and side: wall time (the median of 21 runs when the
+first takes under 0.1 s, of three when it takes under 2 s, else the one
+run), the kernel's evaluation count (2-D integrand values for the
+tensor-grid kernel, erfc values for the erf kernel, plus exponentials
+for the theta series), and the largest deviation from
 ``perfbench/reference.json``, together with whether every deviation
 lies within the reported error plus the reference's own.  Points where
 the reference itself is known to be off carry a note.
@@ -41,7 +42,9 @@ import points  # noqa: E402  (perfbench/points.py imports no boxspin)
 PAIRS = ("zz", "xx", "yy", "zx", "xz")
 ADDRESS_SPACE_LIMIT = 2 * 1024**3
 DEADLINE_S = 30.0
-REPEAT_BELOW_S = 2.0
+# (first run under this many seconds, runs whose median is recorded);
+# a sub-millisecond point's cold runs spread up to 2x.
+REPEATS = ((0.1, 21), (2.0, 3))
 
 
 # perfbench/reference.py writes the step shift as (s - c)*l/(2c), which
@@ -64,6 +67,17 @@ def _count_evaluations(correlators, quadrature, counter):
             return real_erfc(x, *args, **kwargs)
 
         quadrature.erfc = counted_erfc
+        counted = "erfc values (u-node x v-edge) + theta-series exponentials"
+        if hasattr(quadrature, "PoissonSeries"):
+            # The series is planned for every piece and summed where it wins.
+            real_integrate = quadrature.PoissonSeries.integrate
+
+            def counted_integrate(series):
+                counter[0] += series.terms
+                return real_integrate(series)
+
+            quadrature.PoissonSeries.integrate = counted_integrate
+            return counted
         if not hasattr(correlators, "integrate_gaussian_poisson"):
             return "erfc values (u-node x v-edge)"
         real_series = correlators.integrate_gaussian_poisson
@@ -73,7 +87,7 @@ def _count_evaluations(correlators, quadrature, counter):
             return real_series(*args)
 
         correlators.integrate_gaussian_poisson = counted_series
-        return "erfc values (u-node x v-edge) + theta-series exponentials"
+        return counted
 
     import numpy as np
 
@@ -109,7 +123,8 @@ def worker(r: float, l: float) -> dict:
             seconds.append(time.perf_counter() - start)
             if len(seconds) == 1:
                 evaluations = counter[0]
-            if len(seconds) == 3 or seconds[0] >= REPEAT_BELOW_S:
+                runs = next((n for below, n in REPEATS if seconds[0] < below), 1)
+            if len(seconds) == runs:
                 break
     except MemoryError:
         return {"ok": False, "failure": "MemoryError"}
