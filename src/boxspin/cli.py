@@ -2,21 +2,19 @@
 
 All positions and box lengths are dimensionless (oscillator units).
 Numbers are printed with 9 significant digits; identical invocations
-produce byte-identical output, and sweep points may be evaluated
-concurrently (--jobs, overridden by the BOXSPIN_JOBS environment
-variable) with results written in deterministic (r, l) order.
+produce byte-identical output.  Sweep points are evaluated in (r, l)
+order in the calling thread; --jobs is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,15 +99,6 @@ def _fmt_bool(b: bool) -> str:
     return "true" if b else "false"
 
 
-def _resolve_jobs(flag_jobs: int) -> int:
-    env = os.environ.get("BOXSPIN_JOBS")
-    if env is not None:
-        jobs = int(env)
-    else:
-        jobs = flag_jobs
-    return max(1, jobs)
-
-
 def _emit(text: str, out: str) -> None:
     if out == "-":
         sys.stdout.write(text)
@@ -126,11 +115,10 @@ def _rows_to_csv(header: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _sweep_report(config: SweepConfig, jobs: int, header: list[str], point_fn) -> str:
-    """Evaluate point_fn over the (r, l) grid and render csv or json rows."""
-    tasks = [(r, l) for r in config.r_list for l in config.l_values()]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        rows = list(pool.map(lambda rl: point_fn(*rl), tasks))
+def _sweep_report(config: SweepConfig, header: list[str], point_fn) -> str:
+    """Evaluate point_fn over the (r, l) grid in order and render csv or json rows."""
+    l_values = config.l_values()
+    rows = [point_fn(r, l) for r in config.r_list for l in l_values]
     if config.format == "csv":
         return _rows_to_csv(header, [[_fmt(v) if not isinstance(v, str) else v for v in row] for row in rows])
     payload = {
@@ -143,7 +131,6 @@ def _sweep_report(config: SweepConfig, jobs: int, header: list[str], point_fn) -
 
 def _cmd_fig1(args) -> int:
     config = _config_from_args(args)
-    jobs = _resolve_jobs(args.jobs)
 
     def point(r: float, l: float):
         czz, czz_err = correlator("zz", l, r)
@@ -152,13 +139,12 @@ def _cmd_fig1(args) -> int:
         return [r, l, math.log2(l), czz, cxx, cyy, czz_err, cxx_err, cyy_err]
 
     header = ["r", "l", "log2_l", "czz", "cxx", "cyy", "czz_err", "cxx_err", "cyy_err"]
-    _emit(_sweep_report(config, jobs, header, point), config.out)
+    _emit(_sweep_report(config, header, point), config.out)
     return 0
 
 
 def _cmd_fig2(args) -> int:
     config = _config_from_args(args)
-    jobs = _resolve_jobs(args.jobs)
 
     def point(r: float, l: float):
         report = chsh_from_correlators(correlator_set(l, r))
@@ -167,7 +153,7 @@ def _cmd_fig2(args) -> int:
         return [r, l, report.value, report.violated]
 
     header = ["r", "l", "chsh_standard", "violated"]
-    _emit(_sweep_report(config, jobs, header, point), config.out)
+    _emit(_sweep_report(config, header, point), config.out)
     return 0
 
 
@@ -309,13 +295,13 @@ def _add_output_flags(parser, default_format: str | None = None) -> None:
 
 def _add_sweep_flags(parser) -> None:
     parser.add_argument("--r-list", type=float, nargs="+",
-                        default=[0.0, 0.5, 1.0, 2.0], help="squeezing values")
+                        default=(0.0, 0.5, 1.0, 2.0), help="squeezing values")
     parser.add_argument("--l-min", type=float, default=0.03)
     parser.add_argument("--l-max", type=float, default=7.5)
     parser.add_argument("--points", type=int, default=64,
                         help="box lengths, spaced evenly in log2")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="concurrent sweep points (BOXSPIN_JOBS overrides)")
+                        help="ignored: points run in order in one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,9 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser main uses; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InvalidScale, MisalignedGrid, RangeError, ValueError) as exc:

@@ -250,11 +250,14 @@ def _lattice_piece(
         return hit
     su, sv, shifts = _PIECES[name]
     series = PoissonSeries(l, state.r, su, sv, _log_mass(name, l, state), shifts)
-    default = default_spec(l, state)
-    pays = series.terms < gaussian_lattice_work(l, state.cosh2r, default)
-    result = series.integrate() if pays else None
-    if result is None or _series_lost_digits(name, result):
-        result = _erf_piece(name, l, state, default if spec is None else spec)
+    if series.terms == 0:  # zx, xz, or a mass that underflows: an exact 0, no spec
+        result = series.integrate()
+    else:
+        default = default_spec(l, state)
+        pays = series.terms < gaussian_lattice_work(l, state.cosh2r, default)
+        result = series.integrate() if pays else None
+        if result is None or _series_lost_digits(name, result):
+            result = _erf_piece(name, l, state, default if spec is None else spec)
     _PIECE_CACHE[key] = result
     return result
 

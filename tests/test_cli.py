@@ -9,11 +9,12 @@ import dataclasses
 import io
 import json
 import math
+import threading
 
 import pytest
 
-from boxspin import InvalidScale
-from boxspin.cli import SweepConfig, main
+from boxspin import InvalidScale, cli
+from boxspin.cli import SweepConfig, build_parser, main
 
 
 def _run(capsys, argv):
@@ -116,6 +117,56 @@ class TestSweeps:
         assert values[2.0] > 2.0
         for row in rows:
             assert row[3] == "true"
+
+
+class TestInProcess:
+    """Sweeps run in the calling thread; main parses with one parser per process."""
+
+    ARGS = TestSweeps.ARGS
+
+    @pytest.mark.parametrize("command", ["fig1", "fig2"])
+    def test_sweeps_start_no_thread(self, capsys, monkeypatch, command):
+        def refuse(thread):
+            raise AssertionError("a sweep started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setenv("BOXSPIN_JOBS", "3")
+        code, out, err = _run(capsys, [command, *self.ARGS, "--jobs", "2"])
+        assert code == 0 and err == ""
+        assert len(_parse_csv(out)[1]) == 3
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        builds = []
+
+        def counted():
+            builds.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        for argv in (["lhv"], ["fig1", *self.ARGS], ["fig2", *self.ARGS], ["lhv"]):
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert len(builds) == 1
+        assert build_parser() is not build_parser()
+
+    def test_nothing_carries_over_between_calls(self, capsys):
+        code, out, _ = _run(capsys, ["fig1", *self.ARGS, "--format", "json", "--r-list", "2"])
+        assert code == 0 and json.loads(out)["config"]["r_list"] == [2.0]
+        code, out, _ = _run(capsys, ["fig1", "--points", "3"])
+        assert code == 0
+        header, rows = _parse_csv(out)
+        assert header[:3] == ["r", "l", "log2_l"]
+        assert [float(row[0]) for row in rows] == [r for r in (0.0, 0.5, 1.0, 2.0) for _ in range(3)]
+
+    def test_a_parse_error_leaves_the_parser_usable(self, capsys):
+        code, expected, _ = _run(capsys, ["fig2", *self.ARGS])
+        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["fig2", "--points", "three"])
+        assert exc.value.code == 2
+        assert "--points" in capsys.readouterr().err
+        assert _run(capsys, ["fig2", *self.ARGS]) == (0, expected, "")
 
 
 class TestSingleShotCommands:

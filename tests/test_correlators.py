@@ -488,6 +488,25 @@ class TestPieceDispatch:
             clear_cache()
             assert correlator(name, l, r) == (0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "name, r, l", [(name, r, l) for name in ("zx", "xz") for r, l in _SWEEP_AND_CORNERS]
+        + [("step", 0.0, 50.0)],
+    )
+    def test_an_empty_series_builds_no_spec(self, monkeypatch, name, r, l):
+        """zx and xz at every point, and a step piece whose mass underflows,
+        plan no terms: the series' exact 0 needs no spec and no work estimate."""
+        state = SqueezeState(r)
+        expected = _series(name, l, state).integrate()
+
+        def unused(*args):
+            raise AssertionError("an empty series built a spec")
+
+        monkeypatch.setattr(correlators, "default_spec", unused)
+        monkeypatch.setattr(correlators, "gaussian_lattice_work", unused)
+        clear_cache()
+        result = _lattice_piece(name, l, state, None)
+        assert result == expected and result.value == 0.0
+
     def test_a_cache_hit_builds_no_spec(self, monkeypatch):
         clear_cache()
         first = correlator_set(0.7768, 0.5)
