@@ -108,7 +108,7 @@ def chsh_value(
     e_bg = _checked(correlator_of(b, g))
     e_bd = _checked(correlator_of(b, d))
     value = abs(e_ag + e_ad) + abs(e_bg - e_bd)
-    bound = lhv_chsh_max()
+    bound = _LHV_CHSH_MAX
     return BellReport(
         value=value,
         bound=bound,
@@ -184,9 +184,13 @@ def lhv_chsh_values() -> list[float]:
     return values
 
 
+# The strategies are fixed, so the bound is enumerated once, at import.
+_LHV_CHSH_MAX = float(max(lhv_chsh_values()))
+
+
 def lhv_chsh_max() -> float:
     """Local bound of the CHSH combination, maximized by enumeration."""
-    return float(max(lhv_chsh_values()))
+    return _LHV_CHSH_MAX
 
 
 def lhv_bit_bell_max() -> float:

@@ -240,7 +240,8 @@ def _lattice_piece(
     """One piece, prefactor included, cached per (name, l, r, spec).
 
     The theta series evaluates it where it takes fewer terms than the
-    erf lattice's u-nodes x edges under the default spec, and the lattice
+    erf lattice's u-nodes x edges under the default spec, counted over
+    the panels the lattice lays for this piece's mass, and the lattice
     (on ``spec``, or that default when it is None) elsewhere and where
     the series leaves a nonnegative piece with few digits.
     """
@@ -254,7 +255,7 @@ def _lattice_piece(
         result = series.integrate()
     else:
         default = default_spec(l, state)
-        pays = series.terms < gaussian_lattice_work(l, state.cosh2r, default)
+        pays = series.terms < gaussian_lattice_work(l, state.cosh2r, series.log_mass, default)
         result = series.integrate() if pays else None
         if result is None or _series_lost_digits(name, result):
             result = _erf_piece(name, l, state, default if spec is None else spec)

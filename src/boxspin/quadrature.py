@@ -69,10 +69,25 @@ _CHUNK_ENTRIES = 4_000_000
 # 4e-20 of the mass, and that bound is reported.
 _ERF_WINDOW = 6.5
 
-# Node-by-edge entries the erf evaluator holds at once (~8 MB per array).
-_EDGE_CHUNK_ENTRIES = 1_000_000
+# Node-by-edge entries the erf evaluator holds at once, both panel rules
+# together: 256 kB per array, so a chunk's arrays stay in cache.
+_EDGE_CHUNK_ENTRIES = 1 << 15
+
+# The erf evaluator sums each rule's terms in chunks of panels holding
+# this many node-by-edge entries.  The grouping sets the last bits of the
+# value and of its rounding bound, so it stays fixed whatever the
+# evaluation chunks are.
+_SUM_CHUNK_ENTRIES = 1_000_000
 
 _EPS = float(np.finfo(float).eps)
+
+# exp(x) rounds to exactly 0.0 for x below ln(ulp(0)/2), half the
+# smallest subnormal (ulp(0)/2 itself rounds to 0, so its log is taken
+# in two parts).  The lattice's cut at that exponent is widened by
+# _UNDERFLOW_SLACK, far more than the ~1e-12 to which the nodes'
+# exponents round.
+_LOG_HALF_ULP0 = math.log(math.ulp(0.0)) - math.log(2.0)
+_UNDERFLOW_SLACK = 1e-6
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -89,7 +104,8 @@ class QuadratureSpec:
     tail_radius : float
         Tensor-grid lattice integrals keep boxes whose centers lie within
         this Euclidean distance of the origin; the erf evaluator cuts its
-        Gaussian axis at this distance from the Gaussian's centre.
+        Gaussian axis at this distance from the Gaussian's centre, or
+        nearer, where the Gaussian underflows to 0.0.
     """
 
     panel_order: int = 20
@@ -321,22 +337,55 @@ def _erf_box_sums(mu, l, root_c, sv_table, m_first, n_edges):
     the first one at or below mu - _ERF_WINDOW/root_c.
     """
     k0 = np.floor((mu - _ERF_WINDOW / root_c) / l)
-    x = (k0[:, None] + np.arange(n_edges)) * l
-    x -= mu[:, None]
+    # Edge-major (edge x centre), so every elementwise step runs over rows
+    # as long as the chunk rather than as short as one window.
+    x = (k0 + np.arange(n_edges)[:, None]) * l
+    x -= mu
     x *= root_c
     above = x >= 0.0
     tails = erfc(np.abs(x, out=x), out=x)
     # One erfc per edge, shared by the two boxes that meet there.  A box
     # on one side of mu is the difference of its two tails, which keeps
     # full relative accuracy far out; the box holding mu is 2 minus both.
-    lo, hi = tails[:, :-1], tails[:, 1:]
+    lo, hi = tails[:-1], tails[1:]
     diff = lo - hi
-    np.negative(diff, out=diff, where=~above[:, :-1])
-    straddle = above[:, 1:] & ~above[:, :-1]
-    diff[straddle] = 2.0 - lo[straddle] - hi[straddle]
+    np.negative(diff, out=diff, where=~above[:-1])
+    np.subtract(2.0 - lo, hi, out=diff, where=above[1:] & ~above[:-1])
     rows = (k0 - m_first).astype(np.intp)
-    diff *= sv_table[rows[:, None] + np.arange(n_edges - 1)]
-    return diff.sum(axis=1), np.abs(diff, out=diff).sum(axis=1)
+    diff *= sv_table[rows + np.arange(n_edges - 1)[:, None]]
+    # Each centre's boxes summed contiguously, in the order numpy's
+    # pairwise sum takes a row of a centre-major array.
+    boxes = np.ascontiguousarray(diff.T)
+    return boxes.sum(axis=1), np.abs(boxes, out=boxes).sum(axis=1)
+
+
+@lru_cache(maxsize=None)
+def _paired_rule(full: int, half: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both Gauss-Legendre rules on [0, 1]: the full-order nodes, then the half-order ones."""
+    (xf, wf), (xh, wh) = _unit_rule(full), _unit_rule(half)
+    return np.concatenate((xf, xh)), np.concatenate((wf, wh))
+
+
+def _sum_chunk_panels(order: int, n_edges: int) -> int:
+    """Panels per summation chunk of a rule with ``order`` nodes per panel."""
+    return max(1, _SUM_CHUNK_ENTRIES // (order * n_edges))
+
+
+def _chunked_sum(products: np.ndarray, first: int, n_panels: int, step: int) -> float:
+    """Sum per-panel rows of products in chunks of ``step`` panels from panel 0.
+
+    ``products`` holds panels first, first + 1, ... of n_panels; every
+    other panel counts as zeros, and each chunk is summed whole with those
+    zeros in place.
+    """
+    last = first + products.shape[0]
+    total = 0.0
+    for i in range(first - first % step, last, step):
+        lo, hi = max(i, first), min(i + step, last)
+        chunk = np.zeros((min(i + step, n_panels) - i, products.shape[1]))
+        chunk[lo - i:hi - i] = products[lo - first:hi - first]
+        total += float(chunk.sum())
+    return total
 
 
 def integrate_gaussian_lattice(
@@ -365,7 +414,13 @@ def integrate_gaussian_lattice(
 
     taken on Gauss-Legendre panels aligned with the u-boxes (at most
     ``max_panel_width`` wide, ``panel_order`` nodes) over u0 +/-
-    ``tail_radius``.  ``log_mass`` is folded into that exponent.
+    ``tail_radius``.  ``log_mass`` is folded into that exponent.  Beyond
+    R0 = sqrt(c*(log_mass - ln(pi) - ln(ulp(0)/2))) from u0 that weight
+    rounds to exactly 0.0, so only the panels reaching inside R0 are
+    laid, each whole; the others would add exact zeros to the value and
+    to every rounding term.  The sums run in fixed chunks over all
+    panels within ``tail_radius``, with zeros in place of the panels not
+    laid, so the value is the same to the bit as with every panel laid.
 
     The u-curvature 1/c = (c**2 - s**2)/c uses c**2 - s**2 = 1: the
     difference c - s = exp(-2r) cancels catastrophically in floating
@@ -385,8 +440,9 @@ def integrate_gaussian_lattice(
     shift, and mu(u) and the edges near it are off by a few eps*|mu|,
     which moves H(u) by at most 4*(sqrt(c/pi) + 1/l) per unit shift in
     erf units, and by at most 7*max(1/l, 17*sqrt(c)) times the node's
-    sum of |box masses|.  Far from the origin this term dominates.
-    ``panels_used`` counts u-panels.
+    sum of |box masses|.  Far from the origin this term dominates.  In
+    the floor, terms counts the full-order u-nodes x edges laid;
+    ``panels_used`` counts the u-panels laid.
     """
     if not l > 0.0:
         raise InvalidScale(f"box_length must be positive, got {l!r}")
@@ -399,6 +455,7 @@ def integrate_gaussian_lattice(
     exponent_scale = abs(log_mass) + math.log(math.pi)
     u_lo = u0 - spec.tail_radius
     u_hi = u0 + spec.tail_radius
+    reach = min(spec.tail_radius, _weight_reach(c, log_mass))
 
     # u-panels: each kept box split into equal panels, clipped to the cut.
     boxes = np.arange(math.floor(u_lo / l), math.floor(u_hi / l) + 1)
@@ -411,12 +468,16 @@ def integrate_gaussian_lattice(
     ends = np.minimum(starts + h, u_hi)
     starts = np.maximum(starts, u_lo)
     live = ends > starts
-    starts, widths, signs = starts[live], (ends - starts)[live], signs[live]
+    starts, ends, signs = starts[live], ends[live], signs[live]
+    widths = ends - starts
+    # Panels wholly beyond `reach` of u0 carry exact zeros: only panels
+    # [first, last) are laid, each whole.
+    first = int(np.searchsorted(ends, u0 - reach, side="right"))
+    last = int(np.searchsorted(starts, u0 + reach, side="left"))
 
-    mu_ends = (v0 - (s / c) * spec.tail_radius, v0 + (s / c) * spec.tail_radius)
+    mu_ends = (v0 - (s / c) * reach, v0 + (s / c) * reach)
     n_edges, m_first, sv_table = _erf_window(sv, l, root_c, min(mu_ends), max(mu_ends))
 
-    totals = []
     magnitude = 0.0
     exponent_error = 0.0
     position_error = 0.0
@@ -437,33 +498,51 @@ def integrate_gaussian_lattice(
     h_relative = 7.0 * max(1.0 / l, 17.0 * root_c)
     v_shift0 = 3.0 * abs(v0) + 1.0 / root_c + 2.0 * (s / c) * abs(u0)
     v_shift1 = 6.0 * (s / c)
-    for order in (spec.panel_order, max(2, spec.panel_order // 2)):
-        x, w = _unit_rule(order)
-        step = max(1, _EDGE_CHUNK_ENTRIES // (order * n_edges))
-        total = 0.0
-        for i in range(0, starts.size, step):
-            width = widths[i:i + step, None]
-            u = (starts[i:i + step, None] + width * x).ravel()
-            weight = ((width * signs[i:i + step, None]) * w).ravel()
-            offset = u - u0
-            spread = offset ** 2 / c
-            weight *= np.exp(log_w - spread)
-            hsum, habs = _erf_box_sums(v0 + (s / c) * offset, l, root_c, sv_table, m_first, n_edges)
-            total += float((weight * hsum).sum())
-            if order == spec.panel_order:
-                abs_weight = np.abs(weight)
-                slope = np.minimum(h_slope, h_relative * habs)
-                slope *= abs_weight
-                habs *= abs_weight
-                magnitude += float(habs.sum())
-                spread_sum = float((spread * habs).sum())
-                exponent_error += spread_sum
-                np.abs(offset, out=offset)
-                position_error += (
-                    (4.0 * abs(u0) / c) * float(offset @ habs) + 4.0 * spread_sum
-                    + v_shift0 * float(slope.sum()) + v_shift1 * float(offset @ slope)
-                )
-        totals.append(total)
+    full, half = spec.panel_order, max(2, spec.panel_order // 2)
+    x, w = _paired_rule(full, half)
+    # One pass evaluates both rules' nodes, a few panels at a time.  The
+    # sums run over fixed chunks of all panels within tail_radius, with
+    # zeros for the panels not laid, so numpy's pairwise sums group the
+    # terms as over every panel: neither the skipped zeros nor the
+    # evaluation chunks move a bit of the value or of the rounding terms.
+    n_panels = starts.size
+    sum_step = _sum_chunk_panels(full, n_edges)
+    eval_step = max(1, _EDGE_CHUNK_ENTRIES // ((full + half) * n_edges))
+    half_terms = np.empty((last - first, half))
+    total = 0.0
+    for i in range(first - first % sum_step, last, sum_step):
+        # Per full-order node of the chunk: weight * H(u), |weight| times
+        # the sum of |box masses|, (u - u0)**2/c, |u - u0| and H's slope bound.
+        products, habs, spread, offset, slope = np.zeros((5, min(sum_step, n_panels - i), full))
+        for lo in range(max(i, first), min(i + sum_step, last), eval_step):
+            hi = min(lo + eval_step, i + sum_step, last)
+            width = widths[lo:hi, None]
+            u = starts[lo:hi, None] + width * x
+            weight = (width * signs[lo:hi, None]) * w
+            d = u - u0
+            d2 = d ** 2 / c
+            weight *= np.exp(log_w - d2)
+            hs, ha = _erf_box_sums((v0 + (s / c) * d).ravel(), l, root_c, sv_table, m_first, n_edges)
+            both = weight * hs.reshape(weight.shape)
+            half_terms[lo - first:hi - first] = both[:, full:]
+            rows = slice(lo - i, hi - i)
+            products[rows] = both[:, :full]
+            abs_weight = np.abs(weight[:, :full])
+            ha = ha.reshape(weight.shape)[:, :full]
+            slope[rows] = np.minimum(h_slope, h_relative * ha) * abs_weight
+            habs[rows] = ha * abs_weight
+            spread[rows] = d2[:, :full]
+            offset[rows] = np.abs(d[:, :full])
+        habs, offset = habs.ravel(), offset.ravel()
+        total += float(products.sum())
+        magnitude += float(habs.sum())
+        spread_sum = float((spread.ravel() * habs).sum())
+        exponent_error += spread_sum
+        position_error += (
+            (4.0 * abs(u0) / c) * float(offset @ habs) + 4.0 * spread_sum
+            + v_shift0 * float(slope.sum()) + v_shift1 * float(offset @ slope.ravel())
+        )
+    half_total = _chunked_sum(half_terms, first, n_panels, _sum_chunk_panels(half, n_edges))
 
     v_scale = 0.5 * math.sqrt(math.pi / c)
     # sqrt(pi/c) bounds |H(u)| and sqrt(pi*c)*exp(log_w) is the full
@@ -471,15 +550,16 @@ def integrate_gaussian_lattice(
     mass = math.exp(log_mass)
     tail = mass * float(erfc(spec.tail_radius / root_c))
     window = mass * float(erfc(_ERF_WINDOW))
-    terms = starts.size * spec.panel_order * n_edges
+    laid = last - first
+    terms = laid * spec.panel_order * n_edges
     rounding = _EPS * v_scale * (
         (math.sqrt(terms) + exponent_scale) * magnitude + exponent_error + position_error
     )
-    value = v_scale * totals[0]
-    error = v_scale * abs(totals[0] - totals[1]) + tail + window + rounding
+    value = v_scale * total
+    error = v_scale * abs(total - half_total) + tail + window + rounding
     if not (math.isfinite(value) and math.isfinite(error)):
         raise NonFiniteIntegrand("Gaussian lattice sum is not finite")
-    return IntegralResult(value=value, error_estimate=error, panels_used=int(starts.size))
+    return IntegralResult(value=value, error_estimate=error, panels_used=laid)
 
 
 def integrate_gaussian_line(
@@ -510,17 +590,38 @@ def integrate_gaussian_line(
     return IntegralResult(value=value, error_estimate=error, panels_used=0)
 
 
-def gaussian_lattice_work(l: float, c: float, spec: QuadratureSpec) -> int:
+def _weight_reach(c: float, log_mass: float) -> float:
+    """Distance from u0 beyond which the lattice's u-weight is exactly 0.0.
+
+    The weight exp(log_mass - ln(pi) - d**2/c) underflows to 0.0 where
+    its exponent is below ln(ulp(0)/2), that is beyond R0 =
+    sqrt(c*(log_mass - ln(pi) - ln(ulp(0)/2))).  The exponent is widened
+    by _UNDERFLOW_SLACK for rounding; 0 where even the peak underflows.
+    """
+    excess = log_mass - math.log(math.pi) - _LOG_HALF_ULP0 + _UNDERFLOW_SLACK
+    return math.sqrt(c * excess) if excess > 0.0 else 0.0
+
+
+def gaussian_lattice_work(l: float, c: float, log_mass: float, spec: QuadratureSpec) -> int:
     """Predicted u-nodes x edges of one :func:`integrate_gaussian_lattice` call.
 
-    The full-order nodes on every box within ``tail_radius`` of the
-    centre times the edges of one erf window; the half-order rule adds
-    half as much again.  Boxes whose sign is 0 are counted, so this
-    overestimates the even-box indicator's work.
+    The full-order nodes on every u-panel the lattice lays times the
+    edges of one erf window; the half-order rule adds half as much
+    again.  Panels are laid within the smaller of ``tail_radius`` and
+    the distance R0 where the u-weight underflows to 0.0 (which
+    ``log_mass`` sets) from the centre.  Where R0 reaches past
+    ``tail_radius`` that is every panel of the floor(2*tail_radius/l) + 2
+    boxes a range of that length can touch; where it does not, the
+    floor(2*R0/h) + 2 panels of width h that a range of length 2*R0 can
+    touch, since that range may end inside a box.  Boxes whose sign is 0
+    are counted, so this overestimates the even-box indicator's work.
     """
-    boxes = math.floor(2.0 * spec.tail_radius / l) + 2
-    nodes = boxes * _panels_per_box(l, spec) * spec.panel_order
-    return nodes * _edge_count(l, math.sqrt(c))
+    per_box = _panels_per_box(l, spec)
+    panels = (math.floor(2.0 * spec.tail_radius / l) + 2) * per_box
+    reach = _weight_reach(c, log_mass)
+    if reach < spec.tail_radius:
+        panels = min(panels, math.floor(2.0 * reach / (l / per_box)) + 2)
+    return panels * spec.panel_order * _edge_count(l, math.sqrt(c))
 
 
 # The theta series stops where the dropped terms carry at most this

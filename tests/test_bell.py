@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
+from boxspin import bell
 from boxspin import (
     STANDARD_SETTINGS,
     BellReport,
@@ -176,6 +177,15 @@ class TestLocalBounds:
         assert len(values) == 16
         assert set(values) == {2.0}
         assert lhv_chsh_max() == 2.0
+
+    def test_chsh_reports_the_bound_without_enumerating(self, monkeypatch):
+        """The bound is enumerated once, at import, not on every call."""
+        def unused():
+            raise AssertionError("the strategies were enumerated again")
+
+        monkeypatch.setattr(bell, "lhv_chsh_values", unused)
+        report = chsh_value(lambda a, b: math.cos(a - b))
+        assert report.bound == lhv_chsh_max() == 2.0
 
     def test_bit_bound_is_one(self):
         assert lhv_bit_bell_max() == 1.0

@@ -392,7 +392,7 @@ def _series(name: str, l: float, state: SqueezeState) -> PoissonSeries:
 
 def _series_pays(name: str, l: float, state: SqueezeState) -> bool:
     """Whether the series takes fewer terms than the lattice's predicted work."""
-    work = gaussian_lattice_work(l, state.cosh2r, default_spec(l, state))
+    work = gaussian_lattice_work(l, state.cosh2r, _log_mass(name, l, state), default_spec(l, state))
     return _series(name, l, state).terms < work
 
 
@@ -434,6 +434,79 @@ class TestEvaluatorsAgree:
         got = _lattice_piece(name, l, state, spec)
         assert got == _erf_piece(name, l, state, spec)
         assert got.error_estimate < 1e-3 * _series(name, l, state).integrate().error_estimate
+
+
+# Values and errors of the erf lattice under the default spec before
+# the lattice laid its u-panels only where the u-weight is nonzero:
+# (piece, r, l): (value, error, u-panels laid then).
+_UNCUT_LATTICE = {
+    ("density", 0.0, 50.0): (0.0, 2.6346764293357707e-14, 216),
+    ("step", 1.5, 50.0): (8.398858039300482e-56, 7.207635151886242e-47, 340),
+    ("step", 2.0, 50.0): (2.7223347511183616e-21, 8.763865993958484e-30, 556),
+    ("step", 0.0, 19.491549): (6.673666835973762e-168, 4.874718929395021e-102, 42),
+}
+
+
+class TestLatticeCut:
+    """The erf lattice lays u-panels only where exp() of the u-weight's
+    exponent is not 0.0, and its predicted work counts those panels."""
+
+    @pytest.mark.parametrize("name, r, l", list(_UNCUT_LATTICE))
+    def test_dropped_panels_held_only_zeros(self, name, r, l):
+        """Fewer panels, the same value to the bit, and no larger error."""
+        value, error, panels = _UNCUT_LATTICE[(name, r, l)]
+        state = SqueezeState(r)
+        res = _erf_piece(name, l, state, default_spec(l, state))
+        assert res.panels_used < panels
+        assert res.value == value
+        assert res.error_estimate <= error
+
+    @pytest.mark.parametrize(
+        "name, r, l",
+        [(name, r, l) for name in ("density", "step", "site_x")
+         for r, l in ((0.0, 50.0), (0.25, 23.81), (1.0, 50.0), (2.0, 50.0), (0.0, 19.491549),
+                      (0.5, 7.5), (2.0, 1.0), (1.0, 0.25))],
+    )
+    def test_work_counts_the_panels_laid(self, monkeypatch, name, r, l):
+        """The prediction covers the full-order u-nodes x edges the lattice
+        evaluates; where the cut ends the range inside a box it counts
+        panels, so for density, whose every box is laid, it is within one
+        panel per side."""
+        state = SqueezeState(r)
+        spec = default_spec(l, state)
+        log_mass = _log_mass(name, l, state)
+        entries = []
+        real_erfc = quadrature.erfc
+
+        def counted(x, *args, **kwargs):
+            if np.ndim(x) == 2:
+                entries.append(x.size)
+            return real_erfc(x, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "erfc", counted)
+        res = _erf_piece(name, l, state, spec)
+        full, half = spec.panel_order, spec.panel_order // 2
+        edges = quadrature._edge_count(l, math.sqrt(state.cosh2r))
+        assert sum(entries) == res.panels_used * (full + half) * edges
+        evaluated = res.panels_used * full * edges
+        work = gaussian_lattice_work(l, state.cosh2r, log_mass, spec)
+        assert work >= evaluated
+        if name == "density" and quadrature._weight_reach(state.cosh2r, log_mass) < spec.tail_radius:
+            assert work - evaluated <= 2 * full * edges
+
+    def test_step_at_large_box_skips_the_series_sum(self, monkeypatch):
+        """At r = 0.5, l = 50 the lattice lays few enough panels to win
+        on predicted work, so the step series is planned but not summed."""
+        state = SqueezeState(0.5)
+
+        def unused(self):
+            raise AssertionError("the series was summed")
+
+        monkeypatch.setattr(PoissonSeries, "integrate", unused)
+        clear_cache()
+        got = _lattice_piece("step", 50.0, state, None)
+        assert got == _erf_piece("step", 50.0, state, default_spec(50.0, state))
+        clear_cache()
 
 
 # The benchmark's sweep points (r in {0.5, 1, 2}, four box lengths from
