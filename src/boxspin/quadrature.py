@@ -366,28 +366,6 @@ def _paired_rule(full: int, half: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((xf, xh)), np.concatenate((wf, wh))
 
 
-def _sum_chunk_panels(order: int, n_edges: int) -> int:
-    """Panels per summation chunk of a rule with ``order`` nodes per panel."""
-    return max(1, _SUM_CHUNK_ENTRIES // (order * n_edges))
-
-
-def _chunked_sum(products: np.ndarray, first: int, n_panels: int, step: int) -> float:
-    """Sum per-panel rows of products in chunks of ``step`` panels from panel 0.
-
-    ``products`` holds panels first, first + 1, ... of n_panels; every
-    other panel counts as zeros, and each chunk is summed whole with those
-    zeros in place.
-    """
-    last = first + products.shape[0]
-    total = 0.0
-    for i in range(first - first % step, last, step):
-        lo, hi = max(i, first), min(i + step, last)
-        chunk = np.zeros((min(i + step, n_panels) - i, products.shape[1]))
-        chunk[lo - i:hi - i] = products[lo - first:hi - first]
-        total += float(chunk.sum())
-    return total
-
-
 def integrate_gaussian_lattice(
     l: float,
     c: float,
@@ -500,16 +478,17 @@ def integrate_gaussian_lattice(
     v_shift1 = 6.0 * (s / c)
     full, half = spec.panel_order, max(2, spec.panel_order // 2)
     x, w = _paired_rule(full, half)
-    # One pass evaluates both rules' nodes, a few panels at a time.  The
-    # sums run over fixed chunks of all panels within tail_radius, with
-    # zeros for the panels not laid, so numpy's pairwise sums group the
-    # terms as over every panel: neither the skipped zeros nor the
-    # evaluation chunks move a bit of the value or of the rounding terms.
+    # One pass evaluates both rules' nodes, a few panels at a time.  Each
+    # rule's sums run over its own fixed chunks of all panels within
+    # tail_radius, counted from panel 0, with zeros for the panels not
+    # laid, so numpy's pairwise sums group the terms as over every panel:
+    # neither the skipped zeros nor the evaluation chunks move a bit of
+    # the value or of the rounding terms.
     n_panels = starts.size
-    sum_step = _sum_chunk_panels(full, n_edges)
+    sum_step, half_step = (max(1, _SUM_CHUNK_ENTRIES // (o * n_edges)) for o in (full, half))
     eval_step = max(1, _EDGE_CHUNK_ENTRIES // ((full + half) * n_edges))
-    half_terms = np.empty((last - first, half))
-    total = 0.0
+    total = half_total = 0.0
+    half_chunk, half_start = np.zeros(0), None
     for i in range(first - first % sum_step, last, sum_step):
         # Per full-order node of the chunk: weight * H(u), |weight| times
         # the sum of |box masses|, (u - u0)**2/c, |u - u0| and H's slope bound.
@@ -524,7 +503,12 @@ def integrate_gaussian_lattice(
             weight *= np.exp(log_w - d2)
             hs, ha = _erf_box_sums((v0 + (s / c) * d).ravel(), l, root_c, sv_table, m_first, n_edges)
             both = weight * hs.reshape(weight.shape)
-            half_terms[lo - first:hi - first] = both[:, full:]
+            for j in range(lo - lo % half_step, hi, half_step):
+                if j != half_start:
+                    half_total += float(half_chunk.sum())
+                    half_chunk, half_start = np.zeros((min(j + half_step, n_panels) - j, half)), j
+                a, b = max(lo, j), min(hi, j + half_step)
+                half_chunk[a - j:b - j] = both[a - lo:b - lo, full:]
             rows = slice(lo - i, hi - i)
             products[rows] = both[:, :full]
             abs_weight = np.abs(weight[:, :full])
@@ -542,7 +526,7 @@ def integrate_gaussian_lattice(
             (4.0 * abs(u0) / c) * float(offset @ habs) + 4.0 * spread_sum
             + v_shift0 * float(slope.sum()) + v_shift1 * float(offset @ slope.ravel())
         )
-    half_total = _chunked_sum(half_terms, first, n_panels, _sum_chunk_panels(half, n_edges))
+    half_total += float(half_chunk.sum())
 
     v_scale = 0.5 * math.sqrt(math.pi / c)
     # sqrt(pi/c) bounds |H(u)| and sqrt(pi*c)*exp(log_w) is the full

@@ -26,9 +26,9 @@ Points where the reference itself is known to be off carry a note.
 With ``--scan`` (layer a, BENCH_kernel.json): the domain scan, 41
 log-spaced box lengths in [0.03, 50] x SCAN_R x the pieces ``density``,
 ``step`` and ``site_x``, each evaluated alone by
-``correlators._lattice_piece`` from an empty cache.  Each run is a fresh
-interpreter on one side; the sides alternate, and so does which one
-runs first.  A run first records, per cell, the method (``series``,
+``correlators._lattice_piece`` from an empty cache.  Each of SCAN_RUNS
+runs per side is a fresh interpreter; the sides alternate, and so does
+which one runs first.  A run first records, per cell, the method (``series``,
 ``lattice``, or ``series_then_lattice`` where the series was summed and
 then discarded), the series' terms and the lattice's u-panels, the
 value and the bound, then times every cell SCAN_REPEATS times without
@@ -64,7 +64,9 @@ REPEATS = ((0.1, 21), (2.0, 3))
 SCAN_L_RANGE = (0.03, 50.0, 41)
 SCAN_R = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0)
 SCAN_PIECES = ("density", "step", "site_x")
-# Timed evaluations of every cell per run; the run records their median.
+# Fresh interpreters per side, and timed evaluations of every cell per
+# run (the run records their median).
+SCAN_RUNS = 8
 SCAN_REPEATS = 7
 SCAN_DEADLINE_S = 600.0
 
@@ -204,10 +206,10 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def run_scan(parent_src: Path, runs: int, out: Path) -> None:
+def run_scan(parent_src: Path, out: Path) -> None:
     srcs = {"parent": parent_src.resolve(), "change": ROOT / "src"}
     results = {side: [] for side in srcs}
-    for i in range(runs):
+    for i in range(SCAN_RUNS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             env = dict(os.environ, PYTHONPATH=str(srcs[side]))
@@ -216,7 +218,7 @@ def run_scan(parent_src: Path, runs: int, out: Path) -> None:
                                   timeout=SCAN_DEADLINE_S, check=True)
             results[side].append(json.loads(done.stdout.strip().splitlines()[-1])["cells"])
             total = sum(c["ms"] for c in results[side][-1])
-            print(f"run {i + 1}/{runs} {side}: {total:.1f} ms over the scan", file=sys.stderr)
+            print(f"run {i + 1}/{SCAN_RUNS} {side}: {total:.1f} ms over the scan", file=sys.stderr)
 
     rows = []
     totals = {side: {} for side in srcs}
@@ -250,7 +252,7 @@ def run_scan(parent_src: Path, runs: int, out: Path) -> None:
                 "the domain scan; ms are medians over runs of each run's median of "
                 f"{SCAN_REPEATS} evaluations",
         "machine": machine(),
-        "runs_per_side": runs,
+        "runs_per_side": SCAN_RUNS,
         "scan": {"l": "numpy.geomspace(%g, %g, %d)" % SCAN_L_RANGE, "r": SCAN_R,
                  "pieces": SCAN_PIECES},
         "summary": {
@@ -338,7 +340,6 @@ def main() -> int:
     parser.add_argument("--parent-src", type=Path, help="src/ directory of the parent checkout")
     parser.add_argument("--scan", action="store_true",
                         help="run the domain scan (layer a) instead of the correlator_set points")
-    parser.add_argument("--runs", type=int, default=6, help="fresh interpreters per side (--scan)")
     parser.add_argument("--out", type=Path,
                         help="output file (default BENCH_kernel.json with --scan, "
                              "else BENCH_correlator_set.json)")
@@ -354,7 +355,7 @@ def main() -> int:
     if args.parent_src is None:
         parser.error("--parent-src is required")
     if args.scan:
-        run_scan(args.parent_src, args.runs, args.out or ROOT / "BENCH_kernel.json")
+        run_scan(args.parent_src, args.out or ROOT / "BENCH_kernel.json")
         return 0
     args.out = args.out or ROOT / "BENCH_correlator_set.json"
 
