@@ -48,6 +48,7 @@ from .correlators import (
     PAIRS,
     CorrelatorSet,
     correlator,
+    correlator_grid,
     correlator_set,
     czz_sampled,
     rotated_correlator,

@@ -2,8 +2,9 @@
 
 All positions and box lengths are dimensionless (oscillator units).
 Numbers are printed with 9 significant digits; identical invocations
-produce byte-identical output.  Sweep points are evaluated in (r, l)
-order in the calling thread; --jobs is accepted and ignored.
+produce byte-identical output.  Sweeps are evaluated one r at a time,
+all box lengths together, in the calling thread; --jobs is accepted
+and ignored.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .bell import (
     optimize_settings,
 )
 from .bits import TruncationWindow, bit_at, format_binary, spin_from_bit, truncated_value
-from .correlators import correlator, correlator_set
+from .correlators import PAIRS, CorrelatorSet, correlator_grid, correlator_set
 from .errors import InvalidScale, MisalignedGrid, RangeError
 
 __all__ = ["SweepConfig", "build_parser", "main"]
@@ -115,10 +116,18 @@ def _rows_to_csv(header: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _sweep_report(config: SweepConfig, header: list[str], point_fn) -> str:
-    """Evaluate point_fn over the (r, l) grid in order and render csv or json rows."""
+def _sweep_report(config: SweepConfig, header: list[str], pairs, row_fn) -> str:
+    """Render row_fn(r, l, values) over the (r, l) grid in order as csv or json rows.
+
+    ``values`` maps each of ``pairs`` to its (value, error) at (l, r);
+    each r's box lengths are evaluated together by correlator_grid.
+    """
     l_values = config.l_values()
-    rows = [point_fn(r, l) for r in config.r_list for l in l_values]
+    rows = [
+        row_fn(r, l, values)
+        for r in config.r_list
+        for l, values in zip(l_values, correlator_grid(pairs, l_values, r))
+    ]
     if config.format == "csv":
         return _rows_to_csv(header, [[_fmt(v) if not isinstance(v, str) else v for v in row] for row in rows])
     payload = {
@@ -132,28 +141,26 @@ def _sweep_report(config: SweepConfig, header: list[str], point_fn) -> str:
 def _cmd_fig1(args) -> int:
     config = _config_from_args(args)
 
-    def point(r: float, l: float):
-        czz, czz_err = correlator("zz", l, r)
-        cxx, cxx_err = correlator("xx", l, r)
-        cyy, cyy_err = correlator("yy", l, r)
+    def row(r: float, l: float, values):
+        (czz, czz_err), (cxx, cxx_err), (cyy, cyy_err) = (values[p] for p in ("zz", "xx", "yy"))
         return [r, l, math.log2(l), czz, cxx, cyy, czz_err, cxx_err, cyy_err]
 
     header = ["r", "l", "log2_l", "czz", "cxx", "cyy", "czz_err", "cxx_err", "cyy_err"]
-    _emit(_sweep_report(config, header, point), config.out)
+    _emit(_sweep_report(config, header, ("zz", "xx", "yy"), row), config.out)
     return 0
 
 
 def _cmd_fig2(args) -> int:
     config = _config_from_args(args)
 
-    def point(r: float, l: float):
-        report = chsh_from_correlators(correlator_set(l, r))
+    def row(r: float, l: float, values):
+        report = chsh_from_correlators(CorrelatorSet.from_pairs(l, r, values))
         if config.format == "csv":
             return [r, l, report.value, _fmt_bool(report.violated)]
         return [r, l, report.value, report.violated]
 
     header = ["r", "l", "chsh_standard", "violated"]
-    _emit(_sweep_report(config, header, point), config.out)
+    _emit(_sweep_report(config, header, PAIRS, row), config.out)
     return 0
 
 

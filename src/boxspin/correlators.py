@@ -17,13 +17,16 @@ Each piece is evaluated by one of two closed forms in
 :mod:`boxspin.quadrature`: the theta series of
 :class:`~boxspin.quadrature.PoissonSeries`, or the erf lattice of
 :func:`~boxspin.quadrature.integrate_gaussian_lattice`.
-:func:`_lattice_piece` plans the series once, sums it if it takes fewer
-terms than the lattice's predicted work, and falls back to the lattice
-where the series leaves a nonnegative piece with few significant digits.
+:func:`_evaluate` plans the series once for all the box lengths it is
+asked for at one r, sums it at those where it takes fewer terms than
+the lattice's predicted work, and falls back to the lattice where the
+series leaves a nonnegative piece with few significant digits.
+:func:`correlator_grid` evaluates a sweep's box lengths that way;
+:func:`correlator` and :func:`correlator_set` take one box length.
 
 Results are cached per (piece, l, r, spec), with spec None for the
-default, so a cache hit builds no spec; the cache is a plain dict, safe
-under concurrent reads with at worst duplicated work on a race.
+default, so a cache hit builds no spec.  The cache holds at most
+_PIECE_CACHE_SIZE pieces and drops the oldest insertion when full.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .quadrature import (
     IntegralResult,
     QuadratureSpec,
     PoissonSeries,
+    gaussian_lattice_floor,
     gaussian_lattice_work,
     integrate_gaussian_lattice,
     integrate_gaussian_line,
@@ -52,6 +56,7 @@ __all__ = [
     "correlator",
     "single_site",
     "correlator_set",
+    "correlator_grid",
     "rotated_correlator",
     "czz_sampled",
     "default_spec",
@@ -103,6 +108,14 @@ class CorrelatorSet:
                 f"czx and cxz differ by {abs(self.czx - self.cxz):.3e}, "
                 f"more than the allowed {slack:.3e}"
             )
+
+    @classmethod
+    def from_pairs(cls, l: float, r: float, values: dict) -> "CorrelatorSet":
+        """The set whose ``values[pair]`` is (value, error) for every pair in PAIRS."""
+        fields = {}
+        for pair in PAIRS:
+            fields["c" + pair], fields["c" + pair + "_err"] = values[pair]
+        return cls(l=float(l), r=float(r), **fields)
 
     def as_dict(self) -> dict:
         return {
@@ -218,11 +231,20 @@ def _series_lost_digits(name: str, result: IntegralResult) -> bool:
     )
 
 
+# Pieces the cache holds: 4 per point, so a sweep of 1024 points fits.
+_PIECE_CACHE_SIZE = 4096
 _PIECE_CACHE: dict = {}
 
 
 def clear_cache() -> None:
     _PIECE_CACHE.clear()
+
+
+def _cache_put(key, result: IntegralResult) -> None:
+    """Cache ``result``, first dropping the oldest insertion if the cache is full."""
+    if len(_PIECE_CACHE) >= _PIECE_CACHE_SIZE:
+        del _PIECE_CACHE[next(iter(_PIECE_CACHE))]
+    _PIECE_CACHE[key] = result
 
 
 def _erf_piece(name: str, l: float, state: SqueezeState, spec: QuadratureSpec) -> IntegralResult:
@@ -237,30 +259,80 @@ def _erf_piece(name: str, l: float, state: SqueezeState, spec: QuadratureSpec) -
 def _lattice_piece(
     name: str, l: float, state: SqueezeState, spec: QuadratureSpec | None
 ) -> IntegralResult:
-    """One piece, prefactor included, cached per (name, l, r, spec).
+    """One piece, prefactor included, cached per (name, l, r, spec); see :func:`_evaluate`."""
+    hit = _PIECE_CACHE.get((name, l, state.r, spec))
+    return hit if hit is not None else _evaluate(name, [l], state, spec)[0]
 
-    The theta series evaluates it where it takes fewer terms than the
-    erf lattice's u-nodes x edges under the default spec, counted over
-    the panels the lattice lays for this piece's mass, and the lattice
-    (on ``spec``, or that default when it is None) elsewhere and where
-    the series leaves a nonnegative piece with few digits.
+
+def _pieces(
+    name: str, l_values: list[float], state: SqueezeState, spec: QuadratureSpec | None
+) -> list[IntegralResult]:
+    """:func:`_lattice_piece` at each box length; the misses are evaluated together."""
+    r = state.r
+    found = {l: _PIECE_CACHE.get((name, l, r, spec)) for l in l_values}
+    missing = [l for l, hit in found.items() if hit is None]
+    if missing:
+        found.update(zip(missing, _evaluate(name, missing, state, spec)))
+    return [found[l] for l in l_values]
+
+
+def _evaluate(
+    name: str, l_values: list[float], state: SqueezeState, spec: QuadratureSpec | None
+) -> list[IntegralResult]:
+    """One piece at each of the distinct box lengths ``l_values``, cached per (name, l, r, spec).
+
+    One theta-series plan covers every box length.  At each, the series
+    evaluates the piece where it takes fewer terms than the erf
+    lattice's u-nodes x edges under the default spec, counted over the
+    panels the lattice lays for this piece's mass, and the lattice (on
+    ``spec``, or that default when it is None) elsewhere and where the
+    series leaves a nonnegative piece with few digits.  The default
+    spec is built only where the series' terms reach the lattice's
+    floor or the lattice runs.  The series is summed at once at every
+    box length where it wins.
     """
-    key = (name, l, state.r, spec)
-    hit = _PIECE_CACHE.get(key)
-    if hit is not None:
-        return hit
     su, sv, shifts = _PIECES[name]
-    series = PoissonSeries(l, state.r, su, sv, _log_mass(name, l, state), shifts)
-    if series.terms == 0:  # zx, xz, or a mass that underflows: an exact 0, no spec
-        result = series.integrate()
-    else:
-        default = default_spec(l, state)
-        pays = series.terms < gaussian_lattice_work(l, state.cosh2r, series.log_mass, default)
-        result = series.integrate() if pays else None
-        if result is None or _series_lost_digits(name, result):
-            result = _erf_piece(name, l, state, default if spec is None else spec)
-    _PIECE_CACHE[key] = result
-    return result
+    log_masses = [_log_mass(name, l, state) for l in l_values]
+    series = PoissonSeries(l_values, state.r, su, sv, log_masses, shifts)
+    summed, defaults = [], {}
+    for i, (l, terms) in enumerate(zip(l_values, series.terms)):
+        if terms >= gaussian_lattice_floor(l, state.cosh2r):
+            defaults[i] = default = default_spec(l, state)
+            if terms >= gaussian_lattice_work(l, state.cosh2r, log_masses[i], default):
+                continue
+        summed.append(i)
+    results = [None] * len(l_values)
+    for i, result in zip(summed, series.integrate(summed) if summed else ()):
+        results[i] = result
+    for i, (l, terms) in enumerate(zip(l_values, series.terms)):
+        # An empty series (zx, xz, or a mass that underflows) is an exact 0.
+        if terms and (results[i] is None or _series_lost_digits(name, results[i])):
+            results[i] = _erf_piece(name, l, state, spec or defaults.get(i) or default_spec(l, state))
+        _cache_put((name, l, state.r, spec), results[i])
+    return results
+
+
+# The piece each pair reads.
+_PAIR_PIECES = {"zz": "density", "xx": "step", "yy": "step", "zx": "zx", "xz": "xz"}
+
+
+def _check_pair(pair: str) -> str:
+    if pair not in PAIRS:
+        raise ValueError(f"pair must be one of {PAIRS}, got {pair!r}")
+    return pair
+
+
+def _pair_value(pair: str, l: float, state: SqueezeState, piece: IntegralResult) -> tuple[float, float]:
+    """(value, error) of ``pair`` from its piece at box length l."""
+    if pair == "yy":
+        # The diagonal translate product is exp(s*l**2) times the
+        # anti-diagonal one, so cyy/cxx = -(1 - e)/(1 + e) with
+        # e = exp(-s*l**2).
+        ratio = math.tanh(state.sinh2r * l * l / 2.0)
+        return -ratio * piece.value, ratio * piece.error_estimate
+    # zz: the parity sum; xx: the translate product; zx / xz: a parity
+    # sum on one site against the translate overlap on the other.
+    return piece.value, piece.error_estimate
 
 
 def correlator(
@@ -274,25 +346,10 @@ def correlator(
     Returns (value, error_estimate).  ``spec`` applies only to pieces
     evaluated on the erf lattice; the theta series has no spec.
     """
-    if pair not in PAIRS:
-        raise ValueError(f"pair must be one of {PAIRS}, got {pair!r}")
+    pair = _check_pair(pair)
     l = _check_box_length(l)
     state = SqueezeState(r)
-    if pair == "zz":
-        res = _lattice_piece("density", l, state, spec)
-    elif pair in ("xx", "yy"):
-        res = _lattice_piece("step", l, state, spec)
-        if pair == "yy":
-            # The diagonal translate product is exp(s*l**2) times the
-            # anti-diagonal one, so cyy/cxx = -(1 - e)/(1 + e) with
-            # e = exp(-s*l**2).
-            ratio = math.tanh(state.sinh2r * l * l / 2.0)
-            return -ratio * res.value, ratio * res.error_estimate
-    else:
-        # zx / xz: a parity sum on one site against the translate overlap
-        # on the other.
-        res = _lattice_piece(pair, l, state, spec)
-    return res.value, res.error_estimate
+    return _pair_value(pair, l, state, _lattice_piece(_PAIR_PIECES[pair], l, state, spec))
 
 
 def single_site(
@@ -324,24 +381,34 @@ def correlator_set(
     spec: QuadratureSpec | None = None,
 ) -> CorrelatorSet:
     """All five correlators at one (l, r) as a validated set."""
-    values = {}
-    errs = {}
-    for pair in PAIRS:
-        values[pair], errs[pair] = correlator(pair, l, r, spec)
-    return CorrelatorSet(
-        l=float(l),
-        r=float(r),
-        czz=values["zz"],
-        cxx=values["xx"],
-        cyy=values["yy"],
-        czx=values["zx"],
-        cxz=values["xz"],
-        czz_err=errs["zz"],
-        cxx_err=errs["xx"],
-        cyy_err=errs["yy"],
-        czx_err=errs["zx"],
-        cxz_err=errs["xz"],
-    )
+    l = _check_box_length(l)
+    state = SqueezeState(r)
+    values = {
+        pair: _pair_value(pair, l, state, _lattice_piece(_PAIR_PIECES[pair], l, state, spec))
+        for pair in PAIRS
+    }
+    return CorrelatorSet.from_pairs(l, r, values)
+
+
+def correlator_grid(pairs, l_values, r: float) -> list[dict[str, tuple[float, float]]]:
+    """The correlators ``pairs`` at every box length of ``l_values``, at one r.
+
+    Returns one {pair: (value, error)} per box length, in order, each
+    what :func:`correlator` gives there with the default spec, to the
+    bit, and from the same cache.  Each piece plans its theta series
+    once for all the box lengths it misses (:func:`_pieces`).
+    """
+    pairs = [_check_pair(pair) for pair in pairs]
+    l_values = [_check_box_length(l) for l in l_values]
+    state = SqueezeState(r)
+    pieces = {
+        name: _pieces(name, l_values, state, None)
+        for name in dict.fromkeys(_PAIR_PIECES[pair] for pair in pairs)
+    }
+    return [
+        {pair: _pair_value(pair, l, state, pieces[_PAIR_PIECES[pair]][i]) for pair in pairs}
+        for i, l in enumerate(l_values)
+    ]
 
 
 def rotated_correlator(

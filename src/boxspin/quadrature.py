@@ -54,6 +54,7 @@ __all__ = [
     "integrate_gaussian_poisson",
     "integrate_lattice_signed",
     "gaussian_lattice_work",
+    "gaussian_lattice_floor",
     "PoissonSeries",
 ]
 
@@ -608,9 +609,29 @@ def gaussian_lattice_work(l: float, c: float, log_mass: float, spec: QuadratureS
     return panels * spec.panel_order * _edge_count(l, math.sqrt(c))
 
 
+def gaussian_lattice_floor(l: float, c: float) -> int:
+    """A lower bound on :func:`gaussian_lattice_work` under any spec of the default panel order.
+
+    Every lattice call lays at least two u-panels, each against a whole
+    erf window of edges.
+    """
+    return 2 * QuadratureSpec.panel_order * _edge_count(l, math.sqrt(c))
+
+
 # The theta series stops where the dropped terms carry at most this
 # share of the Gaussian's mass.
 _POISSON_TAIL = 1e-18
+
+# A plan for one box length with at most this many bands of the odd
+# block finds them in math, where numpy's fixed cost per call is more
+# than the bands' work; wider plans (about 160 bands at l = 50) use numpy.
+_SHORT_PLAN_BANDS = 16
+
+# Box lengths whose series are summed together share an exponent block
+# as wide as the union of their terms; a group may hold this many
+# entries beyond its rows' own terms, about what one group's fixed cost
+# buys in elementwise work.
+_SERIES_BLOCK_WASTE = 1 << 12
 
 
 @lru_cache(maxsize=64)
@@ -634,13 +655,32 @@ def _theta_bound(x: float, cut: float) -> float:
     return 1.0 + math.sqrt(math.pi * cut / x)
 
 
-class PoissonSeries:
-    """The theta series of one signed box sum, planned but not yet summed.
+def _band_count(p: int, q_max: int) -> int:
+    """Terms in band p of the odd block.
 
-    Takes the arguments of :func:`integrate_gaussian_poisson`.  Building
-    it finds the blocks, where each stops and the tail bound; ``terms``
-    is the number of exponentials :meth:`integrate` then takes, so a
-    caller can weigh the series against other work before summing it.
+    Band p keeps the q of the parity opposite to p with |q| <= q_max:
+    q_max + 1 of them when q_max + p is odd, else q_max; in band 0 only
+    the (q_max + 1)//2 with q > 0; none where q_max is -1.
+    """
+    return (q_max + 1) // 2 if p == 0 else max(0, q_max + (q_max + p) % 2)
+
+
+def _band_counts(q_max: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """:func:`_band_count` for every band p along the last axis of ``q_max``."""
+    counts = q_max + (q_max + p) % 2
+    counts[..., 0] = (q_max[..., 0] + 1) // 2
+    return np.maximum(counts, 0, out=counts)
+
+
+class PoissonSeries:
+    """The theta series of one signed box sum at several box lengths, planned but not summed.
+
+    Takes the arguments of :func:`integrate_gaussian_poisson` with a
+    sequence ``l_values`` of box lengths and one ``log_masses`` entry per
+    box length.  Building it finds, per box length, the blocks, where
+    each stops and the tail bound; ``terms[i]`` is the number of
+    exponentials :meth:`integrate` takes at box length i, so a caller can
+    weigh the series against other work before summing it.
 
     Indices split by whether j and k are 0 or odd.  The blocks (j, 0)
     and (0, k) have exponent ``axis * j**2`` and ``axis * k**2``; the odd
@@ -648,24 +688,30 @@ class PoissonSeries:
     A block's coefficient is 0 when its terms vanish or all have zero
     real part; when every block's is, nothing else is planned.  A term
     equals its mirror at (-j, -k), so the sums run over j > 0 and over
-    the half-plane p > 0 or p = 0 < q, doubled.  The odd block keeps
-    ``counts[p]`` values of q from ``first[p]`` in steps of 2 in band p,
-    those with |q| <= q_max[p].  Every kept term has exponent at most
-    ``cut``, and ``tail`` bounds the dropped terms as a share of the
-    mass.  ``kept`` counts the kept terms; when exp(log_mass) underflows
-    to 0, so does every term and ``terms`` is 0.
+    the half-plane p > 0 or p = 0 < q, doubled.  Box length i keeps the
+    odd j <= ``axis_j[i]`` on each axis block and, in band p of the odd
+    block, the q of the parity opposite to p with |q| <= ``q_max[i, p]``
+    (q > 0 in band 0, q_max -1 past its last band).  Every kept term has
+    exponent at most the box length's cut, and ``tail[i]`` bounds the
+    dropped terms as a share of the mass.  ``kept[i]`` counts the kept
+    terms; where exp(log_mass) underflows to 0, so does every term and
+    ``terms[i]`` is 0.
     """
 
-    def __init__(self, l, r, su, sv, log_mass, mean_half_boxes=(0, 0)) -> None:
-        if not l > 0.0:
-            raise InvalidScale(f"box_length must be positive, got {l!r}")
+    def __init__(self, l_values, r, su, sv, log_masses, mean_half_boxes=(0, 0)) -> None:
+        l_values = list(map(float, l_values))
+        for l in l_values:
+            if not l > 0.0:
+                raise InvalidScale(f"box_length must be positive, got {l!r}")
         if not (math.isfinite(r) and r >= 0.0):
             raise InvalidScale(f"squeezing must be finite and >= 0, got {r!r}")
+        self.log_mass = list(map(float, log_masses))
+        if len(self.log_mass) != len(l_values):
+            raise ValueError("need one log_mass per box length")
         f0u, fu = _sign_fourier(su)
         f0v, fv = _sign_fourier(sv)
-        hu, hv = self.shifts = tuple(int(h) for h in mean_half_boxes)
-        self.log_mass = log_mass
-        self.mass = math.exp(log_mass)
+        hu, hv = self.shifts = tuple(map(int, mean_half_boxes))
+        self.mass = list(map(math.exp, self.log_mass))
         # The phase of F_j G_k is (-i)**(1 + h*j) on an axis block and
         # (-i)**(2 + hu*j + hv*k) on the odd block; when that power is odd
         # for every term the block has no real part.
@@ -673,90 +719,208 @@ class PoissonSeries:
         self.u_axis = u_axis = fu * f0v if hu % 2 else 0.0
         self.v_axis = v_axis = f0u * fv if hv % 2 else 0.0
         self.odd = odd = fu * fv if (hu + hv) % 2 == 0 else 0.0
-        self.tail = 0.0
-        self.kept = int(self.origin != 0.0)
-        self.axis_j = 0
-        if not (u_axis or v_axis or odd):
+        self.tail = [0.0] * len(l_values)
+        self.axis_j = [0] * len(l_values)
+        self.kept = [int(self.origin != 0.0)] * len(l_values)
+        if u_axis or v_axis or odd:
+            self._plan_blocks(l_values, r)
+        # Exponentials integrate() takes per box length: none where the mass underflows.
+        self.terms = [k if m else 0 for k, m in zip(self.kept, self.mass)]
+
+    def _plan_blocks(self, l_values: list[float], r: float) -> None:
+        """Cut, tail bound, axis_j and bands of every box length."""
+        u_axis, v_axis, odd = self.u_axis, self.v_axis, self.odd
+        grow, shrink = math.exp(2.0 * r), math.exp(-2.0 * r)
+        axes = (u_axis != 0.0) + (v_axis != 0.0)
+        self.a, self.b, self.axis, cuts, bands = [], [], [], [], []
+        for i, l in enumerate(l_values):
+            # pi**2/(4*l**2) * [exp(-2r)*(j**2 + k**2) + sinh(2r)*(j + k)**2]
+            # is a*p**2 + b*q**2 and, on the axes, (a + b)/4 * j**2: no c - s.
+            scale = math.pi**2 / (2.0 * l * l)
+            a = scale * grow
+            b = scale * shrink
+            axis = 0.25 * (a + b)
+
+            def weight(cut):
+                return (
+                    (abs(u_axis) + abs(v_axis)) * _theta_bound(axis, cut)
+                    + abs(odd) * _theta_bound(a, cut) * _theta_bound(b, cut)
+                )
+
+            # With theta = 1 - 1/cut, a dropped exp(-E) (E > cut) is at most
+            # exp(-theta*cut) * exp(-E/cut), and no coefficient exceeds its
+            # block's, so the dropped terms sum to at most exp(1 - cut) *
+            # weight(cut).  A few steps move the cut to where that is _POISSON_TAIL.
+            cut = 1.0 - math.log(_POISSON_TAIL)
+            for _ in range(3):
+                cut = 1.0 + math.log(weight(cut) / _POISSON_TAIL)
+            self.tail[i] = math.exp(1.0 - cut) * weight(cut)
+            self.axis_j[i] = math.isqrt(int(cut / axis))
+            self.kept[i] += axes * ((self.axis_j[i] + 1) // 2)
+            self.a.append(a)
+            self.b.append(b)
+            self.axis.append(axis)
+            cuts.append(cut)
+            bands.append(math.isqrt(int(cut / a)) + 1)
+        if not odd:
             return
-        # pi**2/(4*l**2) * [exp(-2r)*(j**2 + k**2) + sinh(2r)*(j + k)**2]
-        # is a*p**2 + b*q**2 and, on the axes, (a + b)/4 * j**2: no c - s.
-        scale = math.pi**2 / (2.0 * l * l)
-        self.a = a = scale * math.exp(2.0 * r)
-        self.b = b = scale * math.exp(-2.0 * r)
-        self.axis = axis = 0.25 * (a + b)
+        # Band p = 0, 1, ... keeps |q| <= q_max[i][p]: a row per box length
+        # over the bands of the widest, -1 past a row's last band.
+        if len(bands) == 1 and bands[0] <= _SHORT_PLAN_BANDS:
+            # The same floats as numpy's below: sqrt, division and floor
+            # are exactly rounded in both.
+            a, b, cut = self.a[0], self.b[0], cuts[0]
+            q_max = [math.floor(math.sqrt(max(cut - a * p * p, 0.0) / b)) for p in range(bands[0])]
+            self.kept[0] += sum(_band_count(p, q) for p, q in enumerate(q_max))
+            self.q_max = [q_max]
+            return
+        p = np.arange(max(bands))
+        if len(bands) == 1:
+            a, b, cut = self.a[0], self.b[0], cuts[0]
+        else:
+            a, b, cut = (np.array(v)[:, None] for v in (self.a, self.b, cuts))
+        q_max = np.floor(np.sqrt(np.maximum(cut - a * p * p, 0.0) / b)).astype(np.int64)
+        if len(bands) == 1:
+            q_max = q_max[None]
+        else:
+            q_max[p >= np.array(bands)[:, None]] = -1
+        for i, n in enumerate(_band_counts(q_max, p).sum(axis=1).tolist()):
+            self.kept[i] += n
+        self.q_max = q_max.tolist()
 
-        def weight(cut):
-            return (
-                (abs(u_axis) + abs(v_axis)) * _theta_bound(axis, cut)
-                + abs(odd) * _theta_bound(a, cut) * _theta_bound(b, cut)
-            )
+    def integrate(self, which=None) -> list[IntegralResult]:
+        """Sum the planned terms at the box lengths ``which`` (indices; default all).
 
-        # With theta = 1 - 1/cut, a dropped exp(-E) (E > cut) is at most
-        # exp(-theta*cut) * exp(-E/cut), and no coefficient exceeds its
-        # block's, so the dropped terms sum to at most exp(1 - cut) *
-        # weight(cut).  A few steps move the cut to where that is _POISSON_TAIL.
-        cut = 1.0 - math.log(_POISSON_TAIL)
-        for _ in range(3):
-            cut = 1.0 + math.log(weight(cut) / _POISSON_TAIL)
-        self.tail = math.exp(1.0 - cut) * weight(cut)
-        self.axis_j = math.isqrt(int(cut / axis))
-        self.kept += ((u_axis != 0.0) + (v_axis != 0.0)) * ((self.axis_j + 1) // 2)
-        if odd:
-            # Band p = 0, 1, ... keeps |q| <= q_max[p] with q of the parity
-            # opposite to p, and q > 0 in band 0: counts[p] values from first[p].
-            p = np.arange(math.isqrt(int(cut / a)) + 1)
-            q_max = np.floor(np.sqrt(np.maximum(cut - a * p * p, 0.0) / b)).astype(np.int64)
-            self.first = (q_max + p + 1) % 2 - q_max
-            self.first[0] = 1
-            self.counts = np.maximum(0, (q_max - self.first) // 2 + 1)
-            self.kept += int(self.counts.sum())
+        Returns one result per index, each what
+        :func:`integrate_gaussian_poisson` gives at that box length alone.
+        """
+        which = range(len(self.kept)) if which is None else list(which)
+        results, rows = {}, []
+        for i in which:
+            if i in results:
+                continue
+            if self.mass[i] == 0.0:
+                results[i] = IntegralResult(
+                    value=0.0, error_estimate=self.kept[i] * math.ulp(0.0), panels_used=0
+                )
+            elif not self.kept[i]:
+                # The empty sum is exactly 0; only the dropped terms remain.
+                results[i] = IntegralResult(
+                    value=0.0, error_estimate=self.mass[i] * self.tail[i], panels_used=0
+                )
+            else:
+                results[i] = None
+                rows.append(i)
+        if len(rows) > 1:
+            # Largest first, in groups whose exponent block holds at most
+            # _SERIES_BLOCK_WASTE entries beyond their rows' own terms
+            # (taking the block as wide as its first row keeps).
+            rows.sort(key=self.kept.__getitem__, reverse=True)
+            group, size = [], 0
+            for i in rows:
+                waste = (len(group) + 1) * self.kept[group[0]] - size - self.kept[i] if group else 0
+                if waste > _SERIES_BLOCK_WASTE:
+                    results.update(zip(group, self._sum_rows(group)))
+                    group, size = [], 0
+                group.append(i)
+                size += self.kept[i]
+            rows = group
+        if rows:
+            results.update(zip(rows, self._sum_rows(rows)))
+        return [results[i] for i in which]
 
-    @property
-    def terms(self) -> int:
-        """Exponentials :meth:`integrate` takes: none when the mass underflows."""
-        return self.kept if self.mass != 0.0 else 0
+    def _sum_rows(self, rows: list[int]) -> list[IntegralResult]:
+        """Sum box lengths ``rows``, each keeping some terms, from one exponent block.
 
-    def integrate(self) -> IntegralResult:
-        """Sum the planned terms: see :func:`integrate_gaussian_poisson`."""
-        if self.mass == 0.0:
-            return IntegralResult(value=0.0, error_estimate=self.kept * math.ulp(0.0), panels_used=0)
-        if not self.kept:
-            # The empty sum is exactly 0; only the dropped terms remain.
-            return IntegralResult(value=0.0, error_estimate=self.mass * self.tail, panels_used=0)
+        The block has a row per box length, and its columns are the
+        union of the rows' kept terms in the order one box length alone
+        keeps them: the origin, each axis block's j up to the largest
+        ``axis_j``, then the odd block band by band, each band's q up to
+        the largest q_max among the rows.  A mask picks each row's own
+        terms, which keeps their order; one exp() takes them all, row
+        after row, and each row's slice is then summed alone, so numpy's
+        pairwise sums group its terms as for that row by itself.  A
+        single row keeps every column and needs no mask.
+        """
         hu, hv = self.shifts
-        exponents, coefs = [], []
+        many = len(rows) > 1
+
+        def column(values):
+            return np.array([values[i] for i in rows])[:, None] if many else values[rows[0]]
+
+        exponents, coefs, masks = [], [], []
         if self.origin:
-            exponents.append(np.zeros(1))
-            coefs.append(np.array([self.origin]))
-        if self.axis_j:
-            j = np.arange(1, self.axis_j + 1, 2)
+            exponents.append(np.zeros((len(rows), 1) if many else 1))
+            coefs.append([self.origin])
+            masks.append(np.ones((len(rows), 1), dtype=bool) if many else None)
+        axis_j = max(self.axis_j[i] for i in rows)
+        if axis_j and (self.u_axis or self.v_axis):
+            j = np.arange(1, axis_j + 1, 2)
+            exponent = column(self.axis) * j * j
+            within = j <= column(self.axis_j) if many else None
+            # Twice the j > 0 half of F_j G_0 (-i)**(h*j) = coef (-i)**(1 + h*j) / j;
+            # the two axis blocks share the array when coef and h agree (step).
+            blocks = {}
             for coef, h in ((self.u_axis, hu), (self.v_axis, hv)):
                 if coef:
-                    # Twice the j > 0 half of F_j G_0 (-i)**(h*j) = coef (-i)**(1 + h*j) / j.
-                    exponents.append(self.axis * j * j)
-                    coefs.append((2.0 * coef) * (1 - (1 + h * j) % 4) / j)
+                    if (coef, h) not in blocks:
+                        blocks[coef, h] = (2.0 * coef) * (1 - (1 + h * j) % 4) / j
+                    exponents.append(exponent)
+                    coefs.append(blocks[coef, h])
+                    masks.append(within)
         if self.odd:
-            counts = self.counts
-            p = np.repeat(np.arange(counts.size), counts)
-            starts = np.cumsum(counts) - counts
-            q = np.repeat(self.first - 2 * starts, counts) + 2 * np.arange(p.size)
-            # Twice F_j G_k (-i)**(hu*j + hv*k) = odd (-i)**(2 + hu*j + hv*k) / (j*k),
-            # with j*k = p**2 - q**2 and hu*j + hv*k = (hu + hv)*p + (hu - hv)*q.
-            power = (2 + (hu + hv) * p + (hu - hv) * q) % 4
-            exponents.append(self.a * (p * p) + self.b * (q * q))
-            coefs.append((2.0 * self.odd) * (1 - power) / (p * p - q * q))
-        exponent = np.concatenate(exponents)
+            q_rows = [self.q_max[i] for i in rows]
+            union = list(map(max, *q_rows)) if many else q_rows[0]
+            # Per band p, in Python since a sum's bands are few next to its
+            # terms: the count, the first q less twice the terms of the
+            # bands before (q runs up in steps of 2 from 1 in band 0,
+            # elsewhere from -union[p] or the next q of the parity opposite
+            # to p), and twice F_j G_k (-i)**(hu*j + hv*k) times j*k.  That
+            # phase is (-i)**(2 + hu*j + hv*k) with hu*j + hv*k = (hu + hv)*p
+            # + (hu - hv)*q, where hu - hv is even and q = p + 1 mod 2: one
+            # power of -i per band.
+            counts, base, phase, start = [], [], [], 0
+            for p, q in enumerate(union):
+                first, n = 1 if p == 0 else (q + p + 1) % 2 - q, _band_count(p, q)
+                counts.append(n)
+                base.append(first - 2 * start)
+                phase.append((2.0 * self.odd) * (1 - (2 + (hu + hv) * p + (hu - hv) * (p + 1)) % 4))
+                start += n
+            p, q, coef = np.repeat(np.array((range(len(union)), base, phase)), counts, axis=1)
+            q += 2 * np.arange(q.size)
+            pp, qq = p * p, q * q
+            exponents.append(column(self.a) * pp + column(self.b) * qq)
+            # j*k = p**2 - q**2.
+            coefs.append(coef / (pp - qq))
+            if many:
+                masks.append(np.repeat(q_rows, counts, axis=1) >= np.abs(q))
+        counts = [self.kept[i] for i in rows]
+        log_mass = [self.log_mass[i] for i in rows]
+        exponent = np.concatenate(exponents, axis=-1)
         terms = np.concatenate(coefs)
-        terms *= np.exp(self.log_mass - exponent)
-        # Summed exactly, so mirrored terms that cancel give exactly 0.
-        value = math.fsum(terms.tolist())
+        if many:
+            row, col = np.nonzero(np.concatenate(masks, axis=1))
+            exponent = exponent[row, col]
+            terms = terms[col]
+            terms *= np.exp(np.repeat(log_mass, counts) - exponent)
+        else:
+            terms *= np.exp(log_mass[0] - exponent)
+        values = terms.tolist()
         magnitude = np.abs(terms, out=terms)
-        rounding = 8.0 * _EPS * (
-            (1.0 + abs(self.log_mass)) * float(magnitude.sum())
-            + float((exponent * magnitude).sum())
-        ) + terms.size * math.ulp(0.0)
-        error = self.mass * self.tail + rounding
-        return IntegralResult(value=value, error_estimate=error, panels_used=0)
+        spread = exponent * magnitude
+        results = []
+        end = 0
+        for i, n, m in zip(rows, counts, log_mass):
+            start, end = end, end + n
+            # Summed exactly, so mirrored terms that cancel give exactly 0.
+            value = math.fsum(values[start:end])
+            rounding = 8.0 * _EPS * (
+                (1.0 + abs(m)) * float(magnitude[start:end].sum())
+                + float(spread[start:end].sum())
+            ) + n * math.ulp(0.0)
+            error = self.mass[i] * self.tail[i] + rounding
+            results.append(IntegralResult(value=value, error_estimate=error, panels_used=0))
+        return results
 
 
 def integrate_gaussian_poisson(
@@ -794,4 +958,4 @@ def integrate_gaussian_poisson(
     turns the absolute rounding of its argument into relative error,
     plus the smallest subnormal per term.  ``panels_used`` is 0.
     """
-    return PoissonSeries(l, r, su, sv, log_mass, mean_half_boxes).integrate()
+    return PoissonSeries((l,), r, su, sv, (log_mass,), mean_half_boxes).integrate()[0]

@@ -13,8 +13,9 @@ import threading
 
 import pytest
 
-from boxspin import InvalidScale, cli
+from boxspin import InvalidScale, cli, correlators
 from boxspin.cli import SweepConfig, build_parser, main
+from boxspin.quadrature import PoissonSeries
 
 
 def _run(capsys, argv):
@@ -167,6 +168,49 @@ class TestInProcess:
         assert exc.value.code == 2
         assert "--points" in capsys.readouterr().err
         assert _run(capsys, ["fig2", *self.ARGS]) == (0, expected, "")
+
+
+class TestSweepPlans:
+    """A sweep plans each theta series once per piece and r, through the
+    same piece cache as the single-point calls."""
+
+    ARGS = ["--r-list", "0.5", "1", "2", "--points", "4", "--l-min", "0.25", "--l-max", "7.5"]
+
+    @pytest.fixture
+    def plans(self, monkeypatch):
+        plans = []
+
+        class Counted(PoissonSeries):
+            def __init__(self, l_values, r, su, sv, log_masses, shifts):
+                plans.append((su, sv, shifts, r))
+                super().__init__(l_values, r, su, sv, log_masses, shifts)
+
+        monkeypatch.setattr(correlators, "PoissonSeries", Counted)
+        yield plans
+        correlators.clear_cache()
+
+    @pytest.mark.parametrize("command, pieces", [("fig1", 2), ("fig2", 4)])
+    def test_one_plan_per_piece_and_r(self, capsys, plans, command, pieces):
+        correlators.clear_cache()
+        code, out, _ = _run(capsys, [command, *self.ARGS])
+        assert code == 0 and len(_parse_csv(out)[1]) == 12
+        assert len(plans) == len(set(plans)) == 3 * pieces
+
+    def test_points_read_the_sweep_cache(self, capsys, plans):
+        """After fig1 its pairs, and after fig2 whole sets, need no plan."""
+        correlators.clear_cache()
+        grid = [(r, l) for r in (0.5, 1.0, 2.0) for l in SweepConfig(l_min=0.25, l_max=7.5, points=4).l_values()]
+        assert _run(capsys, ["fig1", *self.ARGS])[0] == 0
+        plans.clear()
+        for r, l in grid:
+            for pair in ("zz", "xx", "yy"):
+                correlators.correlator(pair, l, r)
+        assert plans == []
+        assert _run(capsys, ["fig2", *self.ARGS])[0] == 0
+        plans.clear()
+        for r, l in grid:
+            correlators.correlator_set(l, r)
+        assert plans == []
 
 
 class TestSingleShotCommands:

@@ -21,7 +21,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxspin import (
@@ -32,6 +32,7 @@ from boxspin import (
     bit_bell_from_correlators,
     chsh_from_correlators,
     correlator,
+    correlator_grid,
     correlator_set,
     czz_sampled,
     integrate_gaussian_lattice,
@@ -44,6 +45,7 @@ from boxspin import (
 from boxspin import correlators, quadrature
 from boxspin.correlators import (
     _PIECES,
+    PAIRS,
     MAX_BOX_LENGTH,
     _erf_piece,
     _even,
@@ -54,7 +56,7 @@ from boxspin.correlators import (
     clear_cache,
     default_spec,
 )
-from boxspin.quadrature import PoissonSeries, gaussian_lattice_work
+from boxspin.quadrature import PoissonSeries, gaussian_lattice_floor, gaussian_lattice_work
 
 
 class _DenseOracle:
@@ -385,15 +387,15 @@ _CROSS_GRID = [
 
 
 def _series(name: str, l: float, state: SqueezeState) -> PoissonSeries:
-    """The piece's theta series, planned."""
+    """The piece's theta series at box length l alone, planned."""
     su, sv, shifts = _PIECES[name]
-    return PoissonSeries(l, state.r, su, sv, _log_mass(name, l, state), shifts)
+    return PoissonSeries([l], state.r, su, sv, [_log_mass(name, l, state)], shifts)
 
 
 def _series_pays(name: str, l: float, state: SqueezeState) -> bool:
     """Whether the series takes fewer terms than the lattice's predicted work."""
     work = gaussian_lattice_work(l, state.cosh2r, _log_mass(name, l, state), default_spec(l, state))
-    return _series(name, l, state).terms < work
+    return _series(name, l, state).terms[0] < work
 
 
 class TestEvaluatorsAgree:
@@ -405,7 +407,7 @@ class TestEvaluatorsAgree:
         state = SqueezeState(r)
         spec = default_spec(l, state)
         for name in _PIECES:
-            series = _series(name, l, state).integrate()
+            series = _series(name, l, state).integrate()[0]
             lattice = _erf_piece(name, l, state, spec)
             bound = series.error_estimate + lattice.error_estimate
             assert abs(series.value - lattice.value) <= bound, name
@@ -418,7 +420,7 @@ class TestEvaluatorsAgree:
         clear_cache()
         for name in _PIECES:
             assert _series_pays(name, 0.03, state), name
-            assert _lattice_piece(name, 0.03, state, None) == _series(name, 0.03, state).integrate()
+            assert _lattice_piece(name, 0.03, state, None) == _series(name, 0.03, state).integrate()[0]
         assert not _series_pays("density", 50.0, state)
         assert _lattice_piece("density", 50.0, state, None) == _erf_piece(
             "density", 50.0, state, default_spec(50.0, state)
@@ -433,7 +435,7 @@ class TestEvaluatorsAgree:
         clear_cache()
         got = _lattice_piece(name, l, state, spec)
         assert got == _erf_piece(name, l, state, spec)
-        assert got.error_estimate < 1e-3 * _series(name, l, state).integrate().error_estimate
+        assert got.error_estimate < 1e-3 * _series(name, l, state).integrate()[0].error_estimate
 
 
 # Values and errors of the erf lattice under the default spec before
@@ -493,6 +495,17 @@ class TestLatticeCut:
         assert work >= evaluated
         if name == "density" and quadrature._weight_reach(state.cosh2r, log_mass) < spec.tail_radius:
             assert work - evaluated <= 2 * full * edges
+
+    def test_floor_bounds_the_work(self):
+        """A series below the floor wins without the spec being built, so
+        the floor may not exceed the work under the default spec anywhere."""
+        for r in (0.0, 0.5, 2.0, 5.0):
+            state = SqueezeState(r)
+            for l in np.geomspace(0.03, 50.0, 25):
+                spec = default_spec(l, state)
+                for name in ("density", "step", "site_x"):
+                    work = gaussian_lattice_work(l, state.cosh2r, _log_mass(name, l, state), spec)
+                    assert gaussian_lattice_floor(l, state.cosh2r) <= work, (name, r, l)
 
     def test_step_at_large_box_skips_the_series_sum(self, monkeypatch):
         """At r = 0.5, l = 50 the lattice lays few enough panels to win
@@ -556,8 +569,8 @@ class TestPieceDispatch:
             with monkeypatch.context() as m:
                 m.setattr(quadrature, "np", None)
                 series = _series(name, l, state)
-                assert (series.terms, series.tail) == (0, 0.0)
-                assert series.integrate() == quadrature.IntegralResult(0.0, 0.0, 0)
+                assert (series.terms, series.tail) == ([0], [0.0])
+                assert series.integrate() == [quadrature.IntegralResult(0.0, 0.0, 0)]
             clear_cache()
             assert correlator(name, l, r) == (0.0, 0.0)
 
@@ -569,7 +582,7 @@ class TestPieceDispatch:
         """zx and xz at every point, and a step piece whose mass underflows,
         plan no terms: the series' exact 0 needs no spec and no work estimate."""
         state = SqueezeState(r)
-        expected = _series(name, l, state).integrate()
+        expected = _series(name, l, state).integrate()[0]
 
         def unused(*args):
             raise AssertionError("an empty series built a spec")
@@ -608,3 +621,89 @@ def test_invariants_hold_within_reported_errors(r, l):
     sx, sx_err = single_site("x", l, 0.0)
     assert abs(product.czz) <= product.czz_err
     assert abs(product.cxx - sx * sx) <= product.cxx_err + (2.0 * abs(sx) + sx_err) * sx_err
+
+
+class TestCorrelatorGrid:
+    """correlator_grid against per-point sets, the bounded cache, and one
+    state per set."""
+
+    def test_cells_cover_every_dispatch(self):
+        """At r = 0 the density piece goes to the lattice on predicted work
+        at l = 50, and the series sums it at l = 7.5; the step piece's mass
+        underflows at l = 50, the series sums it at l = 0.03 and loses its
+        digits at l = 7.5.  The grid property below starts from these cells."""
+        state = SqueezeState(0.0)
+        assert not _series_pays("density", 50.0, state)
+        assert _series_pays("density", 7.5, state)
+        assert _series("step", 50.0, state).terms == [0]
+        assert _series_pays("step", 0.03, state)
+        step = _series("step", 7.5, state)
+        assert correlators._series_lost_digits("step", step.integrate()[0])
+
+    def test_a_set_builds_one_state(self, monkeypatch):
+        states = []
+
+        class Counted(SqueezeState):
+            def __post_init__(self):
+                states.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(correlators, "SqueezeState", Counted)
+        clear_cache()
+        first = correlator_set(0.7768, 0.5)
+        assert len(states) == 1
+        assert correlator_set(0.7768, 0.5) == first
+        assert len(states) == 2
+
+    def test_eviction_keeps_results(self, monkeypatch):
+        """A full cache drops its oldest insertion; a dropped piece is
+        evaluated again to the same bits."""
+        monkeypatch.setattr(correlators, "_PIECE_CACHE_SIZE", 3)
+        clear_cache()
+        first = correlator_set(0.7768, 0.5)
+        assert len(correlators._PIECE_CACHE) == 3
+        assert ("density", 0.7768, 0.5, None) not in correlators._PIECE_CACHE
+        others = [correlator_set(l, r) for l, r in ((2.5, 1.0), (0.03, 2.0))]
+        assert len(correlators._PIECE_CACHE) == 3
+        assert correlator_set(0.7768, 0.5) == first
+        assert [correlator_set(l, r) for l, r in ((2.5, 1.0), (0.03, 2.0))] == others
+        grid = correlator_grid(PAIRS, [0.7768, 2.5], 0.5)
+        clear_cache()
+        assert correlator_grid(PAIRS, [0.7768, 2.5], 0.5) == grid
+        clear_cache()
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(ValueError):
+            correlator_grid(["zy"], [1.0], 0.5)
+        with pytest.raises(InvalidScale):
+            correlator_grid(["zz"], [1.0, 0.0], 0.5)
+        with pytest.raises(InvalidScale):
+            correlator_grid(["zz"], [1.0], -0.5)
+        assert correlator_grid(["zz"], [], 0.5) == []
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    r=st.floats(0.0, 5.0),
+    l_values=st.lists(st.floats(0.03, 50.0), min_size=1, max_size=4),
+    repeats=st.lists(st.integers(0, 3), max_size=2),
+)
+@example(r=0.0, l_values=[50.0, 0.03, 7.5], repeats=[1])
+@example(r=0.25, l_values=[30.0], repeats=[])
+@example(r=5.0, l_values=[0.03], repeats=[0])
+def test_grid_matches_per_point_sets(r, l_values, repeats):
+    """Every pair at every box length, value and error, to the bit, whether
+    its piece came from the series, the lattice on predicted work or after
+    the series lost digits, or an underflowing mass; box lengths unsorted
+    and repeated."""
+    l_values = l_values + [l_values[i % len(l_values)] for i in repeats]
+    clear_cache()
+    grid = correlator_grid(PAIRS, l_values, r)
+    assert len(grid) == len(l_values)
+    for l, values in zip(l_values, grid):
+        clear_cache()
+        cs = correlator_set(l, r)
+        for pair in PAIRS:
+            assert values[pair] == (getattr(cs, "c" + pair), getattr(cs, "c" + pair + "_err")), (pair, l)
+        assert CorrelatorSet.from_pairs(l, r, values) == cs
+    clear_cache()

@@ -8,18 +8,19 @@ Usage (from the repository root):
 Each case is ``fig1`` then ``fig2`` through ``cli.main`` in process, each
 command from an empty piece cache, as the benchmark's sweep workload runs
 them.  The cases are the benchmark's sweep argv, the default range at 16
-and 64 points, and r in {0, 0.5, 1, 2, 3, 5} up to l = 50.  The parent
-runs at ``--jobs 1`` and ``--jobs 2``, this checkout at ``--jobs 2``.
+and 64 points, and r in {0, 0.5, 1, 2, 3, 5} up to l = 50.  Two variants
+run: the parent checkout and this one.
 
 Each run is a fresh interpreter on one variant; the variants alternate,
 and so does which one runs first, because one process per side can be
 bimodal.  A run makes OPS[case] ops per case after one warm-up op.
 
 Every command is split at the points it evaluates, which it finds by
-wrapping ``cli.correlator`` and ``cli.correlator_set``: ``parse`` runs from
-``main``'s entry to the first point's start (parser, config, any pool
-start), ``points`` from there to the last point's end, and ``render``
-from there to ``main``'s return (any pool join, CSV or JSON, the write).
+wrapping whichever of ``cli.correlator``, ``cli.correlator_set`` and
+``cli.correlator_grid`` the checkout has: ``parse`` runs from ``main``'s
+entry to the first evaluation's start (parser, config), ``points`` from
+there to the last one's end, and ``render`` from there to ``main``'s
+return (rows that are not evaluations, CSV or JSON, the write).
 Recorded per variant, case and command: the median over runs of each
 run's median ms per phase, with every run's value, and whether every
 variant printed the same bytes.
@@ -57,17 +58,19 @@ CASES = {
 }
 # Measured ops per run after the warm-up op: about a second of work each.
 OPS = {"sweep_workload": 40, "default_16": 20, "default_64": 8, "r_to_5_l_to_50": 3}
-VARIANTS = (("parent", 1), ("parent", 2), ("change", 2))
+VARIANTS = ("parent", "change")
 DEADLINE_S = 600.0
 
 
-def worker(jobs: int) -> dict:
+def worker() -> dict:
     """Every case in this interpreter; boxspin comes from PYTHONPATH."""
     import boxspin.cli as cli
     import boxspin.correlators as correlators
 
     stamps = []
-    for name in ("correlator", "correlator_set"):
+    for name in ("correlator", "correlator_set", "correlator_grid"):
+        if not hasattr(cli, name):
+            continue
         def timed(*args, _real=getattr(cli, name), **kwargs):
             start = time.perf_counter()
             try:
@@ -95,7 +98,7 @@ def worker(jobs: int) -> dict:
 
     out = {}
     for case, args in CASES.items():
-        argv = {c: [c, *args, "--jobs", str(jobs)] for c in COMMANDS}
+        argv = {c: [c, *args] for c in COMMANDS}
         digests = {c: hashlib.sha256(command(argv[c])[1].encode()).hexdigest() for c in COMMANDS}
         ms = {c: {p: [] for p in PHASES} for c in COMMANDS}
         for _ in range(OPS[case]):
@@ -111,10 +114,9 @@ def worker(jobs: int) -> dict:
     return out
 
 
-def run_variant(src: Path, jobs: int) -> dict:
+def run_variant(src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("BOXSPIN_JOBS", None)
-    cmd = [sys.executable, __file__, "--worker", str(jobs)]
+    cmd = [sys.executable, __file__, "--worker"]
     done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=DEADLINE_S,
                           check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
@@ -141,22 +143,21 @@ def main() -> int:
     parser.add_argument("--parent-src", type=Path, help="src/ directory of the parent checkout")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_cli.json")
     parser.add_argument("--runs", type=int, default=6, help="fresh interpreters per variant")
-    parser.add_argument("--worker", type=int, metavar="JOBS", help=argparse.SUPPRESS)
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    if args.worker is not None:
-        print(json.dumps(worker(args.worker)))
+    if args.worker:
+        print(json.dumps(worker()))
         return 0
     if args.parent_src is None:
         parser.error("--parent-src is required")
 
     srcs = {"parent": args.parent_src.resolve(), "change": ROOT / "src"}
-    names = [f"{side}_jobs{jobs}" for side, jobs in VARIANTS]
-    runs = {name: [] for name in names}
+    runs = {name: [] for name in VARIANTS}
     for i in range(args.runs):
-        # Which variant goes first rotates too.
+        # Which variant goes first alternates too.
         for k in range(len(VARIANTS)):
-            (side, jobs), name = VARIANTS[(i + k) % len(VARIANTS)], names[(i + k) % len(VARIANTS)]
-            runs[name].append(run_variant(srcs[side], jobs))
+            name = VARIANTS[(i + k) % len(VARIANTS)]
+            runs[name].append(run_variant(srcs[name]))
             ops = ", ".join(f"{c} {runs[name][-1][c]['op_ms']:.1f}" for c in CASES)
             print(f"run {i + 1}/{args.runs} {name}: op ms {ops}", file=sys.stderr)
 
@@ -164,7 +165,7 @@ def main() -> int:
     digests = {(case, c): {run[case]["sha256"][c] for variant_runs in runs.values()
                            for run in variant_runs}
                for case in CASES for c in COMMANDS}
-    change = summary["change_jobs2"]
+    change = summary["change"]
     payload = {
         "layer": "cli",
         "what": "fig1 then fig2 through cli.main in process, each command from an empty piece "
@@ -175,11 +176,8 @@ def main() -> int:
         "cases": {case: " ".join(argv) for case, argv in CASES.items()},
         "identical_outputs": all(len(d) == 1 for d in digests.values()),
         "variants": summary,
-        "op_speedup": {
-            f"over_{name}": {case: summary[name][case]["op_ms"] / change[case]["op_ms"]
-                             for case in CASES}
-            for name in names if name != "change_jobs2"
-        },
+        "op_speedup": {case: summary["parent"][case]["op_ms"] / change[case]["op_ms"]
+                       for case in CASES},
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     return 0

@@ -93,9 +93,10 @@ def _count_evaluations(quadrature, counter):
     # The series is planned for every piece and summed where it wins.
     real_integrate = quadrature.PoissonSeries.integrate
 
-    def counted_integrate(series):
-        counter[0] += series.terms
-        return real_integrate(series)
+    def counted_integrate(series, which=None):
+        terms = series.terms
+        counter[0] += sum(terms if which is None else (terms[i] for i in which))
+        return real_integrate(series, which)
 
     quadrature.PoissonSeries.integrate = counted_integrate
     return "erfc values (u-node x v-edge) + theta-series exponentials"
@@ -161,9 +162,10 @@ def scan_worker(seed: int) -> dict:
     real_integrate = quadrature.PoissonSeries.integrate
     real_lattice = correlators.integrate_gaussian_lattice
 
-    def counted_integrate(series):
-        calls.append(("series", series.terms))
-        return real_integrate(series)
+    def counted_integrate(series, which=None):
+        # One box length per call here: _lattice_piece plans each piece alone.
+        calls.append(("series", sum(series.terms)))
+        return real_integrate(series, which)
 
     def counted_lattice(*args):
         result = real_lattice(*args)
