@@ -10,7 +10,8 @@ data into the digit form |E1 + E2 - 1| + |E3 - E4| with local bound 1,
 and a weighted sum of digit forms over a scale window gives the
 multibit inequality with bound sum(2**k).  The local bounds are not
 hard-coded: they are maxima over all deterministic strategies,
-enumerated in :func:`lhv_chsh_max` and :func:`lhv_bit_bell_max`.
+enumerated once, at import, and read by :func:`lhv_chsh_max` and
+:func:`lhv_bit_bell_max`.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
-
-import numpy as np
 
 from .bits import TruncationWindow, xor_expectation
 from .correlators import CorrelatorSet, rotated_correlator
@@ -140,7 +139,7 @@ def bit_bell_value(
             raise RangeError(f"XOR expectation {e!r} is outside [0, 1]")
     e1, e2, e3, e4 = es
     value = abs(e1 + e2 - 1.0) + abs(e3 - e4)
-    bound = lhv_bit_bell_max()
+    bound = _LHV_BIT_BELL_MAX
     return BellReport(
         value=value,
         bound=bound,
@@ -193,18 +192,21 @@ def lhv_chsh_max() -> float:
     return _LHV_CHSH_MAX
 
 
+# Likewise the digit form's bound, over the 16 deterministic digit assignments.
+_LHV_BIT_BELL_MAX = float(max(
+    abs((a ^ g) + (a ^ d) - 1.0) + abs((b ^ g) - (b ^ d))
+    for a, b, g, d in itertools.product((0, 1), repeat=4)
+))
+
+
 def lhv_bit_bell_max() -> float:
     """Local bound of the digit form, maximized over deterministic digits."""
-    best = -math.inf
-    for a, b, g, d in itertools.product((0, 1), repeat=4):
-        value = abs((a ^ g) + (a ^ d) - 1.0) + abs((b ^ g) - (b ^ d))
-        best = max(best, value)
-    return float(best)
+    return _LHV_BIT_BELL_MAX
 
 
 def lhv_multibit_bound(window: TruncationWindow) -> float:
     """Local bound of the weighted digit form over the window."""
-    return window.weight_total() * lhv_bit_bell_max()
+    return window.weight_total() * _LHV_BIT_BELL_MAX
 
 
 def _chsh_of_angles(angles, corr: CorrelatorSet) -> float:
@@ -243,17 +245,96 @@ def _chsh_of_directions(params, corr: CorrelatorSet) -> float:
     return abs(e_ag + e_ad) + abs(e_bg - e_bd)
 
 
-def _optimal_vectors(t: np.ndarray):
-    """Analyzer vectors (a, a', b, b') maximizing CHSH for correlation matrix t."""
-    u, sv, vh = np.linalg.svd(t)
-    # LAPACK may return either sign of a singular pair; fixing the sign of
-    # each u_i's first nonzero component makes the settings reproducible.
-    for i in (0, 1):
-        if u[np.flatnonzero(u[:, i])[0], i] < 0.0:
-            u[:, i], vh[i] = -u[:, i], -vh[i]
-    phi = math.atan2(sv[1], sv[0])
+def _positive_first(u: tuple, v: tuple) -> tuple[tuple, tuple]:
+    """Flip a singular pair so that the first nonzero component of u is positive."""
+    for x in u:
+        if x:
+            return (u, v) if x > 0.0 else (tuple(-y for y in u), tuple(-y for y in v))
+    return u, v
+
+
+def _singular_pairs(a: float, b: float, c: float, d: float):
+    """Singular triples (s, u, v) of M = [[a, b], [c, d]] in closed form, largest first.
+
+    M = U diag(s1, s2) V^T with U, V rotations up to the sign of each
+    pair (Blinn, "Consider the lowly 2x2 matrix", IEEE CG&A 16(2), 1996):
+
+        s1 = (hypot(a + d, c - b) + hypot(a - d, c + b)) / 2,  s2 = |det M| / s1,
+
+    and u1, the leading eigenvector of M M^T, at half the angle of
+    (p, q) = (a**2 + b**2 - c**2 - d**2, 2 (a c + b d)).  u1 is taken along
+    (|(p, q)| + p, q), or (q, |(p, q)| - p) when p < 0, which sums no terms
+    of opposite sign: a component near 0, such as a 1e-17 cross
+    correlator, keeps its sign, and the sign convention reads it.
+    v1 = M^T u1 / s1; u2 and v2 are u1 and v1 turned by +90 degrees, v2
+    reversed when det M < 0.  Each pair is then signed so that the first
+    nonzero component of u is positive, and M v = s u.  The zero matrix
+    gives the identity's vectors.
+    """
+    scale = max(abs(a), abs(b), abs(c), abs(d))
+    if scale == 0.0:
+        return (0.0, (1.0, 0.0), (1.0, 0.0)), (0.0, (0.0, 1.0), (0.0, 1.0))
+    # Dividing by the largest entry keeps the squares below from underflowing.
+    a, b, c, d = a / scale, b / scale, c / scale, d / scale
+    s1 = (math.hypot(a + d, c - b) + math.hypot(a - d, c + b)) / 2.0
+    det = a * d - b * c
+    p, q = (a - d) * (a + d) + (b - c) * (b + c), 2.0 * (a * c + b * d)
+    norm = math.hypot(p, q)
+    uz, ux = (norm + p, q) if p >= 0.0 else (q, norm - p)
+    norm = math.hypot(uz, ux)
+    # A zero (p, q) means s1 == s2: every unit vector is a left singular vector.
+    uz, ux = (uz / norm, ux / norm) if norm else (1.0, 0.0)
+    vz, vx = a * uz + c * ux, b * uz + d * ux
+    norm = math.hypot(vz, vx)
+    vz, vx = vz / norm, vx / norm
+    v2 = (-vx, vz) if det >= 0.0 else (vx, -vz)
+    return (
+        (s1 * scale, *_positive_first((uz, ux), (vz, vx))),
+        (min(abs(det) / s1, s1) * scale, *_positive_first((-ux, uz), v2)),
+    )
+
+
+def _leading_pairs(corr: CorrelatorSet, include_y: bool = False):
+    """The two largest singular triples (t, u, v) of the correlation matrix of corr.
+
+    Over (z, x) the matrix is the 2x2 block [[czz, czx], [cxz, cxx]],
+    whose triples :func:`_singular_pairs` gives in closed form.  With
+    ``include_y`` it is [[czz, czx, 0], [cxz, cxx, 0], [0, 0, cyy]]: its
+    triples are the block's two, embedded in (z, x, 0), and
+    (|cyy|, e_y, sign(cyy) e_y).  On a tie the y triple ranks below the
+    block's first and above its second.
+    """
+    first, second = _singular_pairs(corr.czz, corr.czx, corr.cxz, corr.cxx)
+    if not include_y:
+        return first, second
+    first, second = ((s, (*u, 0.0), (*v, 0.0)) for s, u, v in (first, second))
+    y_pair = (abs(corr.cyy), (0.0, 0.0, 1.0), (0.0, 0.0, math.copysign(1.0, corr.cyy)))
+    if y_pair[0] > first[0]:
+        return y_pair, first
+    if y_pair[0] >= second[0]:
+        return first, y_pair
+    return first, second
+
+
+def _optimal_vectors(corr: CorrelatorSet, include_y: bool = False):
+    """Analyzer vectors (a, a', b, b') maximizing CHSH for the correlation matrix of corr.
+
+    With (t1, u1, v1), (t2, u2, v2) the two leading singular triples,
+    a = u1, a' = u2 and b, b' = cos(phi) v1 +- sin(phi) v2, tan(phi) = t2/t1.
+    The triples are those of the closed-form 2x2 SVD of [[czz, czx],
+    [cxz, cxx]], joined with ``include_y`` by (|cyy|, e_y, sign(cyy) e_y)
+    (:func:`_leading_pairs`); the first nonzero component of each u_i is
+    positive.
+    """
+    (t1, u1, v1), (t2, u2, v2) = _leading_pairs(corr, include_y)
+    phi = math.atan2(t2, t1)
     c, s = math.cos(phi), math.sin(phi)
-    return u[:, 0], u[:, 1], c * vh[0] + s * vh[1], c * vh[0] - s * vh[1]
+    return (
+        u1,
+        u2,
+        tuple(c * p + s * q for p, q in zip(v1, v2)),
+        tuple(c * p - s * q for p, q in zip(v1, v2)),
+    )
 
 
 def optimize_settings(
@@ -272,23 +353,22 @@ def optimize_settings(
     Lett. A 200, 340 (1995)): with T = U diag(t1, t2, ...) V^T the
     correlation matrix over (z, x[, y]), a = u1, a' = u2 and b, b' =
     cos(phi) v1 +- sin(phi) v2, tan(phi) = t2/t1, give 2*sqrt(t1**2 + t2**2).
-    The value returned is the CHSH expression at the returned settings.
-    The result is deterministic, and the planar value is never below the
-    standard-settings value.
+    The singular triples come from the closed-form SVD of the 2x2 block
+    [[czz, czx], [cxz, cxx]]; with ``include_y`` T is that block plus cyy
+    on the diagonal, whose third triple is (|cyy|, e_y, sign(cyy) e_y).
+    Each pair is signed so that the first nonzero component of u_i is
+    positive.  The value returned is the CHSH expression at the returned
+    settings.  The result is deterministic, and the planar value is never
+    below the standard-settings value.
     """
-    t = np.array([
-        [corr.czz, corr.czx, 0.0],
-        [corr.cxz, corr.cxx, 0.0],
-        [0.0, 0.0, corr.cyy],
-    ])
     if include_y:
         directions = tuple(
             (_wrap_angle(math.atan2(math.hypot(x, y), z)), _wrap_angle(math.atan2(y, x)))
-            for z, x, y in _optimal_vectors(t)
+            for z, x, y in _optimal_vectors(corr, include_y=True)
         )
         return directions, _chsh_of_directions([p for d in directions for p in d], corr)
 
-    settings = ChshSettings(*(math.atan2(x, z) for z, x in _optimal_vectors(t[:2, :2])))
+    settings = ChshSettings(*(math.atan2(x, z) for z, x in _optimal_vectors(corr)))
     value = _chsh_of_angles(settings.as_tuple(), corr)
     standard_value = _chsh_of_angles(STANDARD_SETTINGS.as_tuple(), corr)
     if value < standard_value:

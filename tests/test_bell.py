@@ -4,13 +4,14 @@ Everything here uses closed-form or hand-built correlator values, so
 the tests exercise the Bell layer without any quadrature.
 """
 
+import itertools
 import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
@@ -58,6 +59,44 @@ def _make_set(czz, cxx, cyy=0.0, czx=0.0, cxz=0.0, cross_err=0.0):
         czx_err=cross_err,
         cxz_err=cross_err,
     )
+
+
+def _angle_gap(a, b):
+    """Distance between two angles, mod 2 pi."""
+    gap = (a - b) % (2.0 * math.pi)
+    return min(gap, 2.0 * math.pi - gap)
+
+
+def _lapack_optimum(corr, include_y, flips):
+    """optimize_settings through np.linalg.svd and the documented sign fix.
+
+    ``flips[i]`` negates LAPACK's i-th singular pair (u_i, v_i) before the
+    fix, so every sign LAPACK could return is tried.  Returns the flat list
+    of angles and the CHSH value at them.
+    """
+    t = np.array([[corr.czz, corr.czx, 0.0], [corr.cxz, corr.cxx, 0.0], [0.0, 0.0, corr.cyy]])
+    if not include_y:
+        t = t[:2, :2]
+    u, sv, vh = np.linalg.svd(t)
+    for i, flip in enumerate(flips):
+        if flip:
+            u[:, i], vh[i] = -u[:, i], -vh[i]
+    for i in (0, 1):
+        if u[np.flatnonzero(u[:, i])[0], i] < 0.0:
+            u[:, i], vh[i] = -u[:, i], -vh[i]
+    phi = math.atan2(sv[1], sv[0])
+    c, s = math.cos(phi), math.sin(phi)
+    a, a2, b, b2 = u[:, 0], u[:, 1], c * vh[0] + s * vh[1], c * vh[0] - s * vh[1]
+    if include_y:
+        value = abs(a @ t @ b + a @ t @ b2) + abs(a2 @ t @ b - a2 @ t @ b2)
+        directions = [(math.atan2(math.hypot(x, y), z), math.atan2(y, x)) for z, x, y in (a, a2, b, b2)]
+        return [angle for d in directions for angle in d], value
+    settings = ChshSettings(*(math.atan2(x, z) for z, x in (a, a2, b, b2)))
+    value = chsh_from_correlators(corr, settings).value
+    standard = chsh_from_correlators(corr).value
+    if value < standard:
+        return list(STANDARD_SETTINGS.as_tuple()), standard
+    return list(settings.as_tuple()), value
 
 
 class TestSettings:
@@ -190,6 +229,18 @@ class TestLocalBounds:
     def test_bit_bound_is_one(self):
         assert lhv_bit_bell_max() == 1.0
 
+    def test_digit_forms_report_the_bound_without_enumerating(self, monkeypatch):
+        """The digit-form bound is enumerated once, at import, not on every call."""
+        def unused(*args, **kwargs):
+            raise AssertionError("the strategies were enumerated again")
+
+        monkeypatch.setattr(bell.itertools, "product", unused)
+        report = bit_bell_value(lambda a, b: 0.5 * (1.0 - math.cos(a - b)))
+        window = TruncationWindow(k_hi=1, k_lo=-3)
+        assert report.bound == lhv_bit_bell_max() == 1.0
+        assert lhv_multibit_bound(window) == window.weight_total()
+        assert multibit_value({k: 0.5 for k in window.ks()}, window).bound == window.weight_total()
+
     def test_multibit_bound_is_the_weight_total(self):
         for k_hi, k_lo in ((1, -3), (0, 0), (2, -1)):
             window = TruncationWindow(k_hi=k_hi, k_lo=k_lo)
@@ -231,17 +282,25 @@ class TestOptimizer:
         second = optimize_settings(corr)
         assert first == second
 
-    def test_settings_do_not_depend_on_singular_vector_signs(self, monkeypatch):
-        corr = _make_set(0.6, -0.45, cyy=-0.3, czx=0.2, cxz=0.2)
-        want = (optimize_settings(corr), optimize_settings(corr, include_y=True))
-        real_svd = np.linalg.svd
-
-        def flipped_svd(t):
-            u, sv, vh = real_svd(t)
-            return -u, sv, -vh
-
-        monkeypatch.setattr(np.linalg, "svd", flipped_svd)
-        assert (optimize_settings(corr), optimize_settings(corr, include_y=True)) == want
+    @pytest.mark.parametrize(
+        "corr",
+        [
+            _make_set(0.6, -0.45, cyy=-0.3, czx=0.2, cxz=0.2),
+            _make_set(0.3, 0.7, cyy=-0.5, czx=-0.25, cxz=0.1, cross_err=0.2),
+            _make_set(-0.8, 0.35, cyy=0.9, czx=0.15, cxz=-0.4, cross_err=0.3),
+            _make_set(0.5, 0.45, cyy=-0.1, czx=0.6, cxz=-0.55, cross_err=0.6),
+        ],
+    )
+    @pytest.mark.parametrize("include_y", [False, True])
+    def test_matches_lapack_under_every_sign_of_its_pairs(self, corr, include_y):
+        """Closed form against np.linalg.svd with the sign fix, whatever signs LAPACK returns."""
+        settings, value = optimize_settings(corr, include_y=include_y)
+        got = [a for d in settings for a in d] if include_y else list(settings.as_tuple())
+        pairs = 3 if include_y else 2
+        for flips in itertools.product((False, True), repeat=pairs):
+            want, want_value = _lapack_optimum(corr, include_y, flips)
+            assert value == pytest.approx(want_value, abs=1e-12)
+            assert max(map(_angle_gap, got, want)) <= 1e-12
 
     def test_y_axis_strictly_wins_when_cyy_is_large(self):
         corr = _make_set(0.9, 0.2, cyy=-0.7)
@@ -281,6 +340,51 @@ def test_closed_form_is_the_maximum(czz, cxx, cyy, czx, cxz):
     assert value >= planar - 1e-12
     t3 = [[czz, czx, 0.0], [cxz, cxx, 0.0], [0.0, 0.0, cyy]]
     assert value == pytest.approx(_svd_chsh_max(t3), abs=1e-12)
+
+
+_EPS = np.finfo(float).eps
+
+
+def _check_triples(t, triples):
+    """The triples are singular triples of t, the largest ones, signed by the convention."""
+    s = np.array([p[0] for p in triples])
+    u = np.array([p[1] for p in triples]).T
+    v = np.array([p[2] for p in triples]).T
+    norm = np.linalg.norm(t, 2)
+    assert s[0] >= s[1] >= 0.0
+    assert np.abs(s - np.linalg.svd(t, compute_uv=False)[: len(s)]).max() <= 1e-15
+    assert np.abs(u.T @ u - np.eye(len(s))).max() <= 4 * _EPS
+    assert np.abs(v.T @ v - np.eye(len(s))).max() <= 4 * _EPS
+    assert np.abs(t @ v - u * s).max() <= 8 * _EPS * norm
+    assert np.abs(t.T @ u - v * s).max() <= 8 * _EPS * norm
+    if len(s) == len(t):
+        assert np.abs(u @ np.diag(s) @ v.T - t).max() <= 8 * _EPS * norm
+    for column in u.T:
+        assert column[np.flatnonzero(column)[0]] > 0.0
+
+
+@hypothesis_settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(czz=_unit, czx=_unit, cxz=_unit, cxx=_unit, cyy=_unit)
+@example(czz=0.0, czx=0.0, cxz=0.0, cxx=0.0, cyy=0.0)  # zero matrix
+@example(czz=0.6, czx=0.3, cxz=0.4, cxx=0.2, cyy=0.0)  # rank 1
+@example(czz=0.0, czx=0.7, cxz=0.0, cxx=0.0, cyy=-0.2)  # rank 1, one entry
+@example(czz=1.0, czx=0.0, cxz=0.0, cxx=1.0, cyy=-1.0)  # identity, three equal values
+@example(czz=math.cos(0.7), czx=-math.sin(0.7), cxz=math.sin(0.7), cxx=math.cos(0.7), cyy=0.3)
+@example(czz=0.2, czx=0.9, cxz=0.8, cxx=-0.1, cyy=0.5)  # negative determinant
+@example(czz=0.0, czx=0.0, cxz=0.0, cxx=0.48261945022445896, cyy=-0.0)  # r = 0 product state
+@example(czz=7.0e-34, czx=-1.0e-16, cxz=-6.9e-18, cxx=0.9995501012348115, cyy=-0.0)
+@example(czz=0.9, czx=0.0, cxz=0.0, cxx=0.5, cyy=-0.5)  # |cyy| tied with t2
+@example(czz=0.9997849558445846, czx=0.0, cxz=0.0, cxx=0.9447058530910046, cyy=-0.9447058530910046)
+@example(czz=0.989247792235841, czx=0.0, cxz=0.0, cxx=0.9946013184478638, cyy=-0.9946013184478638)
+@example(czz=1e-170, czx=3e-171, cxz=0.0, cxx=6.67e-168, cyy=-1e-300)  # squares underflow
+def test_closed_form_singular_triples(czz, czx, cxz, cxx, cyy):
+    """The 2x2 closed form, and the include_y embedding, against LAPACK's singular values."""
+    t = np.array([[czz, czx], [cxz, cxx]])
+    _check_triples(t, bell._singular_pairs(czz, czx, cxz, cxx))
+    corr = _make_set(czz, cxx, cyy=cyy, czx=czx, cxz=cxz, cross_err=1.0)
+    assert bell._leading_pairs(corr) == bell._singular_pairs(czz, czx, cxz, cxx)
+    t3 = np.array([[czz, czx, 0.0], [cxz, cxx, 0.0], [0.0, 0.0, cyy]])
+    _check_triples(t3, bell._leading_pairs(corr, include_y=True))
 
 
 def test_import_leaves_scipy_optimize_unloaded():

@@ -1,4 +1,4 @@
-"""Before/after numbers for the Bell layer's ``optimize_settings``, written to BENCH_bell.json.
+"""Before/after numbers for the Bell layer, written to BENCH_bell.json.
 
 Usage (from the repository root):
 
@@ -8,29 +8,40 @@ Usage (from the repository root):
 The points are the benchmark's 12 settings-workload points and the nine
 ROADMAP corners, r in {0, 2, 5} x l in {0.03, 1, 50}.  Each correlator
 set is computed once, with this checkout's ``correlator_set``, and both
-sides (``--parent-src`` and this checkout's ``src``) optimize the same
-values, each side in its own fresh interpreter.
+sides (``--parent-src`` and this checkout's ``src``) work on the same
+values, each side in its own fresh interpreter.  Each side first computes
+the set itself, which must equal this checkout's, and so warms the cache
+that its queries read.
 
-Recorded per point and side, for the planar and the ``include_y``
-optimum: the median wall time of one ``optimize_settings`` call, the
-value, and its deviations from two references in ``perfbench/reference.py``:
+Recorded per point and side: the median wall time of one warm query,
+the query the benchmark's ``settings`` workload times (a cached
+``correlator_set`` lookup, ``chsh_from_correlators``,
+``bit_bell_from_correlators`` and ``optimize_settings`` planar and with
+``include_y``); and, for the planar and the ``include_y`` optimum, the
+median wall time of one ``optimize_settings`` call, the value, and its
+deviations from two references in ``perfbench/reference.py``:
 the closed form 2 sqrt(t1**2 + t2**2) (t1, t2 the two largest singular
 values of the correlation matrix) and the CHSH expression evaluated at
 the returned settings.  The planar value also records its deviation
 from ``acceptance._grid_search_chsh``, the grid search that acceptance
-criterion 11 uses as its oracle.
+criterion 11 uses as its oracle.  ``change_vs_parent`` compares the two
+sides' values and angles (mod 2 pi) next to the relative separation of
+the two leading singular values.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -56,15 +67,27 @@ def _timed(call) -> tuple[float, int, object]:
     return statistics.median(seconds), len(seconds), result
 
 
-def worker(sets: list[dict]) -> list[dict]:
-    """Optimize every set in this interpreter; boxspin comes from PYTHONPATH."""
-    from boxspin.bell import optimize_settings
-    from boxspin.correlators import CorrelatorSet
+def worker(points: list[dict]) -> list[dict]:
+    """Time every point in this interpreter; boxspin comes from PYTHONPATH."""
+    from boxspin.bell import bit_bell_from_correlators, chsh_from_correlators, optimize_settings
+    from boxspin.correlators import CorrelatorSet, correlator_set
 
     rows = []
-    for entry in sets:
-        corr = CorrelatorSet(**entry)
-        row = {}
+    for point in points:
+        r, l = point["r"], point["l"]
+        corr = CorrelatorSet(**point["set"])
+        if correlator_set(l, r) != corr:
+            raise SystemExit(f"correlator_set({l}, {r}) differs from the one being scored")
+
+        def query():
+            cs = correlator_set(l, r)
+            chsh_from_correlators(cs)
+            bit_bell_from_correlators(cs)
+            optimize_settings(cs)
+            return optimize_settings(cs, include_y=True)
+
+        seconds, runs, _ = _timed(query)
+        row = {"query": {"seconds": seconds, "runs": runs}}
         for mode, include_y in (("planar", False), ("include_y", True)):
             seconds, runs, (settings, value) = _timed(
                 lambda: optimize_settings(corr, include_y=include_y)
@@ -77,9 +100,9 @@ def worker(sets: list[dict]) -> list[dict]:
     return rows
 
 
-def run_side(src: Path, sets: list[dict]) -> list[dict]:
+def run_side(src: Path, points: list[dict]) -> list[dict]:
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, __file__, "--worker"], input=json.dumps(sets),
+    done = subprocess.run([sys.executable, __file__, "--worker"], input=json.dumps(points),
                           env=env, capture_output=True, text=True, timeout=DEADLINE_S, check=True)
     return json.loads(done.stdout)
 
@@ -93,6 +116,34 @@ def score(side: dict, values: dict, grid: float) -> None:
         entry["dev_closed_form"] = abs(entry["value"] - reference.chsh_max(values, planar=not include_y))
         entry["dev_at_settings"] = abs(entry["value"] - at_settings)
     side["planar"]["dev_grid_search"] = abs(side["planar"]["value"] - grid)
+
+
+def _angle_gap(a: float, b: float) -> float:
+    gap = (a - b) % (2.0 * math.pi)
+    return min(gap, 2.0 * math.pi - gap)
+
+
+def _flat(settings) -> list[float]:
+    return [a for x in settings for a in (x if isinstance(x, list) else [x])]
+
+
+def against_parent(row: dict, values: dict) -> dict:
+    """Per mode: |change - parent| in value, the largest angle gap mod 2 pi, and
+    the relative gap (t1 - t2) / t1 of the two leading singular values, below
+    which the leading singular vectors, and so the settings, are not unique."""
+    out = {}
+    for mode, planar in (("planar", True), ("include_y", False)):
+        t = [[values["zz"], values["zx"]], [values["xz"], values["xx"]]]
+        if not planar:
+            t = [t[0] + [0.0], t[1] + [0.0], [0.0, 0.0, values["yy"]]]
+        sv = np.linalg.svd(np.array(t), compute_uv=False)
+        parent, change = row["parent"][mode], row["change"][mode]
+        out[mode] = {
+            "value_dev": abs(change["value"] - parent["value"]),
+            "max_angle_gap": max(map(_angle_gap, _flat(change["settings"]), _flat(parent["settings"]))),
+            "leading_separation": float((sv[0] - sv[1]) / sv[0]) if sv[0] else 0.0,
+        }
+    return out
 
 
 def main() -> int:
@@ -114,7 +165,8 @@ def main() -> int:
     grid = [("settings", r, l) for r, l in points.settings_points()]
     grid += [("corner", r, l) for r, l in points.CORNERS]
     sets = [correlator_set(l, r) for _kind, r, l in grid]
-    inputs = [{name: getattr(cs, name) for name in cs.__dataclass_fields__} for cs in sets]
+    inputs = [{"r": r, "l": l, "set": {name: getattr(cs, name) for name in cs.__dataclass_fields__}}
+              for (_kind, r, l), cs in zip(grid, sets)]
     sides = {side: run_side(src, inputs) for side, src in
              (("parent", args.parent_src.resolve()), ("change", ROOT / "src"))}
 
@@ -126,15 +178,18 @@ def main() -> int:
         for side in ("parent", "change"):
             row[side] = sides[side][i]
             score(row[side], values, oracle)
+        row["change_vs_parent"] = against_parent(row, values)
         row["speedup"] = {mode: row["parent"][mode]["seconds"] / row["change"][mode]["seconds"]
-                          for mode in ("planar", "include_y")}
+                          for mode in ("query", "planar", "include_y")}
         print(json.dumps({k: row[k] for k in ("set", "r", "l", "speedup")}), file=sys.stderr)
         rows.append(row)
 
     payload = {
         "layer": "bell",
-        "what": "one optimize_settings(corr) and one optimize_settings(corr, include_y=True) "
-                "on a precomputed correlator set; seconds are medians over repeated calls",
+        "what": "query: one warm settings-workload query (correlator_set cache hit, "
+                "chsh_from_correlators, bit_bell_from_correlators, optimize_settings planar and "
+                "include_y); planar, include_y: one optimize_settings(corr[, include_y=True]) on a "
+                "precomputed correlator set; seconds are medians over repeated calls",
         "machine": machine(),
         "reference": "closed form 2 sqrt(t1^2 + t2^2); perfbench/reference.py at the returned "
                      "settings; acceptance._grid_search_chsh for planar",
