@@ -40,6 +40,7 @@ from .boxops import (
     build_spin_operator,
     commutator,
     expectation,
+    expectations,
     hierarchy_commutes,
     is_zero,
     position_from_bits,

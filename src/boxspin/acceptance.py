@@ -30,7 +30,7 @@ from .boxops import (
     Grid,
     build_spin_operator,
     commutator,
-    expectation,
+    expectations,
     hierarchy_commutes,
     is_zero,
 )
@@ -46,7 +46,7 @@ from .correlators import (
 from .gaussian_state import SqueezeState, czz_asymptote
 from .quadrature import integrate_gaussian_lattice, integrate_gaussian_poisson
 
-__all__ = ["CRITERIA", "CriterionResult", "run_criterion", "run_all"]
+__all__ = ["CRITERIA", "CriterionResult", "format_result", "run_criterion"]
 
 
 def criterion_normalization() -> str:
@@ -257,9 +257,10 @@ def criterion_oracle_agreement() -> str:
     state = SqueezeState(1.0)
     grid = Grid(2048, 1.0 / 64.0, -16.0)
     cpb = 64
-    ops = {ax: build_spin_operator(ax, cpb, grid) for ax in ("x", "y")}
-    for ax in ("x", "y"):
-        matrix_value = expectation(ops[ax], ops[ax], state)
+    axes = ("x", "y")
+    ops = [build_spin_operator(ax, cpb, grid) for ax in axes]
+    matrix_values = expectations([(op, op) for op in ops], state)
+    for ax, matrix_value in zip(axes, matrix_values):
         assert abs(matrix_value.imag) < 1e-10
         quad_value, _ = correlator(ax + ax, 1.0, 1.0)
         dev = abs(matrix_value.real - quad_value)
@@ -424,13 +425,8 @@ def run_criterion(cid: int) -> CriterionResult:
     raise ValueError(f"unknown criterion id {cid}")
 
 
-def run_all(emit=print) -> bool:
-    """Run the full battery, emitting one line per criterion."""
-    all_passed = True
-    for cid, _title, _budget, _func in CRITERIA:
-        result = run_criterion(cid)
-        status = "PASS" if result.passed else "FAIL"
-        emit(f"{status} criterion {result.cid:2d} [{result.seconds:7.2f} s] "
-             f"{result.title}: {result.detail}")
-        all_passed = all_passed and result.passed
-    return all_passed
+def format_result(result: CriterionResult) -> str:
+    """One criterion's PASS/FAIL line, as ``boxspin selftest`` prints it."""
+    status = "PASS" if result.passed else "FAIL"
+    return (f"{status} criterion {result.cid:2d} [{result.seconds:7.2f} s] "
+            f"{result.title}: {result.detail}")

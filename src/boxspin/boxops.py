@@ -12,6 +12,7 @@ assert algebraic identities with zero tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -34,13 +35,18 @@ __all__ = [
     "hierarchy_commutes",
     "position_from_bits",
     "expectation",
+    "expectations",
 ]
 
 SPIN_AXES = ("z", "x", "y", "plus", "minus")
 
-# expectation() works on row blocks of psi of about this many entries
+# expectations() works on row blocks of psi of about this many entries
 # (2 MB of float64).
 _BLOCK_ENTRIES = 1 << 18
+
+# Distinct spin operators kept by build_spin_operator.  The acceptance
+# battery's operator-algebra criterion asks for 69 over its three grids.
+_SPIN_CACHE_SIZE = 256
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -94,7 +100,12 @@ class Grid:
 
 @dataclass(frozen=True)
 class GridOperator:
-    """A sparse operator tied to the grid and box size it was built on."""
+    """A sparse operator tied to the grid and box size it was built on.
+
+    Spin operators are shared between callers (build_spin_operator
+    returns one object per argument triple), so their matrix arrays are
+    read-only; derive new matrices instead of writing into them.
+    """
 
     grid: Grid
     cells_per_box: int
@@ -117,11 +128,15 @@ def _require_box_alignment(grid: Grid, cells_per_box: int, *, block: bool) -> np
     return cells // cells_per_box
 
 
+@functools.lru_cache(maxsize=_SPIN_CACHE_SIZE, typed=True)
 def build_spin_operator(axis: str, cells_per_box: int, grid: Grid) -> GridOperator:
     """Spin component for boxes of ``cells_per_box`` cells.
 
     axis is one of 'z', 'x', 'y', 'plus', 'minus'.  The grid must be
     tiled by two-box blocks so every even box has its odd partner.
+
+    Repeated calls return the same operator, whose matrix's ``data``,
+    ``indices`` and ``indptr`` are read-only.
     """
     if axis not in SPIN_AXES:
         raise ValueError(f"axis must be one of {SPIN_AXES}, got {axis!r}")
@@ -143,6 +158,8 @@ def build_spin_operator(axis: str, cells_per_box: int, grid: Grid) -> GridOperat
             matrix = (plus + plus.T).tocsr()
         else:  # y
             matrix = (-1j * plus + 1j * plus.T).tocsr()
+    for array in (matrix.data, matrix.indices, matrix.indptr):
+        array.flags.writeable = False
     return GridOperator(grid=grid, cells_per_box=cells_per_box, label=f"s_{axis}", matrix=matrix)
 
 
@@ -257,9 +274,13 @@ def position_from_bits(window: TruncationWindow, grid: Grid) -> GridOperator:
 
 def _real_parts(matrix: sp.csr_matrix) -> list[tuple[complex, sp.csr_matrix]]:
     """``matrix`` as sum of unit * part with real parts and unit in {1, 1j};
-    parts with no nonzero entry are left out."""
+    parts with no nonzero entry are left out.
+
+    Each part is a copy: ``.real`` and ``.imag`` share their data with
+    ``matrix``, and eliminate_zeros() compacts that data in place.
+    """
     parts = []
-    for unit, part in ((1.0, matrix.real.tocsr()), (1j, matrix.imag.tocsr())):
+    for unit, part in ((1.0, matrix.real.copy()), (1j, matrix.imag.copy())):
         part.eliminate_zeros()
         if part.nnz:
             parts.append((unit, part))
@@ -271,31 +292,47 @@ def expectation(op_a: GridOperator, op_b: GridOperator, state: SqueezeState) -> 
 
     A acts on the first mode, B on the second; the shared grid supplies
     the sample points.  The cell-width factors cancel in the ratio.
-
-    psi is real, so it is built once as a real n x n array.  Each
-    operator splits into real sparse parts times 1 or i, and the
-    numerator, the sum of psi * (A psi B^T), is accumulated over row
-    blocks of A psi, one real product per pair of parts.  Nothing
-    complex or larger than psi is ever n x n.
+    This is ``expectations([(op_a, op_b)], state)[0]``.
     """
-    if op_a.grid != op_b.grid:
+    return expectations([(op_a, op_b)], state)[0]
+
+
+def expectations(
+    pairs: list[tuple[GridOperator, GridOperator]], state: SqueezeState
+) -> list[complex]:
+    """expectation() of every (A, B) in ``pairs``, from one psi.
+
+    All operators must share one grid.  psi is real, so it is built
+    once as a real n x n array.  Each operator splits into real sparse
+    parts times 1 or i, and each pair's numerator, the sum of
+    psi * (A psi B^T), is accumulated over row blocks of A psi, one
+    real product per pair of parts.  Nothing complex or larger than psi
+    is ever n x n.  A pair's value does not depend on the other pairs.
+    """
+    grid = pairs[0][0].grid
+    if any(op.grid != grid for pair in pairs for op in pair):
         raise GridMismatch("operators live on different grids")
-    grid = op_a.grid
     mid = grid.midpoints()
     n = mid.size
     rows = max(1, _BLOCK_ENTRIES // n)
     psi = np.empty((n, n))
     for i in range(0, n, rows):
         psi[i:i + rows] = wavefunction(mid[i:i + rows, None], mid[None, :], state)
-    parts_a = _real_parts(op_a.matrix)
-    parts_b = [(unit, part.T.tocsr()) for unit, part in _real_parts(op_b.matrix)]
-    numerator = 0j
+    split = [
+        (
+            _real_parts(op_a.matrix),
+            [(unit, part.T.tocsr()) for unit, part in _real_parts(op_b.matrix)],
+        )
+        for op_a, op_b in pairs
+    ]
+    numerators = [0j] * len(pairs)
     denominator = 0.0
     for i in range(0, n, rows):
         block = psi[i:i + rows]
         denominator += float(np.vdot(block, block))
-        for unit_a, part_a in parts_a:
-            applied = part_a[i:i + rows] @ psi
-            for unit_b, part_bt in parts_b:
-                numerator += unit_a * unit_b * float(np.vdot(block, applied @ part_bt))
-    return numerator / denominator
+        for k, (parts_a, parts_b) in enumerate(split):
+            for unit_a, part_a in parts_a:
+                applied = part_a[i:i + rows] @ psi
+                for unit_b, part_bt in parts_b:
+                    numerators[k] += unit_a * unit_b * float(np.vdot(block, applied @ part_bt))
+    return [numerator / denominator for numerator in numerators]

@@ -16,7 +16,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -272,13 +272,20 @@ def _cmd_bits_demo(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    if args.criterion is not None:
-        result = acceptance.run_criterion(args.criterion)
-        status = "PASS" if result.passed else "FAIL"
-        print(f"{status} criterion {result.cid:2d} [{result.seconds:7.2f} s] "
-              f"{result.title}: {result.detail}")
-        return 0 if result.passed else 1
-    passed = acceptance.run_all(emit=print)
+    if args.criterion is None:
+        cids = [cid for cid, _title, _budget, _func in acceptance.CRITERIA]
+    else:
+        cids = [args.criterion]
+    passed = True
+    for cid in cids:
+        result = acceptance.run_criterion(cid)
+        if args.json:
+            print(json.dumps(asdict(result), sort_keys=True))
+        else:
+            print(acceptance.format_result(result))
+        passed = passed and result.passed
+    if args.json:
+        print(json.dumps({"passed": passed}))
     return 0 if passed else 1
 
 
@@ -370,6 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the acceptance battery")
     p.add_argument("--criterion", type=int, default=None,
                    help="run a single criterion by id instead of the battery")
+    p.add_argument("--json", action="store_true",
+                   help="print one JSON object per criterion (cid, title, passed, "
+                        "seconds, detail), then {\"passed\": ...} for the run")
     p.set_defaults(func=_cmd_selftest)
 
     return parser

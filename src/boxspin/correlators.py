@@ -445,10 +445,12 @@ def czz_sampled(
     with per-mode variance cosh(2r)/2 and correlation tanh(2r)) and
     averages the box-parity product.  Returns (estimate, std_error).
 
-    Both normal streams are drawn whole, then mapped to box parities in
-    chunks of _SAMPLE_CHUNK samples.  The mean of the +/-1 products is
-    (n - 2 * odd)/n with ``odd`` the count of odd box-index sums, which
-    is what summing the +/-1 values gives exactly.
+    The first normal stream is drawn whole; the second is drawn chunk
+    by chunk, _SAMPLE_CHUNK samples at a time, which continues the same
+    generator stream, so only one stream of n_samples is ever held.
+    Each chunk is mapped to box parities at once.  The mean of the +/-1
+    products is (n - 2 * odd)/n with ``odd`` the count of odd box-index
+    sums, which is what summing the +/-1 values gives exactly.
     """
     l = _check_box_length(l)
     if n_samples < 2:
@@ -459,24 +461,29 @@ def czz_sampled(
     rho = state.rho
     root = math.sqrt(1.0 - rho * rho)
     z1 = rng.standard_normal(n_samples)
-    z2 = rng.standard_normal(n_samples)
     odd = 0
     buffers = np.empty((2, min(n_samples, _SAMPLE_CHUNK)))
     for i in range(0, n_samples, _SAMPLE_CHUNK):
-        z1c, z2c = z1[i:i + _SAMPLE_CHUNK], z2[i:i + _SAMPLE_CHUNK]
-        q, q2 = buffers[:, :z1c.size]
-        # q2 = sigma * (rho * z1c + root * z2c), then both box indices.
+        z1c = z1[i:i + _SAMPLE_CHUNK]
+        z2c, q2 = buffers[:, :z1c.size]
+        rng.standard_normal(out=z2c)
+        # q2 = sigma * (rho * z1c + root * z2c), then both box indices;
+        # the first mode's index q overwrites the z1 chunk it came from.
         np.multiply(z1c, rho, out=q2)
-        q2 += np.multiply(z2c, root, out=q)
+        q2 += np.multiply(z2c, root, out=z2c)
         q2 *= sigma
         q2 /= l
         np.floor(q2, out=q2)
-        np.multiply(z1c, sigma, out=q)
+        q = np.multiply(z1c, sigma, out=z1c)
         q /= l
         np.floor(q, out=q)
-        # The floors are integers, so fmod finds the odd sums exactly.
+        # The floors are integers, so half their sum has a fractional
+        # part of exactly 0 (even) or 0.5 (odd); an infinite or nan sum
+        # leaves nan, as fmod(sum, 2) would.
         q += q2
-        odd += int(np.count_nonzero(np.fmod(q, 2.0, out=q)))
+        q *= 0.5
+        q -= np.floor(q, out=q2)
+        odd += int(np.count_nonzero(q))
     mean = (n_samples - 2 * odd) / n_samples
     # parity is +/-1, so the sample variance is 1 - mean**2 up to the
     # n/(n-1) correction.

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from boxspin import boxops
+from boxspin import acceptance, boxops
 from boxspin import (
     Grid,
     GridMismatch,
@@ -23,6 +23,7 @@ from boxspin import (
     commutator,
     correlator,
     expectation,
+    expectations,
     hierarchy_commutes,
     is_zero,
     position_from_bits,
@@ -108,6 +109,47 @@ class TestSpinAlgebra:
         grid = Grid(8, cell_width=1.0, origin=4.0)
         with pytest.raises(MisalignedGrid):
             build_spin_operator("x", 4, grid)
+
+
+class TestSharedSpinOperators:
+    """build_spin_operator builds each operator once and hands out a
+    read-only matrix."""
+
+    def test_repeated_build_returns_the_same_object(self, spin_grid):
+        op = build_spin_operator("y", 4, spin_grid)
+        assert build_spin_operator("y", 4, spin_grid) is op
+        assert build_spin_operator("y", 4, Grid(32, cell_width=0.5, origin=-8.0)) is op
+        assert build_spin_operator("x", 4, spin_grid) is not op
+
+    @pytest.mark.parametrize("name", ["data", "indices", "indptr"])
+    def test_in_place_writes_raise(self, spin_grid, name):
+        array = getattr(build_spin_operator("x", 4, spin_grid).matrix, name)
+        with pytest.raises(ValueError):
+            array[0] = array[0]
+
+    def test_a_cached_int_scale_does_not_admit_its_float(self, spin_grid):
+        build_spin_operator("x", 4, spin_grid)
+        with pytest.raises(InvalidScale):
+            build_spin_operator("x", 4.0, spin_grid)
+
+    def test_criterion_8_hierarchy_reports_match_uncached_builds(self, monkeypatch):
+        """Every hierarchy_commutes call of the operator-algebra criterion,
+        in both argument orders, against a run that builds each operator anew."""
+        calls = []
+        recorded = acceptance.hierarchy_commutes
+
+        def record(*args):
+            calls.append(args)
+            return recorded(*args)
+
+        monkeypatch.setattr(acceptance, "hierarchy_commutes", record)
+        acceptance.criterion_operator_algebra()
+        cached = [hierarchy_commutes(*args) for args in calls]
+        monkeypatch.setattr(boxops, "build_spin_operator", build_spin_operator.__wrapped__)
+        uncached = [hierarchy_commutes(*args) for args in calls]
+        assert len(calls) == 52
+        assert {(a, b) for a, b, _ in calls} >= {(1, 2), (2, 1), (1, 1)}
+        assert cached == uncached
 
 
 class TestProjectorsAndTranslations:
@@ -219,6 +261,27 @@ class TestExpectationOracle:
         b = build_spin_operator("z", 2, Grid(32, 1.0, 0.0))
         with pytest.raises(GridMismatch):
             expectation(a, b, SqueezeState(0.5))
+        with pytest.raises(GridMismatch):
+            expectations([(a, a), (b, b)], SqueezeState(0.5))
+
+    def test_mixed_rows_leave_the_operator_unchanged(self):
+        """s_z + s_y has rows mixing real and purely imaginary entries; the
+        real/imaginary split must not compact the operator's own data."""
+        grid = Grid(16, 1.0, -8.0)
+        mixed = build_spin_operator("z", 2, grid).matrix + build_spin_operator("y", 2, grid).matrix
+        op = boxops.GridOperator(grid, 2, "s_z + s_y", mixed)
+        before = [array.copy() for array in (mixed.data, mixed.indices, mixed.indptr)]
+        state = SqueezeState(0.5)
+        mid = grid.midpoints()
+        psi = wavefunction(mid[:, None], mid[None, :], state)
+        expected = _dense_expectation(_dense(op), _dense(op), psi)
+        first = expectation(op, op, state)
+        second = expectation(op, op, state)
+        for was, now in zip(before, (mixed.data, mixed.indices, mixed.indptr)):
+            np.testing.assert_array_equal(now, was)
+        assert abs(first - expected) <= 1e-13
+        assert abs(first.imag) <= 1e-13
+        assert second == first
 
 
 def _dense_expectation(a, b, psi):
@@ -245,6 +308,11 @@ class TestExpectationIsTheDefinition:
         monkeypatch.setattr(boxops, "wavefunction", _lopsided)
         mid = spin_grid.midpoints()
         return _lopsided(mid[:, None], mid[None, :], None)
+
+    def test_all_pairs_at_once_equal_each_pair_alone(self, lopsided, spin_grid):
+        pairs = [tuple(build_spin_operator(ax, 2, spin_grid) for ax in axes) for axes in self.AXES]
+        state = SqueezeState(0.5)
+        assert expectations(pairs, state) == [expectation(a, b, state) for a, b in pairs]
 
     @pytest.mark.parametrize("axes", AXES, ids=["-".join(a) for a in AXES])
     def test_spin_pairs_match_dense_formula(self, lopsided, spin_grid, axes):
@@ -288,3 +356,12 @@ class TestExpectationIsTheDefinition:
         expected = _dense_expectation(_dense(op_a), _dense(op_b), psi)
         assert abs(expected.imag) > 1e-3
         assert abs(expectation(op_a, op_b, state) - expected) <= 1e-13
+
+    def test_all_pairs_at_once_equal_each_pair_alone_on_the_state(self):
+        state = SqueezeState(0.8)
+        grid = Grid(256, cell_width=1.0 / 16.0, origin=-8.0)
+        pairs = [
+            tuple(build_spin_operator(ax, 8, grid) for ax in axes)
+            for axes in (("x", "x"), ("y", "y"), ("plus", "y"), ("z", "minus"))
+        ]
+        assert expectations(pairs, state) == [expectation(a, b, state) for a, b in pairs]

@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from boxspin import InvalidScale, cli, correlators
+from boxspin import InvalidScale, acceptance, cli, correlators
 from boxspin.cli import SweepConfig, build_parser, main
 from boxspin.quadrature import PoissonSeries
 
@@ -320,6 +320,48 @@ class TestSelftestCommand:
         code, _, err = _run(capsys, ["selftest", "--criterion", "99"])
         assert code == 2
         assert err.startswith("error:")
+
+    @staticmethod
+    def _fake_battery(monkeypatch, fail: bool):
+        def broken():
+            raise AssertionError("broken")
+
+        monkeypatch.setattr(acceptance, "CRITERIA", [
+            (1, "fake pass", None, lambda: "ok"),
+            (2, "fake fail", None, broken if fail else (lambda: "fine")),
+        ])
+
+    def test_plain_output_is_unchanged_by_the_json_flag(self, capsys, monkeypatch):
+        self._fake_battery(monkeypatch, fail=True)
+        code, out, _ = _run(capsys, ["selftest"])
+        assert code == 1
+        assert out == (
+            "PASS criterion  1 [   0.00 s] fake pass: ok\n"
+            "FAIL criterion  2 [   0.00 s] fake fail: broken\n"
+        )
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["passing", "failing"])
+    def test_json_prints_each_criterion_then_the_run(self, capsys, monkeypatch, fail):
+        self._fake_battery(monkeypatch, fail=fail)
+        code, out, _ = _run(capsys, ["selftest", "--json"])
+        assert code == (1 if fail else 0)
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert len(lines) == 3
+        for cid, line in enumerate(lines[:2], start=1):
+            assert set(line) == {"cid", "title", "passed", "seconds", "detail"}
+            assert line["cid"] == cid
+            assert 0.0 <= line["seconds"] < 1.0
+        assert [line["passed"] for line in lines[:2]] == [True, not fail]
+        assert lines[1]["detail"] == ("broken" if fail else "fine")
+        assert lines[2] == {"passed": not fail}
+
+    def test_json_for_one_real_criterion(self, capsys):
+        code, out, _ = _run(capsys, ["selftest", "--criterion", "10", "--json"])
+        assert code == 0
+        first, last = (json.loads(line) for line in out.splitlines())
+        assert (first["cid"], first["passed"]) == (10, True)
+        assert first["title"] == "local bounds by enumeration"
+        assert last == {"passed": True}
 
 
 class TestErrorPaths:
