@@ -76,8 +76,6 @@ from .quadrature import (
     integrate_gaussian_lattice,
     integrate_gaussian_line,
     integrate_gaussian_poisson,
-    integrate_lattice_signed,
-    spec_for_gaussian,
 )
 
 __version__ = "0.1.0"

@@ -24,9 +24,9 @@ series leaves a nonnegative piece with few significant digits.
 :func:`correlator_grid` evaluates a sweep's box lengths that way;
 :func:`correlator` and :func:`correlator_set` take one box length.
 
-Results are cached per (piece, l, r, spec), with spec None for the
-default, so a cache hit builds no spec.  The cache holds at most
-_PIECE_CACHE_SIZE pieces and drops the oldest insertion when full.
+Results are cached per (piece, l, r), so a cache hit builds no spec.
+The cache holds at most _PIECE_CACHE_SIZE pieces and drops the oldest
+insertion when full.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .quadrature import (
     gaussian_lattice_work,
     integrate_gaussian_lattice,
     integrate_gaussian_line,
-    spec_for_gaussian,
 )
 
 __all__ = [
@@ -137,16 +136,18 @@ class CorrelatorSet:
 
 
 def default_spec(l: float, state: SqueezeState) -> QuadratureSpec:
-    """Quadrature spec sized to this box length and state width.
+    """The erf lattice's spec for this box length and state.
 
-    The tail radius follows the marginal std; the panel cap follows the
-    conditional std 1/sqrt(2*cosh2r), which is the Gaussian scale of
-    every correlator integrand's axis sections and shrinks as r grows.
+    The tail radius, max(8*sigma, 3*l), follows the marginal std sigma,
+    so the discarded tail is negligible.  Panels are capped at
+    min(l, 2*sigma/cosh2r): two widths of the conditional std
+    1/sqrt(2*cosh2r), the Gaussian scale of every piece's axis sections,
+    where both the full-order and half-order Legendre rules integrate a
+    Gaussian to machine precision.
     """
-    return spec_for_gaussian(
-        l,
-        state.sigma,
-        slice_scale=state.sigma / state.cosh2r,
+    return QuadratureSpec(
+        max_panel_width=min(l, 2.0 * (state.sigma / state.cosh2r)),
+        tail_radius=max(8.0 * state.sigma, 3.0 * l),
     )
 
 
@@ -256,40 +257,33 @@ def _erf_piece(name: str, l: float, state: SqueezeState, spec: QuadratureSpec) -
     )
 
 
-def _lattice_piece(
-    name: str, l: float, state: SqueezeState, spec: QuadratureSpec | None
-) -> IntegralResult:
-    """One piece, prefactor included, cached per (name, l, r, spec); see :func:`_evaluate`."""
-    hit = _PIECE_CACHE.get((name, l, state.r, spec))
-    return hit if hit is not None else _evaluate(name, [l], state, spec)[0]
+def _lattice_piece(name: str, l: float, state: SqueezeState) -> IntegralResult:
+    """One piece, prefactor included, cached per (name, l, r); see :func:`_evaluate`."""
+    hit = _PIECE_CACHE.get((name, l, state.r))
+    return hit if hit is not None else _evaluate(name, [l], state)[0]
 
 
-def _pieces(
-    name: str, l_values: list[float], state: SqueezeState, spec: QuadratureSpec | None
-) -> list[IntegralResult]:
+def _pieces(name: str, l_values: list[float], state: SqueezeState) -> list[IntegralResult]:
     """:func:`_lattice_piece` at each box length; the misses are evaluated together."""
     r = state.r
-    found = {l: _PIECE_CACHE.get((name, l, r, spec)) for l in l_values}
+    found = {l: _PIECE_CACHE.get((name, l, r)) for l in l_values}
     missing = [l for l, hit in found.items() if hit is None]
     if missing:
-        found.update(zip(missing, _evaluate(name, missing, state, spec)))
+        found.update(zip(missing, _evaluate(name, missing, state)))
     return [found[l] for l in l_values]
 
 
-def _evaluate(
-    name: str, l_values: list[float], state: SqueezeState, spec: QuadratureSpec | None
-) -> list[IntegralResult]:
-    """One piece at each of the distinct box lengths ``l_values``, cached per (name, l, r, spec).
+def _evaluate(name: str, l_values: list[float], state: SqueezeState) -> list[IntegralResult]:
+    """One piece at each of the distinct box lengths ``l_values``, cached per (name, l, r).
 
     One theta-series plan covers every box length.  At each, the series
     evaluates the piece where it takes fewer terms than the erf
-    lattice's u-nodes x edges under the default spec, counted over the
-    panels the lattice lays for this piece's mass, and the lattice (on
-    ``spec``, or that default when it is None) elsewhere and where the
-    series leaves a nonnegative piece with few digits.  The default
-    spec is built only where the series' terms reach the lattice's
-    floor or the lattice runs.  The series is summed at once at every
-    box length where it wins.
+    lattice's u-nodes x edges under :func:`default_spec`, counted over
+    the panels the lattice lays for this piece's mass, and the lattice
+    on that spec elsewhere and where the series leaves a nonnegative
+    piece with few digits.  The spec is built only where the series'
+    terms reach the lattice's floor or the lattice runs.  The series is
+    summed at once at every box length where it wins.
     """
     su, sv, shifts = _PIECES[name]
     log_masses = [_log_mass(name, l, state) for l in l_values]
@@ -307,8 +301,8 @@ def _evaluate(
     for i, (l, terms) in enumerate(zip(l_values, series.terms)):
         # An empty series (zx, xz, or a mass that underflows) is an exact 0.
         if terms and (results[i] is None or _series_lost_digits(name, results[i])):
-            results[i] = _erf_piece(name, l, state, spec or defaults.get(i) or default_spec(l, state))
-        _cache_put((name, l, state.r, spec), results[i])
+            results[i] = _erf_piece(name, l, state, defaults.get(i) or default_spec(l, state))
+        _cache_put((name, l, state.r), results[i])
     return results
 
 
@@ -335,34 +329,22 @@ def _pair_value(pair: str, l: float, state: SqueezeState, piece: IntegralResult)
     return piece.value, piece.error_estimate
 
 
-def correlator(
-    pair: str,
-    l: float,
-    r: float,
-    spec: QuadratureSpec | None = None,
-) -> tuple[float, float]:
+def correlator(pair: str, l: float, r: float) -> tuple[float, float]:
     """Two-site correlator for ``pair`` in {'zz', 'xx', 'yy', 'zx', 'xz'}.
 
-    Returns (value, error_estimate).  ``spec`` applies only to pieces
-    evaluated on the erf lattice; the theta series has no spec.
+    Returns (value, error_estimate).
     """
     pair = _check_pair(pair)
     l = _check_box_length(l)
     state = SqueezeState(r)
-    return _pair_value(pair, l, state, _lattice_piece(_PAIR_PIECES[pair], l, state, spec))
+    return _pair_value(pair, l, state, _lattice_piece(_PAIR_PIECES[pair], l, state))
 
 
-def single_site(
-    axis: str,
-    l: float,
-    r: float,
-    spec: QuadratureSpec | None = None,
-) -> tuple[float, float]:
+def single_site(axis: str, l: float, r: float) -> tuple[float, float]:
     """Single-site expectation of s_z or s_x.  Returns (value, error).
 
     <s_z> is the parity sum over the position marginal, a centred normal,
-    in closed form; ``spec`` applies to <s_x> only, and only where it is
-    evaluated on the erf lattice.
+    in closed form; <s_x> is the site_x piece.
     """
     l = _check_box_length(l)
     state = SqueezeState(r)
@@ -370,21 +352,17 @@ def single_site(
         res = integrate_gaussian_line(l, state.sigma, _parity)
         return res.value, res.error_estimate
     if axis == "x":
-        res = _lattice_piece("site_x", l, state, spec)
+        res = _lattice_piece("site_x", l, state)
         return res.value, res.error_estimate
     raise ValueError(f"axis must be 'z' or 'x', got {axis!r}")
 
 
-def correlator_set(
-    l: float,
-    r: float,
-    spec: QuadratureSpec | None = None,
-) -> CorrelatorSet:
+def correlator_set(l: float, r: float) -> CorrelatorSet:
     """All five correlators at one (l, r) as a validated set."""
     l = _check_box_length(l)
     state = SqueezeState(r)
     values = {
-        pair: _pair_value(pair, l, state, _lattice_piece(_PAIR_PIECES[pair], l, state, spec))
+        pair: _pair_value(pair, l, state, _lattice_piece(_PAIR_PIECES[pair], l, state))
         for pair in PAIRS
     }
     return CorrelatorSet.from_pairs(l, r, values)
@@ -394,15 +372,15 @@ def correlator_grid(pairs, l_values, r: float) -> list[dict[str, tuple[float, fl
     """The correlators ``pairs`` at every box length of ``l_values``, at one r.
 
     Returns one {pair: (value, error)} per box length, in order, each
-    what :func:`correlator` gives there with the default spec, to the
-    bit, and from the same cache.  Each piece plans its theta series
+    what :func:`correlator` gives there, to the bit, and from the same
+    cache.  Each piece plans its theta series
     once for all the box lengths it misses (:func:`_pieces`).
     """
     pairs = [_check_pair(pair) for pair in pairs]
     l_values = [_check_box_length(l) for l in l_values]
     state = SqueezeState(r)
     pieces = {
-        name: _pieces(name, l_values, state, None)
+        name: _pieces(name, l_values, state)
         for name in dict.fromkeys(_PAIR_PIECES[pair] for pair in pairs)
     }
     return [

@@ -10,7 +10,7 @@ __all__ = [
 
 
 class NonFiniteIntegrand(ValueError):
-    """An integrand returned NaN or infinity at a quadrature node."""
+    """A box sum, its error bound or its mass is not a finite float."""
 
 
 class InvalidScale(ValueError):

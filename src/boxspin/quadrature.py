@@ -17,25 +17,22 @@ length l holding the two coordinates.  Entry points:
 * :class:`PoissonSeries` plans the theta series without summing it,
   and :func:`gaussian_lattice_work` predicts the lattice's work, so a
   caller can pick the cheaper one and sum the series only if it wins.
-* :func:`integrate_lattice_signed` integrates an arbitrary ``f(u, v)``
-  over every box pair ``[n*l, (n+1)*l) x [m*l, (m+1)*l)`` whose center
-  lies within ``tail_radius`` of the origin on a full tensor grid and
-  sums the results with integer weights ``sign(n, m)``.  It shares no
-  reduction with the closed-form evaluators and serves as their
-  independent check.
+  :func:`integrate_gaussian_poisson` is the series at one box length,
+  planned and summed.
 * :func:`integrate_gaussian_line` is the one-dimensional signed box sum
   of a centred normal density, entirely in erf differences.
 
 Error estimates of the panel rules combine the difference between the
 full-order and half-order rules (panel truncation), what the cut-off
-tail carries (an erfc bound for the erf sums, a geometric-decay
-estimate for the tensor grid), and a floating-point rounding floor
-proportional to the summed absolute mass.
+tail carries (an erfc bound), and a floating-point rounding floor
+proportional to the summed absolute mass.  Both evaluators reject a
+``log_mass`` whose exponential overflows before doing any work.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -48,11 +45,9 @@ from .errors import InvalidScale, NonFiniteIntegrand
 __all__ = [
     "QuadratureSpec",
     "IntegralResult",
-    "spec_for_gaussian",
     "integrate_gaussian_lattice",
     "integrate_gaussian_line",
     "integrate_gaussian_poisson",
-    "integrate_lattice_signed",
     "gaussian_lattice_work",
     "gaussian_lattice_floor",
     "PoissonSeries",
@@ -60,10 +55,6 @@ __all__ = [
 
 # Relative rounding-noise floor applied to the summed absolute mass.
 _NOISE_FLOOR = 1e-14
-
-# Flattened chunks are kept below this many integrand evaluations so the
-# per-box-pair reduction never materializes more than ~32 MB at once.
-_CHUNK_ENTRIES = 4_000_000
 
 # The erf sums keep the edges within this many erf widths (1/sqrt(c))
 # of each Gaussian centre; the boxes beyond carry at most erfc(6.5) ~
@@ -90,6 +81,9 @@ _EPS = float(np.finfo(float).eps)
 _LOG_HALF_ULP0 = math.log(math.ulp(0.0)) - math.log(2.0)
 _UNDERFLOW_SLACK = 1e-6
 
+# exp(log_mass) overflows beyond this; exp(_LOG_MAX) itself is finite.
+_LOG_MAX = math.log(sys.float_info.max)
+
 
 @dataclass(frozen=True, kw_only=True)
 class QuadratureSpec:
@@ -103,10 +97,9 @@ class QuadratureSpec:
         Upper bound on panel side length; each box edge is split into
         equal panels no wider than this.
     tail_radius : float
-        Tensor-grid lattice integrals keep boxes whose centers lie within
-        this Euclidean distance of the origin; the erf evaluator cuts its
-        Gaussian axis at this distance from the Gaussian's centre, or
-        nearer, where the Gaussian underflows to 0.0.
+        The erf evaluator cuts its Gaussian axis at this distance from
+        the Gaussian's centre, or nearer, where the Gaussian underflows
+        to 0.0.
     """
 
     panel_order: int = 20
@@ -129,34 +122,6 @@ class IntegralResult:
     panels_used: int
 
 
-def spec_for_gaussian(
-    box_length: float,
-    sigma: float,
-    *,
-    slice_scale: float | None = None,
-) -> QuadratureSpec:
-    """Spec sized for a Gaussian of marginal std ``sigma`` on boxes of ``box_length``.
-
-    ``sigma`` sets the kept region, max(8*sigma, 3*box_length), so the
-    discarded tail is negligible.  ``slice_scale`` is the conditional
-    (per-axis section) standard deviation of the integrand, which for a
-    correlated Gaussian is much smaller than the marginal; panels are
-    capped at two slice widths, where both the full-order and half-order
-    Legendre rules integrate a Gaussian to machine precision.
-    """
-    if not box_length > 0.0:
-        raise InvalidScale(f"box_length must be positive, got {box_length!r}")
-    if not sigma > 0.0:
-        raise InvalidScale(f"sigma must be positive, got {sigma!r}")
-    scale = sigma if slice_scale is None else slice_scale
-    if not scale > 0.0:
-        raise InvalidScale(f"slice_scale must be positive, got {slice_scale!r}")
-    return QuadratureSpec(
-        max_panel_width=min(box_length, 2.0 * scale),
-        tail_radius=max(8.0 * sigma, 3.0 * box_length),
-    )
-
-
 @lru_cache(maxsize=None)
 def _unit_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1]."""
@@ -164,136 +129,11 @@ def _unit_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def _evaluate(f, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Evaluate f on the tensor grid x (column) by y (row), broadcasting scalars."""
-    out = np.asarray(f(x[:, None], y[None, :]), dtype=float)
-    target = (x.size, y.size)
-    if out.shape != target:
-        out = np.broadcast_to(out, target).copy()
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteIntegrand("integrand returned a non-finite value")
-    return out
-
-
-def _lattice_axis(spec: QuadratureSpec, box_length: float, order: int):
-    """Node/weight arrays covering every box with a center within reach.
-
-    Returns (box indices, flat nodes, flat weights, panels per box).
-    """
-    l = box_length
-    n_lo = math.ceil(-spec.tail_radius / l - 0.5)
-    n_hi = math.floor(spec.tail_radius / l - 0.5)
-    if n_hi < n_lo:
-        raise InvalidScale(
-            "tail_radius is too small to cover any box center; "
-            f"got tail_radius={spec.tail_radius}, box_length={l}"
+def _check_log_mass(log_mass: float) -> None:
+    if not log_mass <= _LOG_MAX:
+        raise NonFiniteIntegrand(
+            f"exp(log_mass) overflows: need log_mass <= {_LOG_MAX!r}, got {log_mass!r}"
         )
-    ns = np.arange(n_lo, n_hi + 1)
-    ppb = max(1, math.ceil(l / spec.max_panel_width - 1e-12))
-    u, wu = _unit_rule(order)
-    h = l / ppb
-    # Panel start offsets within one box, then one flat array over all boxes.
-    starts = ns[:, None] * l + h * np.arange(ppb)[None, :]
-    nodes = (starts.reshape(-1, 1) + h * u[None, :]).ravel()
-    weights = np.broadcast_to(h * wu, (ns.size * ppb, order)).ravel()
-    return ns, nodes, weights, ppb
-
-
-def _box_pair_integrals(f, nodes, weights, n_boxes: int, per_box: int) -> np.ndarray:
-    """Matrix I[n, m] of integrals of f over each box pair, chunked by rows."""
-    total = nodes.size
-    out = np.empty((n_boxes, n_boxes), dtype=float)
-    rows_per_chunk = max(1, _CHUNK_ENTRIES // max(total, 1) // per_box)
-    for b0 in range(0, n_boxes, rows_per_chunk):
-        b1 = min(n_boxes, b0 + rows_per_chunk)
-        sl = slice(b0 * per_box, b1 * per_box)
-        fv = _evaluate(f, nodes[sl], nodes)
-        fv *= weights[sl, None]
-        fv *= weights[None, :]
-        out[b0:b1] = fv.reshape(b1 - b0, per_box, n_boxes, per_box).sum(axis=(1, 3))
-    return out
-
-
-def _sign_matrix(sign, ns: np.ndarray) -> np.ndarray:
-    sm = np.asarray(sign(ns[:, None], ns[None, :]))
-    if sm.shape != (ns.size, ns.size):
-        sm = np.asarray(np.vectorize(sign)(ns[:, None], ns[None, :]))
-    sm = sm.astype(float)
-    if not np.all(np.isin(sm, (-1.0, 0.0, 1.0))):
-        raise InvalidScale("sign function must return values in {-1, 0, +1}")
-    return sm
-
-
-def _ring_tail(abs_i: np.ndarray, mask: np.ndarray) -> float:
-    """Bound the mass beyond the kept region from the two outermost rings.
-
-    The outermost kept ring carries mass r1 and the ring inside it r2.
-    Assuming at least geometric decay with ratio r1/r2 outward, the
-    discarded mass is at most r1 * (r1/r2) / (1 - r1/r2).  If the decay
-    ratio is not clearly < 1, fall back to r1 itself.
-    """
-    inner = (
-        mask
-        & np.roll(mask, 1, 0) & np.roll(mask, -1, 0)
-        & np.roll(mask, 1, 1) & np.roll(mask, -1, 1)
-    )
-    # np.roll wraps around; edge rows/cols of the full array are never interior.
-    inner[0, :] = inner[-1, :] = False
-    inner[:, 0] = inner[:, -1] = False
-    ring1 = mask & ~inner
-    inner2 = (
-        inner
-        & np.roll(inner, 1, 0) & np.roll(inner, -1, 0)
-        & np.roll(inner, 1, 1) & np.roll(inner, -1, 1)
-    )
-    inner2[0, :] = inner2[-1, :] = False
-    inner2[:, 0] = inner2[:, -1] = False
-    ring2 = inner & ~inner2
-    r1 = float(abs_i[ring1].sum())
-    r2 = float(abs_i[ring2].sum())
-    if r1 == 0.0:
-        return 0.0
-    if r2 <= r1:
-        return r1
-    ratio = r1 / r2
-    return r1 * ratio / (1.0 - ratio)
-
-
-def integrate_lattice_signed(
-    f,
-    box_length: float,
-    sign: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    spec: QuadratureSpec,
-) -> IntegralResult:
-    """Sum sign(n, m) * integral of f over box pair (n, m).
-
-    Boxes are half-open intervals [n*l, (n+1)*l); a pair is kept when its
-    center (n*l + l/2, m*l + l/2) lies within ``tail_radius`` of the
-    origin.  ``sign`` must map integer index arrays to {-1, 0, +1}.
-    """
-    if not box_length > 0.0:
-        raise InvalidScale(f"box_length must be positive, got {box_length!r}")
-    order = spec.panel_order
-    ns, nodes, weights, ppb = _lattice_axis(spec, box_length, order)
-    centers = ns * box_length + box_length / 2.0
-    mask = (centers[:, None] ** 2 + centers[None, :] ** 2) <= spec.tail_radius**2
-
-    fine = _box_pair_integrals(f, nodes, weights, ns.size, ppb * order)
-    half = max(2, order // 2)
-    _, nodes_h, weights_h, ppb_h = _lattice_axis(spec, box_length, half)
-    coarse = _box_pair_integrals(f, nodes_h, weights_h, ns.size, ppb_h * half)
-
-    sm = _sign_matrix(sign, ns)
-    active = mask & (sm != 0.0)
-    value = float((sm * fine)[active].sum())
-    panel_err = float(np.abs(fine - coarse)[active].sum())
-    noise = _NOISE_FLOOR * float(np.abs(fine)[active].sum())
-    tail = _ring_tail(np.abs(fine), mask)
-    return IntegralResult(
-        value=value,
-        error_estimate=panel_err + noise + tail,
-        panels_used=int(mask.sum()) * ppb * ppb,
-    )
 
 
 def _sign_values(sign, idx: np.ndarray) -> np.ndarray:
@@ -427,6 +267,7 @@ def integrate_gaussian_lattice(
         raise InvalidScale(f"box_length must be positive, got {l!r}")
     if not (c >= 1.0 and abs((c - s) * (c + s) - 1.0) <= 1e-6):
         raise InvalidScale(f"need c = cosh(2r), s = sinh(2r); got c={c!r}, s={s!r}")
+    _check_log_mass(log_mass)
     root_c = math.sqrt(c)
     u0, v0 = (float(m) for m in mean)
     log_w = log_mass - math.log(math.pi)
@@ -708,6 +549,8 @@ class PoissonSeries:
         self.log_mass = list(map(float, log_masses))
         if len(self.log_mass) != len(l_values):
             raise ValueError("need one log_mass per box length")
+        for log_mass in self.log_mass:
+            _check_log_mass(log_mass)
         f0u, fu = _sign_fourier(su)
         f0v, fv = _sign_fourier(sv)
         hu, hv = self.shifts = tuple(map(int, mean_half_boxes))

@@ -7,16 +7,17 @@ box length between box partners.  No lattice reduction, prefactor
 algebra, or shared quadrature code is involved, so agreement pins both
 the integrand derivation and the panel sums.
 
-The error-bound tests check that every reported error covers the
-distance to an independent value: the tensor-grid lattice integrator on
-a refined spec, applied to the wavefunction products that define each
-piece, the exact mass 1, the exact <s_z> = 0, and Monte Carlo sampling.
-The two closed-form evaluators, the theta series and the erf lattice,
-are also checked against each other over the whole accepted domain.
+Each piece's signs, mean and mass are checked pointwise against the
+wavefunction products that define it, and against a 50-digit
+derivation.  The error-bound tests check that every reported error
+covers the distance to an independent value: the exact mass 1, the
+exact <s_z> = 0, and Monte Carlo sampling.  The two closed-form
+evaluators, the theta series and the erf lattice, are also checked
+against each other over the whole accepted domain.
 """
 
-import dataclasses
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -37,7 +38,6 @@ from boxspin import (
     czz_sampled,
     integrate_gaussian_lattice,
     integrate_gaussian_poisson,
-    integrate_lattice_signed,
     rotated_correlator,
     single_site,
     wavefunction,
@@ -163,6 +163,29 @@ def _derived_mean_and_log_mass(name: str, l: float, r: float):
         return (float(u0), float(v0)), float(rest + g0)
 
 
+def _defining_integrand(name: str, l: float, state: SqueezeState):
+    """Integrand and box signs of a piece, straight from the wavefunction.
+
+    <A x B> = <psi|A x B|psi> with s_x = t + t^T, where t pulls psi down
+    by one box onto the even boxes; both translation directions give the
+    same real overlap, hence the factors 2.
+    """
+    def psi(u, v):
+        return wavefunction(u, v, state)
+
+    if name == "density":
+        return (lambda u, v: psi(u, v) ** 2), (lambda n, m: _parity(n) * _parity(m))
+    if name == "step":
+        return (
+            lambda u, v: 2.0 * (psi(u, v) * psi(u + l, v + l) + psi(u, v + l) * psi(u + l, v)),
+            lambda n, m: _even(n) * _even(m),
+        )
+    if name == "zx":
+        return (lambda u, v: 2.0 * psi(u, v) * psi(u, v + l)), (lambda n, m: _parity(n) * _even(m))
+    sv = _parity if name == "xz" else _one
+    return (lambda u, v: 2.0 * psi(u, v) * psi(u + l, v)), (lambda n, m: _even(n) * sv(m))
+
+
 class TestClosedForms:
     @pytest.mark.parametrize("r", [0.0, 0.5, 2.0, 5.0])
     @pytest.mark.parametrize("l", [0.03, 1.0, 7.5, 50.0])
@@ -174,6 +197,38 @@ class TestClosedForms:
             assert mean == pytest.approx((-shifts[0] * l / 2.0, -shifts[1] * l / 2.0), abs=1e-14)
             scale = 1.0 + abs(log_mass) + l * l * math.exp(-2.0 * r)
             assert abs(_log_mass(name, l, state) - log_mass) <= 4e-16 * scale, name
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 1.5, 3.0, 5.0])
+    @pytest.mark.parametrize("l", [0.03, 0.25, 1.0, 4.0, 7.5, 50.0])
+    def test_pieces_match_the_wavefunction_pointwise(self, r, l):
+        """_PIECES and _log_mass against the wavefunction products that define each piece.
+
+        The defining box signs must be su(n) * sv(m) on every box pair
+        (both have period 2), and the defining integrand must equal
+        exp(log_mass - c*x**2 - c*y**2 + 2*s*x*y)/pi, (x, y) = (u - u0,
+        v - v0), at points along the ridge around the mean: out to 4
+        standard deviations along it and 2 across.  Equal integrands
+        have equal box sums, so this checks what both evaluators sum
+        against the definition without integrating.  The wavefunctions'
+        exponents, of size c*(|u| + l)**2, cancel down to the piece's,
+        so the tolerance is 8 eps relative on that scale.
+        """
+        state = SqueezeState(r)
+        c, s = state.cosh2r, state.sinh2r
+        # Standard deviations e**r/sqrt(2) along (1, 1) and e**-r/sqrt(2) across it.
+        along = np.linspace(-4.0, 4.0, 17)[:, None] * (math.exp(r) / 2.0)
+        across = np.linspace(-2.0, 2.0, 5)[None, :] * (math.exp(-r) / 2.0)
+        boxes = np.arange(-4, 4)
+        n, m = boxes[:, None], boxes[None, :]
+        for name, (su, sv, shifts) in _PIECES.items():
+            f, sign = _defining_integrand(name, l, state)
+            assert np.array_equal(sign(n, m), su(n) * sv(m)), name
+            u0, v0 = -shifts[0] * l / 2.0, -shifts[1] * l / 2.0
+            u, v = (u0 + along + across).ravel(), (v0 + along - across).ravel()
+            x, y = u - u0, v - v0
+            want = np.exp(_log_mass(name, l, state) - c * x * x - c * y * y + 2.0 * s * x * y) / math.pi
+            scale = 1.0 + c * ((np.abs(u) + l) ** 2 + (np.abs(v) + l) ** 2)
+            assert np.all(np.abs(f(u, v) - want) <= 8.0 * sys.float_info.epsilon * scale * want), name
 
 
 class TestStructure:
@@ -295,12 +350,17 @@ class TestSampling:
 
 class TestSpecAndCache:
     def test_default_spec_tracks_state_scales(self):
+        """The tail radius is 8 sigma, or 3*l where that is wider; panels
+        are capped at the box length or 2*sigma/cosh2r, whichever is less."""
         state = SqueezeState(2.0)
-        spec = default_spec(1.0, state)
-        assert spec.tail_radius == pytest.approx(8.0 * state.sigma)
-        assert spec.max_panel_width == pytest.approx(
-            min(1.0, 2.0 * state.sigma / state.cosh2r)
-        )
+        for l, tail_radius, panel in (
+            (0.1, 8.0 * state.sigma, 0.1),
+            (1.0, 8.0 * state.sigma, 2.0 * state.sigma / state.cosh2r),
+            (40.0, 120.0, 2.0 * state.sigma / state.cosh2r),
+        ):
+            spec = default_spec(l, state)
+            assert spec.tail_radius == pytest.approx(tail_radius)
+            assert spec.max_panel_width == pytest.approx(panel)
 
     def test_cache_roundtrip(self):
         clear_cache()
@@ -312,46 +372,7 @@ class TestSpecAndCache:
         assert first == fresh
 
 
-def _defining_integrand(name: str, l: float, state: SqueezeState):
-    """Integrand and box signs of a piece, straight from the wavefunction.
-
-    <A x B> = <psi|A x B|psi> with s_x = t + t^T, where t pulls psi down
-    by one box onto the even boxes; both translation directions give the
-    same real overlap, hence the factors 2.
-    """
-    def psi(u, v):
-        return wavefunction(u, v, state)
-
-    if name == "density":
-        return (lambda u, v: psi(u, v) ** 2), (lambda n, m: _parity(n) * _parity(m))
-    if name == "step":
-        return (
-            lambda u, v: 2.0 * (psi(u, v) * psi(u + l, v + l) + psi(u, v + l) * psi(u + l, v)),
-            lambda n, m: _even(n) * _even(m),
-        )
-    if name == "zx":
-        return (lambda u, v: 2.0 * psi(u, v) * psi(u, v + l)), (lambda n, m: _parity(n) * _even(m))
-    sv = _parity if name == "xz" else _one
-    return (lambda u, v: 2.0 * psi(u, v) * psi(u + l, v)), (lambda n, m: _even(n) * sv(m))
-
-
 class TestReportedErrorIsABound:
-    @pytest.mark.parametrize(
-        "r, l", [(0.5, 0.25), (0.5, 1.0), (0.5, 4.0), (1.0, 1.0), (1.0, 4.0), (1.5, 4.0)]
-    )
-    def test_pieces_match_refined_tensor_grid(self, r, l):
-        """Every piece against the 2D grid at half the panel width and 12 sigma."""
-        state = SqueezeState(r)
-        spec = default_spec(l, state)
-        refined = dataclasses.replace(
-            spec, max_panel_width=spec.max_panel_width / 2.0, tail_radius=12.0 * state.sigma
-        )
-        for name in _PIECES:
-            f, sign = _defining_integrand(name, l, state)
-            want = integrate_lattice_signed(f, l, sign, refined)
-            got = _lattice_piece(name, l, state, spec)
-            assert abs(got.value - want.value) <= got.error_estimate + want.error_estimate, name
-
     @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 3.0, 5.0])
     @pytest.mark.parametrize("l", [0.25, 1.0, 4.0, 50.0])
     def test_mass_is_one(self, r, l):
@@ -420,9 +441,9 @@ class TestEvaluatorsAgree:
         clear_cache()
         for name in _PIECES:
             assert _series_pays(name, 0.03, state), name
-            assert _lattice_piece(name, 0.03, state, None) == _series(name, 0.03, state).integrate()[0]
+            assert _lattice_piece(name, 0.03, state) == _series(name, 0.03, state).integrate()[0]
         assert not _series_pays("density", 50.0, state)
-        assert _lattice_piece("density", 50.0, state, None) == _erf_piece(
+        assert _lattice_piece("density", 50.0, state) == _erf_piece(
             "density", 50.0, state, default_spec(50.0, state)
         )
 
@@ -433,7 +454,7 @@ class TestEvaluatorsAgree:
         spec = default_spec(l, state)
         assert _series_pays(name, l, state)
         clear_cache()
-        got = _lattice_piece(name, l, state, spec)
+        got = _lattice_piece(name, l, state)
         assert got == _erf_piece(name, l, state, spec)
         assert got.error_estimate < 1e-3 * _series(name, l, state).integrate()[0].error_estimate
 
@@ -517,7 +538,7 @@ class TestLatticeCut:
 
         monkeypatch.setattr(PoissonSeries, "integrate", unused)
         clear_cache()
-        got = _lattice_piece("step", 50.0, state, None)
+        got = _lattice_piece("step", 50.0, state)
         assert got == _erf_piece("step", 50.0, state, default_spec(50.0, state))
         clear_cache()
 
@@ -548,9 +569,9 @@ class TestPieceDispatch:
         monkeypatch.setattr(correlators, "PoissonSeries", Counted)
         state = SqueezeState(r)
         clear_cache()
-        _lattice_piece(name, l, state, None)
+        _lattice_piece(name, l, state)
         assert len(plans) == 1
-        _lattice_piece(name, l, state, None)
+        _lattice_piece(name, l, state)
         assert len(plans) == 1
 
     @pytest.mark.parametrize("r, l", _SWEEP_AND_CORNERS)
@@ -590,7 +611,7 @@ class TestPieceDispatch:
         monkeypatch.setattr(correlators, "default_spec", unused)
         monkeypatch.setattr(correlators, "gaussian_lattice_work", unused)
         clear_cache()
-        result = _lattice_piece(name, l, state, None)
+        result = _lattice_piece(name, l, state)
         assert result == expected and result.value == 0.0
 
     def test_a_cache_hit_builds_no_spec(self, monkeypatch):
@@ -662,7 +683,7 @@ class TestCorrelatorGrid:
         clear_cache()
         first = correlator_set(0.7768, 0.5)
         assert len(correlators._PIECE_CACHE) == 3
-        assert ("density", 0.7768, 0.5, None) not in correlators._PIECE_CACHE
+        assert ("density", 0.7768, 0.5) not in correlators._PIECE_CACHE
         others = [correlator_set(l, r) for l, r in ((2.5, 1.0), (0.03, 2.0))]
         assert len(correlators._PIECE_CACHE) == 3
         assert correlator_set(0.7768, 0.5) == first

@@ -17,35 +17,13 @@ from boxspin import (
     integrate_gaussian_lattice,
     integrate_gaussian_line,
     integrate_gaussian_poisson,
-    integrate_lattice_signed,
-    spec_for_gaussian,
 )
+from boxspin import quadrature
 from boxspin.quadrature import PoissonSeries
 
 
 def _normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-def _signed_box_sum(l: float, mu: float = 0.0, n_max: int = 400) -> float:
-    """sum over n of (-1)**n * P(normal(mu, 1) in [n*l, (n+1)*l)).
-
-    A centered normal gives exactly zero by reflection symmetry, so the
-    interesting checks shift the mean.
-    """
-    total = 0.0
-    for n in range(-n_max, n_max):
-        sign = 1 - 2 * (n % 2)
-        total += sign * (_normal_cdf((n + 1) * l - mu) - _normal_cdf(n * l - mu))
-    return total
-
-
-def _std_normal_2d(u, v):
-    return np.exp(-0.5 * (u * u + v * v)) / (2.0 * math.pi)
-
-
-def _shifted_normal_2d(u, v, mu=0.3):
-    return np.exp(-0.5 * ((u - mu) ** 2 + (v - mu) ** 2)) / (2.0 * math.pi)
 
 
 class TestSpecValidation:
@@ -58,84 +36,6 @@ class TestSpecValidation:
             QuadratureSpec(tail_radius=0.0)
         with pytest.raises(InvalidScale):
             QuadratureSpec(tail_radius=math.inf)
-
-    def test_spec_for_gaussian_scaling(self):
-        spec = spec_for_gaussian(0.5, 2.0)
-        assert spec.tail_radius == 16.0  # 8*sigma dominates 3*l
-        assert spec.max_panel_width == 0.5  # box is narrower than 2*sigma
-        spec = spec_for_gaussian(3.0, 1.0, slice_scale=0.25)
-        assert spec.tail_radius == 9.0  # 3*l dominates
-        assert spec.max_panel_width == 0.5  # 2*slice_scale caps the panel
-
-    def test_spec_for_gaussian_rejects_bad_inputs(self):
-        with pytest.raises(InvalidScale):
-            spec_for_gaussian(0.0, 1.0)
-        with pytest.raises(InvalidScale):
-            spec_for_gaussian(1.0, -1.0)
-        with pytest.raises(InvalidScale):
-            spec_for_gaussian(1.0, 1.0, slice_scale=0.0)
-
-
-class TestLatticeSigned:
-    def test_total_mass_is_one(self):
-        spec = QuadratureSpec(max_panel_width=0.5, tail_radius=9.0)
-        res = integrate_lattice_signed(
-            _std_normal_2d, 0.75, lambda n, m: np.ones_like(n + m), spec
-        )
-        assert abs(res.value - 1.0) < 1e-9
-        assert abs(res.value - 1.0) <= res.error_estimate
-
-    def test_parity_signs_factorize(self):
-        """For independent coordinates the parity sum is the 1D sum squared.
-
-        The box length must be comparable to the width of the Gaussian:
-        for boxes much narrower than the density the alternating sum is
-        exponentially small and the comparison would be vacuous.
-        """
-        l = 2.0
-        spec = QuadratureSpec(max_panel_width=0.5, tail_radius=9.0)
-        res = integrate_lattice_signed(
-            _shifted_normal_2d, l, lambda n, m: 1 - 2 * ((n + m) % 2), spec
-        )
-        expected = _signed_box_sum(l, mu=0.3) ** 2
-        assert expected > 1e-3  # the oracle must not be trivially zero
-        assert res.value == pytest.approx(expected, abs=1e-10)
-
-    def test_sign_zero_drops_boxes(self):
-        """Keeping only even-even box pairs matches the erf closed form."""
-        l = 1.25
-        spec = QuadratureSpec(max_panel_width=0.5, tail_radius=10.0)
-        res = integrate_lattice_signed(
-            _std_normal_2d, l, lambda n, m: ((n % 2 == 0) & (m % 2 == 0)).astype(int), spec
-        )
-        even = sum(
-            _normal_cdf((n + 1) * l) - _normal_cdf(n * l)
-            for n in range(-40, 40)
-            if n % 2 == 0
-        )
-        assert res.value == pytest.approx(even**2, abs=1e-10)
-
-    def test_sign_values_are_validated(self):
-        spec = QuadratureSpec(tail_radius=5.0)
-        with pytest.raises(InvalidScale):
-            integrate_lattice_signed(
-                _std_normal_2d, 1.0, lambda n, m: 2 * np.ones_like(n + m), spec
-            )
-
-    def test_tail_radius_must_reach_a_box(self):
-        spec = QuadratureSpec(tail_radius=0.4)
-        with pytest.raises(InvalidScale):
-            integrate_lattice_signed(
-                _std_normal_2d, 10.0, lambda n, m: np.ones_like(n + m), spec
-            )
-
-    def test_nonfinite_integrand_is_an_error(self):
-        spec = QuadratureSpec(tail_radius=3.0)
-        with pytest.raises(NonFiniteIntegrand):
-            integrate_lattice_signed(
-                lambda u, v: np.full_like(u + v, np.nan), 1.0,
-                lambda n, m: np.ones_like(n + m), spec,
-            )
 
 
 def _box_integrals(l: float, centre: float, ns: np.ndarray) -> np.ndarray:
@@ -283,6 +183,48 @@ class TestGaussianPoisson:
             integrate_gaussian_poisson(1.0, 0.0, lambda n: (n % 3 == 0).astype(int), one, 0.0)
         with pytest.raises(InvalidScale):
             integrate_gaussian_poisson(1.0, 0.0, lambda n: 2 * np.ones_like(n), one, 0.0)
+
+
+class TestOverflowingMass:
+    """A log_mass whose exponential overflows is rejected before any work."""
+
+    @pytest.mark.parametrize("log_mass", [800.0, math.inf, math.nan])
+    def test_lattice_rejects_it_up_front(self, monkeypatch, log_mass):
+        def unused(*args):
+            raise AssertionError("the panel loop ran")
+
+        monkeypatch.setattr(quadrature, "_erf_box_sums", unused)
+        one = np.ones_like
+        with pytest.raises(NonFiniteIntegrand):
+            integrate_gaussian_lattice(
+                1.0, 1.0, 0.0, (0.0, 0.0), one, one, log_mass, QuadratureSpec(tail_radius=5.0)
+            )
+
+    @pytest.mark.parametrize("log_mass", [800.0, math.inf, math.nan])
+    def test_series_rejects_it_up_front(self, log_mass):
+        one = np.ones_like
+        with pytest.raises(NonFiniteIntegrand):
+            PoissonSeries([1.0], 0.0, one, one, [log_mass])
+        with pytest.raises(NonFiniteIntegrand):
+            PoissonSeries([1.0, 2.0], 0.0, one, one, [0.0, log_mass])
+        with pytest.raises(NonFiniteIntegrand):
+            integrate_gaussian_poisson(1.0, 0.0, one, one, log_mass)
+
+    def test_largest_finite_mass_passes_the_check(self):
+        """exp(ln(max float)) is finite, so the check lets it through."""
+        assert math.isfinite(math.exp(quadrature._LOG_MAX))
+        one = np.ones_like
+        series = PoissonSeries([1.0], 0.0, one, one, [quadrature._LOG_MAX])
+        assert series.mass == [math.exp(quadrature._LOG_MAX)]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_lattice_sum_past_the_float_range_is_an_error(self):
+        """At log_mass = 709 the mass is finite but the lattice's sums overflow."""
+        one = np.ones_like
+        with pytest.raises(NonFiniteIntegrand):
+            integrate_gaussian_lattice(
+                1.0, 1.0, 0.0, (0.0, 0.0), one, one, 709.0, QuadratureSpec(tail_radius=5.0)
+            )
 
 
 class TestGaussianLine:

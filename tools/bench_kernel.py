@@ -26,9 +26,11 @@ Points where the reference itself is known to be off carry a note.
 With ``--scan`` (layer a, BENCH_kernel.json): the domain scan, 41
 log-spaced box lengths in [0.03, 50] x SCAN_R x the pieces ``density``,
 ``step`` and ``site_x``, each evaluated alone by
-``correlators._lattice_piece`` from an empty cache.  Each of SCAN_RUNS
-runs per side is a fresh interpreter; the sides alternate, and so does
-which one runs first.  A run first records, per cell, the method (``series``,
+``correlators._lattice_piece(name, l, state)`` from an empty cache (a
+private function: a checkout from before its ``spec`` argument was
+removed cannot be scanned).  Each of SCAN_RUNS runs per side is a
+fresh interpreter; the sides alternate, and so does which one runs
+first.  A run first records, per cell, the method (``series``,
 ``lattice``, or ``series_then_lattice`` where the series was summed and
 then discarded), the series' terms and the lattice's u-panels, the
 value and the bound, then times every cell SCAN_REPEATS times without
@@ -178,7 +180,7 @@ def scan_worker(seed: int) -> dict:
     for r, l, name in cells:
         correlators.clear_cache()
         calls.clear()
-        result = correlators._lattice_piece(name, l, states[r], None)
+        result = correlators._lattice_piece(name, l, states[r])
         used = dict(calls)
         method = "series_then_lattice" if len(used) == 2 else calls[0][0]
         records.append({"method": method, "terms": used.get("series"), "panels": used.get("lattice"),
@@ -194,7 +196,7 @@ def scan_worker(seed: int) -> dict:
             r, l, name = cells[k]
             correlators.clear_cache()
             start = time.perf_counter()
-            correlators._lattice_piece(name, l, states[r], None)
+            correlators._lattice_piece(name, l, states[r])
             seconds[k].append(time.perf_counter() - start)
     for record, times in zip(records, seconds):
         record["ms"] = 1e3 * statistics.median(times)
@@ -250,7 +252,7 @@ def run_scan(parent_src: Path, out: Path) -> None:
 
     payload = {
         "layer": "kernel",
-        "what": "one piece by correlators._lattice_piece from an empty cache, default spec, over "
+        "what": "one piece by correlators._lattice_piece from an empty cache, over "
                 "the domain scan; ms are medians over runs of each run's median of "
                 f"{SCAN_REPEATS} evaluations",
         "machine": machine(),
@@ -382,7 +384,7 @@ def main() -> int:
 
     payload = {
         "layer": "correlator_set",
-        "what": "one correlator_set(l, r) from an empty piece cache, default spec",
+        "what": "one correlator_set(l, r) from an empty piece cache",
         "machine": machine(),
         "deadline_s": DEADLINE_S,
         "address_space_limit_gib": ADDRESS_SPACE_LIMIT / 1024**3,
