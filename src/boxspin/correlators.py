@@ -6,8 +6,8 @@ Site spin components are defined from position boxes of length ``l``:
 even box below it.  Every two-site correlator then reduces to one
 piece: a mass times the expectation of su(n) * sv(m) under a normal law
 with covariance [[c, s], [s, c]]/2 (c = cosh 2r, s = sinh 2r), where n
-and m are the boxes of the two coordinates, su and sv are the parity,
-the even-box indicator or 1, and the mean is 0 or -l/2 on each axis.
+and m are the boxes of the two coordinates, su and sv are the parity or
+the even-box indicator, and the mean is 0 or -l/2 on each axis.
 The masses are closed forms, written without the difference
 c - s = exp(-2r), which cancels; the whole assembly prefactor is in
 them, so each piece is its correlator.  See
@@ -23,8 +23,10 @@ the lattice's predicted work, and falls back to the lattice where the
 series leaves a nonnegative piece with few significant digits.
 :func:`correlator_grid` evaluates a sweep's box lengths that way;
 :func:`correlator` and :func:`correlator_set` take one box length.
+:func:`single_site` needs neither: <s_z> is exactly 0 by reflection, and
+<s_x> is one 1-D box sum of the position marginal.
 
-Results are cached per (piece, l, r), so a cache hit builds no spec.
+Pieces are cached per (piece, l, r), so a cache hit builds no spec.
 The cache holds at most _PIECE_CACHE_SIZE pieces and drops the oldest
 insertion when full.
 """
@@ -173,10 +175,6 @@ def _even(n):
     return (n % 2 == 0).astype(int)
 
 
-def _one(n):
-    return np.ones_like(n)
-
-
 # Each piece is exp(log_mass) times the expectation of su(n) * sv(m) under
 # the normal law of covariance [[c, s], [s, c]]/2 and mean -(hu, hv)*l/2;
 # per piece: (su, sv, (hu, hv)).
@@ -185,13 +183,12 @@ _PIECES = {
     "step": (_even, _even, (1, 1)),
     "zx": (_parity, _even, (0, 1)),
     "xz": (_even, _parity, (1, 0)),
-    "site_x": (_even, _one, (1, 0)),
 }
 
 
 # Pieces whose signs are never negative, and the relative error of the
 # theta series above which they go to the lattice instead.
-_NONNEGATIVE_PIECES = ("step", "site_x")
+_NONNEGATIVE_PIECES = ("step",)
 _SERIES_RELATIVE_ERROR = 1e-12
 
 
@@ -199,7 +196,7 @@ def _log_mass(name: str, l: float, state: SqueezeState) -> float:
     """Log of the piece's mass, whole assembly prefactor included.
 
     The piece is then the correlator itself: czz for density, cxx for
-    step (cyy = -tanh(s*l**2/2) * cxx), czx, cxz, and <s_x> for site_x.
+    step (cyy = -tanh(s*l**2/2) * cxx), czx, and cxz, whose mass <s_x> shares.
     Written with exp(-2r) where c - s = exp(-2r) would cancel.
     """
     if name == "density":
@@ -343,16 +340,17 @@ def correlator(pair: str, l: float, r: float) -> tuple[float, float]:
 def single_site(axis: str, l: float, r: float) -> tuple[float, float]:
     """Single-site expectation of s_z or s_x.  Returns (value, error).
 
-    <s_z> is the parity sum over the position marginal, a centred normal,
-    in closed form; <s_x> is the site_x piece.
+    <s_z> is exactly 0: reflection maps box n of the centred marginal onto
+    box -n - 1, of opposite parity.  <s_x> is the xz piece with sign 1 on
+    the second site, which sums out, leaving the xz mass times the
+    probability that the u-marginal N(-l/2, c/2) falls in an even box.
     """
     l = _check_box_length(l)
     state = SqueezeState(r)
     if axis == "z":
-        res = integrate_gaussian_line(l, state.sigma, _parity)
-        return res.value, res.error_estimate
+        return 0.0, 0.0
     if axis == "x":
-        res = _lattice_piece("site_x", l, state)
+        res = integrate_gaussian_line(l, state.sigma, _even, -l / 2.0, _log_mass("xz", l, state))
         return res.value, res.error_estimate
     raise ValueError(f"axis must be 'z' or 'x', got {axis!r}")
 

@@ -20,7 +20,7 @@ length l holding the two coordinates.  Entry points:
   :func:`integrate_gaussian_poisson` is the series at one box length,
   planned and summed.
 * :func:`integrate_gaussian_line` is the one-dimensional signed box sum
-  of a centred normal density, entirely in erf differences.
+  of a normal density, entirely in erf differences.
 
 Error estimates of the panel rules combine the difference between the
 full-order and half-order rules (panel truncation), what the cut-off
@@ -53,12 +53,9 @@ __all__ = [
     "PoissonSeries",
 ]
 
-# Relative rounding-noise floor applied to the summed absolute mass.
-_NOISE_FLOOR = 1e-14
-
-# The erf sums keep the edges within this many erf widths (1/sqrt(c))
-# of each Gaussian centre; the boxes beyond carry at most erfc(6.5) ~
-# 4e-20 of the mass, and that bound is reported.
+# The erf sums keep the edges within this many erf widths (1/sqrt(c)) of
+# each Gaussian centre; the lattice reports erfc(6.5) ~ 4e-20 of the mass
+# for the boxes beyond, the line the tails beyond its outermost edges.
 _ERF_WINDOW = 6.5
 
 # Node-by-edge entries the erf evaluator holds at once, both panel rules
@@ -155,29 +152,12 @@ def _panels_per_box(l, spec):
     return max(1, math.ceil(l / spec.max_panel_width - 1e-12))
 
 
-def _erf_window(sv, l, root_c, mu_min, mu_max):
-    """Edge window shared by every centre in [mu_min, mu_max].
+def _erf_boxes(mu, k0, l, root_c, sv_table, m_first, n_edges):
+    """Signed erf-difference box masses, a row per centre mu_i.
 
-    Returns ``(n_edges, m_first, sv_table)``: each centre mu sums
-    ``n_edges`` edges from the first one at or below
-    mu - _ERF_WINDOW/root_c, enough to reach past mu + _ERF_WINDOW/root_c,
-    and ``sv_table[k]`` is sv(m_first + k) for every box those windows
-    touch.
+    Row i holds sv(m) * [erf(root_c*(e_{m+1} - mu_i)) - erf(root_c*(e_m - mu_i))],
+    e_m = m*l, for the ``n_edges`` edges from m = k0_i.
     """
-    n_edges = _edge_count(l, root_c)
-    m_first = math.floor((mu_min - _ERF_WINDOW / root_c) / l) - 1
-    m_last = math.floor((mu_max - _ERF_WINDOW / root_c) / l) + n_edges + 1
-    return n_edges, m_first, _sign_values(sv, np.arange(m_first, m_last + 1))
-
-
-def _erf_box_sums(mu, l, root_c, sv_table, m_first, n_edges):
-    """Signed and absolute erf-difference box sums, one pair per v-centre.
-
-    For each centre mu, sums sv(m) * [erf(root_c*(e_{m+1} - mu)) -
-    erf(root_c*(e_m - mu))] over the ``n_edges`` edges e_k = k*l from
-    the first one at or below mu - _ERF_WINDOW/root_c.
-    """
-    k0 = np.floor((mu - _ERF_WINDOW / root_c) / l)
     # Edge-major (edge x centre), so every elementwise step runs over rows
     # as long as the chunk rather than as short as one window.
     x = (k0 + np.arange(n_edges)[:, None]) * l
@@ -194,10 +174,9 @@ def _erf_box_sums(mu, l, root_c, sv_table, m_first, n_edges):
     np.subtract(2.0 - lo, hi, out=diff, where=above[1:] & ~above[:-1])
     rows = (k0 - m_first).astype(np.intp)
     diff *= sv_table[rows + np.arange(n_edges - 1)[:, None]]
-    # Each centre's boxes summed contiguously, in the order numpy's
-    # pairwise sum takes a row of a centre-major array.
-    boxes = np.ascontiguousarray(diff.T)
-    return boxes.sum(axis=1), np.abs(boxes, out=boxes).sum(axis=1)
+    # Centre-major, so each centre's boxes are summed contiguously, in the
+    # order numpy's pairwise sum takes a row.
+    return np.ascontiguousarray(diff.T)
 
 
 @lru_cache(maxsize=None)
@@ -295,8 +274,13 @@ def integrate_gaussian_lattice(
     first = int(np.searchsorted(ends, u0 - reach, side="right"))
     last = int(np.searchsorted(starts, u0 + reach, side="left"))
 
-    mu_ends = (v0 - (s / c) * reach, v0 + (s / c) * reach)
-    n_edges, m_first, sv_table = _erf_window(sv, l, root_c, min(mu_ends), max(mu_ends))
+    # Each centre mu sums n_edges edges from the first one at or below mu -
+    # _ERF_WINDOW/root_c; sv_table[k] = sv(m_first + k) covers every window.
+    mu_lo, mu_hi = sorted((v0 - (s / c) * reach, v0 + (s / c) * reach))
+    n_edges = _edge_count(l, root_c)
+    m_first = math.floor((mu_lo - _ERF_WINDOW / root_c) / l) - 1
+    m_last = math.floor((mu_hi - _ERF_WINDOW / root_c) / l) + n_edges + 1
+    sv_table = _sign_values(sv, np.arange(m_first, m_last + 1))
 
     magnitude = 0.0
     exponent_error = 0.0
@@ -343,7 +327,10 @@ def integrate_gaussian_lattice(
             d = u - u0
             d2 = d ** 2 / c
             weight *= np.exp(log_w - d2)
-            hs, ha = _erf_box_sums((v0 + (s / c) * d).ravel(), l, root_c, sv_table, m_first, n_edges)
+            mu = (v0 + (s / c) * d).ravel()
+            k0 = np.floor((mu - _ERF_WINDOW / root_c) / l)
+            boxes = _erf_boxes(mu, k0, l, root_c, sv_table, m_first, n_edges)
+            hs, ha = boxes.sum(axis=1), np.abs(boxes, out=boxes).sum(axis=1)
             both = weight * hs.reshape(weight.shape)
             for j in range(lo - lo % half_step, hi, half_step):
                 if j != half_start:
@@ -392,27 +379,39 @@ def integrate_gaussian_line(
     l: float,
     sigma: float,
     sign: Callable[[np.ndarray], np.ndarray],
+    mean: float = 0.0,
+    log_mass: float = 0.0,
 ) -> IntegralResult:
-    """Signed box sum of a centred normal density, in closed form.
+    """exp(log_mass) times the sum over m of sign(m) * P(N(mean, sigma**2) in
+    [m*l, (m+1)*l)), in closed form.
 
-    Computes the sum over m of sign(m) * P(N(0, sigma**2) in B_m) with
-    boxes B_m = [m*l, (m+1)*l), as half the signed erf-difference sum
-    over the edges within _ERF_WINDOW erf widths (sigma*sqrt(2)) of 0.
-
-    The error is a bound: erfc(_ERF_WINDOW) on the mass of the boxes
-    beyond the window, plus a rounding floor eps * sqrt(boxes) * sum of
-    |terms|.  ``panels_used`` is 0, since no panel rule is involved.
+    Half the signed erf differences of the boxes within _ERF_WINDOW erf
+    widths (sigma*sqrt(2)) of the mean and one box more on each side, so
+    boxes at equal distance from the mean are kept or dropped together.
+    The error is a bound: the normal tail beyond the outermost edges, plus
+    eps * (sqrt(boxes) + 8 * x**2) times each |box| with x its nearer edge
+    in erf widths from the mean (erfc turns an argument's relative rounding
+    into 2 * x**2 times as much), 4 * eps * (1 + |log_mass|) of the value
+    for exp(), and the smallest subnormal.  ``panels_used`` is 0.
     """
     if not l > 0.0:
         raise InvalidScale(f"box_length must be positive, got {l!r}")
     if not sigma > 0.0:
         raise InvalidScale(f"sigma must be positive, got {sigma!r}")
+    _check_log_mass(log_mass)
     root_c = 1.0 / (math.sqrt(2.0) * sigma)
-    n_edges, m_first, sv_table = _erf_window(sign, l, root_c, 0.0, 0.0)
-    hsum, habs = _erf_box_sums(np.zeros(1), l, root_c, sv_table, m_first, n_edges)
-    value = 0.5 * float(hsum[0])
-    rounding = 0.5 * _EPS * math.sqrt(n_edges - 1) * float(habs[0])
-    error = float(erfc(_ERF_WINDOW)) + rounding
+    reach = _ERF_WINDOW / root_c
+    first, last = math.floor((mean - reach) / l) - 1, math.ceil((mean + reach) / l) + 1
+    signs = _sign_values(sign, np.arange(first, last))
+    x = (np.arange(first, last + 1) * l - mean) * root_c
+    boxes = _erf_boxes(np.array([mean]), np.array([first]), l, root_c, signs, first, x.size)[0]
+    half_mass = 0.5 * math.exp(log_mass)
+    value = half_mass * float(boxes.sum())
+    magnitude = np.abs(boxes, out=boxes)
+    near = np.minimum(x[:-1] ** 2, x[1:] ** 2)
+    rounding = math.sqrt(boxes.size) * float(magnitude.sum()) + 8.0 * float(magnitude @ near)
+    error = half_mass * (float(erfc(-x[0]) + erfc(x[-1])) + _EPS * rounding)
+    error += 4.0 * _EPS * (1.0 + abs(log_mass)) * abs(value) + math.ulp(0.0)
     return IntegralResult(value=value, error_estimate=error, panels_used=0)
 
 
@@ -762,6 +761,8 @@ class PoissonSeries:
                 + float(spread[start:end].sum())
             ) + n * math.ulp(0.0)
             error = self.mass[i] * self.tail[i] + rounding
+            if not (math.isfinite(value) and math.isfinite(error)):
+                raise NonFiniteIntegrand("theta series sum is not finite")
             results.append(IntegralResult(value=value, error_estimate=error, panels_used=0))
         return results
 

@@ -11,15 +11,17 @@ Each piece's signs, mean and mass are checked pointwise against the
 wavefunction products that define it, and against a 50-digit
 derivation.  The error-bound tests check that every reported error
 covers the distance to an independent value: the exact mass 1, the
-exact <s_z> = 0, and Monte Carlo sampling.  The two closed-form
-evaluators, the theta series and the erf lattice, are also checked
-against each other over the whole accepted domain.
+exact <s_z> = 0, Monte Carlo sampling, and a 40-digit mpmath sum for
+<s_x>.  The two closed-form evaluators, the theta series and the erf
+lattice, are also checked against each other over the whole accepted
+domain.
 """
 
 import math
 import sys
 from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -51,12 +53,13 @@ from boxspin.correlators import (
     _even,
     _lattice_piece,
     _log_mass,
-    _one,
     _parity,
     clear_cache,
     default_spec,
 )
 from boxspin.quadrature import PoissonSeries, gaussian_lattice_floor, gaussian_lattice_work
+
+import mp_reference
 
 
 class _DenseOracle:
@@ -182,26 +185,58 @@ def _defining_integrand(name: str, l: float, state: SqueezeState):
         )
     if name == "zx":
         return (lambda u, v: 2.0 * psi(u, v) * psi(u, v + l)), (lambda n, m: _parity(n) * _even(m))
-    sv = _parity if name == "xz" else _one
+    sv = _parity if name == "xz" else np.ones_like
     return (lambda u, v: 2.0 * psi(u, v) * psi(u + l, v)), (lambda n, m: _even(n) * sv(m))
+
+
+def _site_x_line(l: float, r: float) -> tuple:
+    """The arguments (l, sigma, sign, mean, log_mass) of the one line sum
+    single_site('x', l, r) takes."""
+    calls = []
+    real = correlators.integrate_gaussian_line
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(correlators, "integrate_gaussian_line", recorded)
+        single_site("x", l, r)
+    (args,) = calls
+    return args
+
+
+def _closed_forms(l: float, state: SqueezeState):
+    """(name, su, sv, mean, log_mass) of every piece, and of <s_x> as
+    single_site sums it: the line's sign on u and its mean and mass, with
+    sign 1 on the v it sums out."""
+    for name, (su, sv, shifts) in _PIECES.items():
+        yield name, su, sv, (-shifts[0] * l / 2.0, -shifts[1] * l / 2.0), _log_mass(name, l, state)
+    _, _, sign, mean, log_mass = _site_x_line(l, state.r)
+    yield "site_x", sign, np.ones_like, (mean, 0.0), log_mass
 
 
 class TestClosedForms:
     @pytest.mark.parametrize("r", [0.0, 0.5, 2.0, 5.0])
     @pytest.mark.parametrize("l", [0.03, 1.0, 7.5, 50.0])
     def test_means_and_masses_match_the_derivation(self, r, l):
-        """_PIECES and _log_mass against the (a, b) form, without its cancellations."""
+        """_PIECES, _log_mass and <s_x>'s line against the (a, b) form,
+        without its cancellations; the line's width is the u-marginal's,
+        sqrt(c/2), since summing v out of the piece leaves N(u0, c/2)."""
         state = SqueezeState(r)
-        for name, (_, _, shifts) in _PIECES.items():
-            mean, log_mass = _derived_mean_and_log_mass(name, l, r)
-            assert mean == pytest.approx((-shifts[0] * l / 2.0, -shifts[1] * l / 2.0), abs=1e-14)
-            scale = 1.0 + abs(log_mass) + l * l * math.exp(-2.0 * r)
-            assert abs(_log_mass(name, l, state) - log_mass) <= 4e-16 * scale, name
+        for name, _, _, mean, log_mass in _closed_forms(l, state):
+            derived_mean, derived_log_mass = _derived_mean_and_log_mass(name, l, r)
+            assert mean == pytest.approx(derived_mean, abs=1e-14), name
+            scale = 1.0 + abs(derived_log_mass) + l * l * math.exp(-2.0 * r)
+            assert abs(log_mass - derived_log_mass) <= 4e-16 * scale, name
+        sigma = _site_x_line(l, r)[1]
+        assert sigma == pytest.approx(math.sqrt(math.cosh(2.0 * r) / 2.0), rel=4e-16)
 
     @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 1.5, 3.0, 5.0])
     @pytest.mark.parametrize("l", [0.03, 0.25, 1.0, 4.0, 7.5, 50.0])
     def test_pieces_match_the_wavefunction_pointwise(self, r, l):
-        """_PIECES and _log_mass against the wavefunction products that define each piece.
+        """_PIECES, _log_mass and <s_x>'s line against the wavefunction
+        products that define each piece.
 
         The defining box signs must be su(n) * sv(m) on every box pair
         (both have period 2), and the defining integrand must equal
@@ -209,9 +244,11 @@ class TestClosedForms:
         v - v0), at points along the ridge around the mean: out to 4
         standard deviations along it and 2 across.  Equal integrands
         have equal box sums, so this checks what both evaluators sum
-        against the definition without integrating.  The wavefunctions'
-        exponents, of size c*(|u| + l)**2, cancel down to the piece's,
-        so the tolerance is 8 eps relative on that scale.
+        against the definition without integrating; for <s_x> the sum
+        over v is then exp(log_mass) times the N(u0, c/2) density the
+        line sums.  The wavefunctions' exponents, of size
+        c*(|u| + l)**2, cancel down to the piece's, so the tolerance is
+        8 eps relative on that scale.
         """
         state = SqueezeState(r)
         c, s = state.cosh2r, state.sinh2r
@@ -220,13 +257,12 @@ class TestClosedForms:
         across = np.linspace(-2.0, 2.0, 5)[None, :] * (math.exp(-r) / 2.0)
         boxes = np.arange(-4, 4)
         n, m = boxes[:, None], boxes[None, :]
-        for name, (su, sv, shifts) in _PIECES.items():
+        for name, su, sv, (u0, v0), log_mass in _closed_forms(l, state):
             f, sign = _defining_integrand(name, l, state)
             assert np.array_equal(sign(n, m), su(n) * sv(m)), name
-            u0, v0 = -shifts[0] * l / 2.0, -shifts[1] * l / 2.0
             u, v = (u0 + along + across).ravel(), (v0 + along - across).ravel()
             x, y = u - u0, v - v0
-            want = np.exp(_log_mass(name, l, state) - c * x * x - c * y * y + 2.0 * s * x * y) / math.pi
+            want = np.exp(log_mass - c * x * x - c * y * y + 2.0 * s * x * y) / math.pi
             scale = 1.0 + c * ((np.abs(u) + l) ** 2 + (np.abs(v) + l) ** 2)
             assert np.all(np.abs(f(u, v) - want) <= 8.0 * sys.float_info.epsilon * scale * want), name
 
@@ -372,6 +408,16 @@ class TestSpecAndCache:
         assert first == fresh
 
 
+# Domain-scan box lengths, numpy.geomspace(0.03, 50, 41), and the <s_x>
+# cells checked against the mpmath reference.
+_SCAN_L = [float(l) for l in np.geomspace(0.03, 50.0, 41)]
+_SITE_X_CELLS = (
+    [(5.0, _SCAN_L[15]), (3.0, _SCAN_L[26])]
+    + [(0.0, l) for l in _SCAN_L if l >= 13.0]
+    + [(r, l) for r in (0.0, 2.0, 5.0) for l in (1.0, 50.0)]
+)
+
+
 class TestReportedErrorIsABound:
     @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 3.0, 5.0])
     @pytest.mark.parametrize("l", [0.25, 1.0, 4.0, 50.0])
@@ -389,9 +435,20 @@ class TestReportedErrorIsABound:
     @pytest.mark.parametrize("r", [0.0, 2.0, 5.0])
     @pytest.mark.parametrize("l", [0.03, 1.0, 50.0])
     def test_sz_vanishes_within_error_at_corners(self, r, l):
-        """Reflection maps box m onto box -m - 1 of opposite parity, so <s_z> = 0."""
-        value, err = single_site("z", l, r)
-        assert abs(value) <= err
+        """Reflection maps box m onto box -m - 1 of opposite parity, so <s_z>
+        is exactly 0, as single_site reports.  The dense oracle checks the
+        symmetry itself (TestAgainstDenseOracle::test_single_site_z)."""
+        assert single_site("z", l, r) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("r, l", _SITE_X_CELLS)
+    def test_sx_matches_the_mpmath_reference(self, r, l):
+        """<s_x> against a 40-digit sum of its even boxes' erfc differences:
+        the two slowest cells of the domain scan before <s_x> became a
+        line sum, the r = 0 cells with l >= 13, where the two even boxes
+        at distance l/2 from the mean carry the value, and the corners
+        with l >= 1."""
+        value, err = single_site("x", l, r)
+        assert abs(mpmath.mpf(value) - mp_reference.site_x(l, r)) <= err
 
     @pytest.mark.parametrize("r", [3.0, 5.0])
     def test_czz_matches_sampling_at_strong_squeezing(self, r):
@@ -447,7 +504,7 @@ class TestEvaluatorsAgree:
             "density", 50.0, state, default_spec(50.0, state)
         )
 
-    @pytest.mark.parametrize("name, r, l", [("step", 0.0, 7.5), ("site_x", 1.0, 20.0)])
+    @pytest.mark.parametrize("name, r, l", [("step", 0.0, 7.5)])
     def test_nonnegative_pieces_fall_back_to_the_lattice(self, name, r, l):
         """Far below its mass a nonnegative piece keeps its digits on the lattice only."""
         state = SqueezeState(r)
@@ -486,7 +543,7 @@ class TestLatticeCut:
 
     @pytest.mark.parametrize(
         "name, r, l",
-        [(name, r, l) for name in ("density", "step", "site_x")
+        [(name, r, l) for name in ("density", "step")
          for r, l in ((0.0, 50.0), (0.25, 23.81), (1.0, 50.0), (2.0, 50.0), (0.0, 19.491549),
                       (0.5, 7.5), (2.0, 1.0), (1.0, 0.25))],
     )
@@ -524,7 +581,7 @@ class TestLatticeCut:
             state = SqueezeState(r)
             for l in np.geomspace(0.03, 50.0, 25):
                 spec = default_spec(l, state)
-                for name in ("density", "step", "site_x"):
+                for name in ("density", "step"):
                     work = gaussian_lattice_work(l, state.cosh2r, _log_mass(name, l, state), spec)
                     assert gaussian_lattice_floor(l, state.cosh2r) <= work, (name, r, l)
 
@@ -578,7 +635,7 @@ class TestPieceDispatch:
     def test_cross_pieces_are_exactly_zero_without_a_series(self, monkeypatch, r, l):
         """No block of zx or xz has a real part, so their series is planned
         and summed without a tail bound or any array: (0.0, 0.0), as the
-        summed empty series gives."""
+        summed empty series gives, and as single_site gives <s_z>."""
         state = SqueezeState(r)
         _series("zx", l, state)  # warms the sign functions' Fourier cache
 
@@ -594,6 +651,7 @@ class TestPieceDispatch:
                 assert series.integrate() == [quadrature.IntegralResult(0.0, 0.0, 0)]
             clear_cache()
             assert correlator(name, l, r) == (0.0, 0.0)
+        assert single_site("z", l, r) == (0.0, 0.0)
 
     @pytest.mark.parametrize(
         "name, r, l", [(name, r, l) for name in ("zx", "xz") for r, l in _SWEEP_AND_CORNERS]
@@ -617,21 +675,23 @@ class TestPieceDispatch:
     def test_a_cache_hit_builds_no_spec(self, monkeypatch):
         clear_cache()
         first = correlator_set(0.7768, 0.5)
-        sx = single_site("x", 0.7768, 0.5)
 
         def unused(*args):
             raise AssertionError("a cache hit built a spec")
 
         monkeypatch.setattr(correlators, "default_spec", unused)
         assert correlator_set(0.7768, 0.5) == first
-        assert single_site("x", 0.7768, 0.5) == sx
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(r=st.floats(0.0, 5.0), l=st.floats(0.03, 50.0))
 def test_invariants_hold_within_reported_errors(r, l):
-    """cyy <= 0, czx = cxz = 0, digit form = CHSH / 2, and r = 0 factorizes."""
+    """cyy <= 0, czx = cxz = 0, <s_z> = 0, 0 <= <s_x> <= 1, digit form =
+    CHSH / 2, and r = 0 factorizes."""
     cs = correlator_set(l, r)
+    assert single_site("z", l, r) == (0.0, 0.0)
+    sx, sx_err = single_site("x", l, r)
+    assert 0.0 <= sx <= 1.0 + sx_err
     assert cs.cyy <= cs.cyy_err
     assert abs(cs.czx - cs.cxz) <= cs.czx_err + cs.cxz_err
     assert abs(cs.czx) < 1e-5

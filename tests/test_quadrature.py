@@ -193,7 +193,7 @@ class TestOverflowingMass:
         def unused(*args):
             raise AssertionError("the panel loop ran")
 
-        monkeypatch.setattr(quadrature, "_erf_box_sums", unused)
+        monkeypatch.setattr(quadrature, "_erf_boxes", unused)
         one = np.ones_like
         with pytest.raises(NonFiniteIntegrand):
             integrate_gaussian_lattice(
@@ -216,6 +216,19 @@ class TestOverflowingMass:
         one = np.ones_like
         series = PoissonSeries([1.0], 0.0, one, one, [quadrature._LOG_MAX])
         assert series.mass == [math.exp(quadrature._LOG_MAX)]
+
+    @pytest.mark.parametrize("log_mass", [704.0, 707.0, 709.0])
+    def test_series_sum_past_the_float_range_is_an_error(self, log_mass):
+        """The mass is finite, but the sum's rounding floor overflows."""
+        one = np.ones_like
+        series = PoissonSeries([1.0], 0.0, one, one, [log_mass])
+        with pytest.raises(NonFiniteIntegrand):
+            series.integrate()
+
+    @pytest.mark.parametrize("log_mass", [800.0, math.inf, math.nan])
+    def test_line_rejects_it_up_front(self, log_mass):
+        with pytest.raises(NonFiniteIntegrand):
+            integrate_gaussian_line(1.0, 1.0, np.ones_like, 0.0, log_mass)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_lattice_sum_past_the_float_range_is_an_error(self):
@@ -266,6 +279,73 @@ class TestGaussianLine:
         # Each cdf difference carries at most ~1.5 eps of rounding.
         oracle_err = 4.0 * np.finfo(float).eps * n_max
         assert abs(res.value - expected) <= res.error_estimate + oracle_err
+
+    @pytest.mark.parametrize("l, sigma", CASES)
+    @pytest.mark.parametrize("shift", [-0.5, 0.37, 5000.25])
+    def test_off_centre_boxes_match_cdf_sum(self, l, sigma, shift):
+        """The even-box sum with the mean ``shift`` boxes from 0, against
+        normal-cdf differences over every box within 12 sigma of the mean,
+        each taken on the side of the mean away from it."""
+        mean = shift * l
+        res = integrate_gaussian_line(l, sigma, lambda n: (n % 2 == 0).astype(int), mean)
+        lo = math.floor((mean - 12.0 * sigma) / l)
+        hi = math.ceil((mean + 12.0 * sigma) / l)
+        ns = np.arange(lo - lo % 2, hi, 2)
+
+        def tail(x):
+            return 0.5 * math.erfc(abs(x) / math.sqrt(2.0))
+
+        expected = 0.0
+        for n in ns:
+            a, b = (n * l - mean) / sigma, ((n + 1) * l - mean) / sigma
+            expected += tail(a) - tail(b) if a >= 0.0 else (
+                tail(b) - tail(a) if b <= 0.0 else 1.0 - tail(a) - tail(b))
+        oracle_err = 4.0 * np.finfo(float).eps * len(ns)
+        assert abs(res.value - expected) <= res.error_estimate + oracle_err
+
+    @pytest.mark.parametrize("l", [13.0, 19.49, 50.0])
+    def test_boxes_at_equal_distance_are_kept_together(self, l):
+        """With the mean at the centre of box -1, far beyond the window from
+        either edge, the even boxes 0 and -2 hold the same mass, and the
+        bound is relative to the value: 8 eps x**2 of it at x = l/2 erf widths
+        out, where a window bound erfc(6.5) would exceed the value by up to
+        10**254."""
+        sigma = math.sqrt(0.5)
+        res = integrate_gaussian_line(l, sigma, lambda n: (n % 2 == 0).astype(int), -l / 2.0)
+        one_box = 0.5 * (math.erfc(l / 2.0) - math.erfc(3.0 * l / 2.0))
+        assert res.value == pytest.approx(2.0 * one_box, rel=1e-12)
+        assert res.error_estimate <= 10.0 * np.finfo(float).eps * (l / 2.0) ** 2 * res.value
+
+    @pytest.mark.parametrize("l", [13.0, 19.49, 50.0])
+    def test_bound_covers_the_rounding_of_the_erf_arguments(self, l):
+        """The erf arguments carry a few eps of relative rounding; far out,
+        erfc turns it into 2 x**2 times as much relative error, which the
+        bound covers: moving sigma by 3 eps moves the value within it."""
+        sign = lambda n: (n % 2 == 0).astype(int)
+        sigma = math.sqrt(0.5)
+        res = integrate_gaussian_line(l, sigma, sign, -l / 2.0)
+        moved = integrate_gaussian_line(l, sigma * (1.0 + 3.0 * np.finfo(float).eps), sign, -l / 2.0)
+        assert moved.value != res.value
+        assert abs(moved.value - res.value) <= res.error_estimate
+
+    def test_bound_covers_the_boxes_beyond_the_window(self):
+        """Signs that are 0 on every kept box leave the value 0; the bound
+        still covers the mass of the boxes beyond the outermost edge."""
+        sigma = 0.7
+        res = integrate_gaussian_line(1.0, sigma, lambda n: (n >= 10).astype(int))
+        assert res.value == 0.0
+        assert res.error_estimate >= 0.5 * math.erfc(10.0 / (sigma * math.sqrt(2.0)))
+
+    def test_mass_scales_the_value(self):
+        """The log mass multiplies the value; at a mass that underflows the
+        value is 0 and the bound the smallest subnormal."""
+        sign = lambda n: (n % 2 == 0).astype(int)
+        base = integrate_gaussian_line(0.6, 1.0, sign, -0.3)
+        scaled = integrate_gaussian_line(0.6, 1.0, sign, -0.3, -50.0)
+        assert abs(scaled.value - math.exp(-50.0) * base.value) <= scaled.error_estimate
+        assert scaled.error_estimate < 1e-13 * scaled.value
+        gone = integrate_gaussian_line(0.6, 1.0, sign, -0.3, -800.0)
+        assert (gone.value, gone.error_estimate) == (0.0, math.ulp(0.0))
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidScale):

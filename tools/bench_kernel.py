@@ -25,18 +25,21 @@ Points where the reference itself is known to be off carry a note.
 
 With ``--scan`` (layer a, BENCH_kernel.json): the domain scan, 41
 log-spaced box lengths in [0.03, 50] x SCAN_R x the pieces ``density``,
-``step`` and ``site_x``, each evaluated alone by
-``correlators._lattice_piece(name, l, state)`` from an empty cache (a
-private function: a checkout from before its ``spec`` argument was
-removed cannot be scanned).  Each of SCAN_RUNS runs per side is a
-fresh interpreter; the sides alternate, and so does which one runs
+``step`` and ``site_x``, each evaluated alone from an empty cache:
+``density`` and ``step`` by ``correlators._lattice_piece(name, l, state)``
+(a private function: a checkout from before its ``spec`` argument was
+removed cannot be scanned), and ``site_x``, the single-site <s_x>, by
+``correlators.single_site("x", l, r)``.  Each of SCAN_RUNS runs per side
+is a fresh interpreter; the sides alternate, and so does which one runs
 first.  A run first records, per cell, the method (``series``,
-``lattice``, or ``series_then_lattice`` where the series was summed and
-then discarded), the series' terms and the lattice's u-panels, the
-value and the bound, then times every cell SCAN_REPEATS times without
-instrumentation, in an order shuffled per run (the same for both sides
-of a run), and keeps each cell's median.  Recorded per cell and
-side: the median over runs of those medians, with the quartiles.
+``lattice``, ``series_then_lattice`` where the series was summed and
+then discarded, or ``line`` for one 1-D erf box sum), the series' terms
+and the lattice's u-panels, the value and the bound, then times every
+cell SCAN_REPEATS times without instrumentation, in an order shuffled
+per run (the same for both sides of a run), and keeps each cell's
+median.  Recorded per cell and side: the median over runs of those
+medians, with the quartiles.  The summary names the SCAN_CLIFFS
+slowest ``site_x`` cells of the parent side with both sides' times.
 """
 
 from __future__ import annotations
@@ -71,6 +74,8 @@ SCAN_PIECES = ("density", "step", "site_x")
 SCAN_RUNS = 8
 SCAN_REPEATS = 7
 SCAN_DEADLINE_S = 600.0
+# The slowest site_x cells of the parent side that the summary names.
+SCAN_CLIFFS = 2
 
 
 # perfbench/reference.py writes the step shift as (s - c)*l/(2c), which
@@ -160,9 +165,17 @@ def scan_worker(seed: int) -> dict:
 
     cells = scan_cells()
     states = {r: SqueezeState(r) for r in SCAN_R}
+
+    def evaluate(r, l, name):
+        if name == "site_x":
+            return correlators.single_site("x", l, r)
+        result = correlators._lattice_piece(name, l, states[r])
+        return result.value, result.error_estimate
+
     calls = []
     real_integrate = quadrature.PoissonSeries.integrate
     real_lattice = correlators.integrate_gaussian_lattice
+    real_line = correlators.integrate_gaussian_line
 
     def counted_integrate(series, which=None):
         # One box length per call here: _lattice_piece plans each piece alone.
@@ -174,19 +187,25 @@ def scan_worker(seed: int) -> dict:
         calls.append(("lattice", result.panels_used))
         return result
 
+    def counted_line(*args):
+        calls.append(("line", None))
+        return real_line(*args)
+
     quadrature.PoissonSeries.integrate = counted_integrate
     correlators.integrate_gaussian_lattice = counted_lattice
+    correlators.integrate_gaussian_line = counted_line
     records = []
     for r, l, name in cells:
         correlators.clear_cache()
         calls.clear()
-        result = correlators._lattice_piece(name, l, states[r])
+        value, bound = evaluate(r, l, name)
         used = dict(calls)
         method = "series_then_lattice" if len(used) == 2 else calls[0][0]
         records.append({"method": method, "terms": used.get("series"), "panels": used.get("lattice"),
-                        "value": result.value, "bound": result.error_estimate})
+                        "value": value, "bound": bound})
     quadrature.PoissonSeries.integrate = real_integrate
     correlators.integrate_gaussian_lattice = real_lattice
+    correlators.integrate_gaussian_line = real_line
 
     seconds = [[] for _ in cells]
     order = list(range(len(cells)))
@@ -196,7 +215,7 @@ def scan_worker(seed: int) -> dict:
             r, l, name = cells[k]
             correlators.clear_cache()
             start = time.perf_counter()
-            correlators._lattice_piece(name, l, states[r])
+            evaluate(r, l, name)
             seconds[k].append(time.perf_counter() - start)
     for record, times in zip(records, seconds):
         record["ms"] = 1e3 * statistics.median(times)
@@ -250,11 +269,19 @@ def run_scan(parent_src: Path, out: Path) -> None:
         t = totals[side]
         return 1e-3 * (t.get("lattice", 0.0) + t.get("series_then_lattice", 0.0))
 
+    def cell_times(row):
+        return {"r": row["r"], "l": row["l"], "piece": row["piece"],
+                **{side: {"method": row[side]["method"],
+                          "ms": [row[side]["ms_q1"], row[side]["ms"], row[side]["ms_q3"]]}
+                   for side in srcs}}
+
+    site_x = [row for row in rows if row["piece"] == "site_x"]
+    cliffs = sorted(site_x, key=lambda row: row["parent"]["ms"], reverse=True)[:SCAN_CLIFFS]
     payload = {
         "layer": "kernel",
-        "what": "one piece by correlators._lattice_piece from an empty cache, over "
-                "the domain scan; ms are medians over runs of each run's median of "
-                f"{SCAN_REPEATS} evaluations",
+        "what": "one piece (density, step) by correlators._lattice_piece, or <s_x> (site_x) "
+                "by correlators.single_site, from an empty cache, over the domain scan; ms "
+                f"are medians over runs of each run's median of {SCAN_REPEATS} evaluations",
         "machine": machine(),
         "runs_per_side": SCAN_RUNS,
         "scan": {"l": "numpy.geomspace(%g, %g, %d)" % SCAN_L_RANGE, "r": SCAN_R,
@@ -262,13 +289,19 @@ def run_scan(parent_src: Path, out: Path) -> None:
         "summary": {
             side: {
                 "cells_by_method": {m: sum(row[side]["method"] == m for row in rows)
-                                    for m in ("series", "lattice", "series_then_lattice")},
+                                    for m in ("series", "lattice", "series_then_lattice", "line")},
                 "ms_by_method": totals[side],
                 "lattice_and_discarded_series_s": lattice_seconds(side),
+                "site_x_s": 1e-3 * sum(row[side]["ms"] for row in site_x),
                 "total_s": 1e-3 * sum(totals[side].values()),
             }
             for side in srcs
         },
+        "site_x_cliff_cells": [cell_times(row) for row in cliffs],
+        "site_x_within_summed_bounds": sum(row["within_summed_bounds"] for row in site_x),
+        "site_x_bound_within_parent_or_1e-12_relative": sum(
+            row["change"]["bound"] <= max(row["parent"]["bound"], 1e-12 * abs(row["change"]["value"]))
+            for row in site_x),
         "values_differ": sum(not row["value_identical"] for row in rows),
         "values_differ_where_evaluator_kept": sum(
             not row["value_identical"] and not row["evaluator_changed"] for row in rows),
@@ -289,11 +322,14 @@ def run_scan(parent_src: Path, out: Path) -> None:
         ],
         "cells": rows,
     }
-    # One line per cell keeps the file readable and diffable: the header
-    # is indented JSON without its closing brace, then the cells.
-    head = json.dumps({k: v for k, v in payload.items() if k != "cells"}, indent=2)
-    cells = ",\n".join("    " + json.dumps(row) for row in rows)
-    out.write_text(head.removesuffix("\n}") + ',\n  "cells": [\n' + cells + "\n  ]\n}\n")
+    # One line per entry of the long lists keeps the file readable and
+    # diffable: the header is indented JSON without its closing brace,
+    # then the lists.
+    lists = ("evaluator_changed", "slower_beyond_spread", "cells")
+    head = json.dumps({k: v for k, v in payload.items() if k not in lists}, indent=2)
+    body = ",\n".join(f'  "{key}": [\n' + ",\n".join("    " + json.dumps(entry) for entry in payload[key])
+                      + "\n  ]" for key in lists)
+    out.write_text(head.removesuffix("\n}") + ",\n" + body + "\n}\n")
 
 
 def run_side(src: Path, r: float, l: float) -> dict:
