@@ -302,12 +302,20 @@ def expectations(
 ) -> list[complex]:
     """expectation() of every (A, B) in ``pairs``, from one psi.
 
-    All operators must share one grid.  psi is real, so it is built
-    once as a real n x n array.  Each operator splits into real sparse
-    parts times 1 or i, and each pair's numerator, the sum of
-    psi * (A psi B^T), is accumulated over row blocks of A psi, one
-    real product per pair of parts.  Nothing complex or larger than psi
-    is ever n x n.  A pair's value does not depend on the other pairs.
+    All operators must share one grid.  psi is real.  Each operator
+    splits into real sparse parts times 1 or i, and each pair's
+    numerator, the sum of psi * (A psi B^T), is accumulated over row
+    blocks R of A psi, one real product per pair of parts.  A pair's
+    value does not depend on the other pairs.
+
+    psi is never held whole: for each block R it is evaluated on the
+    sorted union of R and the rows that the A parts' rows in R read,
+    and those rows are re-indexed into that union.  An operator that
+    maps each block into itself (spin operators whose two-box blocks
+    tile R) reads R alone, so every psi row is evaluated once.  One
+    that reads rows outside R evaluates those rows again for every
+    block that reads them, and holds them next to R while it does.
+    Nothing complex or dense n x n is ever built.
     """
     grid = pairs[0][0].grid
     if any(op.grid != grid for pair in pairs for op in pair):
@@ -315,9 +323,6 @@ def expectations(
     mid = grid.midpoints()
     n = mid.size
     rows = max(1, _BLOCK_ENTRIES // n)
-    psi = np.empty((n, n))
-    for i in range(0, n, rows):
-        psi[i:i + rows] = wavefunction(mid[i:i + rows, None], mid[None, :], state)
     split = [
         (
             _real_parts(op_a.matrix),
@@ -328,11 +333,24 @@ def expectations(
     numerators = [0j] * len(pairs)
     denominator = 0.0
     for i in range(0, n, rows):
-        block = psi[i:i + rows]
+        stop = min(i + rows, n)
+        blocks_a = [
+            [(unit_a, part_a[i:stop]) for unit_a, part_a in parts_a] for parts_a, _ in split
+        ]
+        read = np.unique(np.concatenate(
+            [np.arange(i, stop)] + [part.indices for parts in blocks_a for _, part in parts]
+        ))
+        psi = wavefunction(mid[read, None], mid[None, :], state)
+        start = int(np.searchsorted(read, i))
+        block = psi[start:start + stop - i]
         denominator += float(np.vdot(block, block))
-        for k, (parts_a, parts_b) in enumerate(split):
-            for unit_a, part_a in parts_a:
-                applied = part_a[i:i + rows] @ psi
+        for k, (_, parts_b) in enumerate(split):
+            for unit_a, part in blocks_a[k]:
+                local = sp.csr_matrix(
+                    (part.data, np.searchsorted(read, part.indices), part.indptr),
+                    shape=(stop - i, read.size),
+                )
+                applied = local @ psi
                 for unit_b, part_bt in parts_b:
                     numerators[k] += unit_a * unit_b * float(np.vdot(block, applied @ part_bt))
     return [numerator / denominator for numerator in numerators]

@@ -9,9 +9,18 @@ budget.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from boxspin import Grid, SqueezeState, build_spin_operator, expectation
+from boxspin import boxops
+from boxspin import (
+    Grid,
+    SqueezeState,
+    build_spin_operator,
+    expectation,
+    expectations,
+    wavefunction,
+)
 from boxspin.acceptance import CRITERIA, _grid_search_chsh, format_result, run_criterion
 from boxspin.correlators import CorrelatorSet, correlator_set, czz_sampled
 
@@ -59,11 +68,34 @@ def _peak_mb(call) -> float:
 class TestOraclesRunInBoundedMemory:
     """The memory the battery's oracles trace at criterion 9's and 11's sizes."""
 
-    def test_expectation_holds_psi_and_a_few_blocks(self):
-        # psi at Grid(2048) alone takes 32 MB.
+    def test_expectation_holds_a_few_blocks(self):
+        # psi at Grid(2048) would take 32 MB whole; one block of 128 rows
+        # takes 2 MB.
         grid = Grid(2048, 1.0 / 64.0, -16.0)
         op = build_spin_operator("y", 64, grid)
-        assert _peak_mb(lambda: expectation(op, op, SqueezeState(1.0))) <= 48.0
+        assert _peak_mb(lambda: expectation(op, op, SqueezeState(1.0))) <= 16.0
+
+    def test_expectation_of_wide_boxes_holds_the_rows_they_read(self):
+        # A box of 512 cells reads 512 rows away, so each block of 128
+        # rows evaluates psi on 256.
+        grid = Grid(2048, 1.0 / 64.0, -16.0)
+        op = build_spin_operator("y", 512, grid)
+        assert _peak_mb(lambda: expectation(op, op, SqueezeState(1.0))) <= 24.0
+
+    def test_aligned_spin_operators_evaluate_each_psi_row_once(self, monkeypatch):
+        """Criterion 9's call: every two-box block of 64-cell boxes lies in
+        one row block, so psi is evaluated on each of the 2048 rows once."""
+        grid = Grid(2048, 1.0 / 64.0, -16.0)
+        ops = [build_spin_operator(ax, 64, grid) for ax in ("x", "y")]
+        evaluated = []
+
+        def counted(q, q2, state):
+            evaluated.append(np.ravel(q))
+            return wavefunction(q, q2, state)
+
+        monkeypatch.setattr(boxops, "wavefunction", counted)
+        expectations([(op, op) for op in ops], SqueezeState(1.0))
+        np.testing.assert_array_equal(np.concatenate(evaluated), grid.midpoints())
 
     def test_sampling_holds_its_two_normal_streams(self):
         # The first stream of 10**6 normals takes 8 MB; the second is

@@ -298,11 +298,16 @@ def _lopsided(q, q2, state):
 
 class TestExpectationIsTheDefinition:
     """The blocked, real-part expectation against vdot(psi, A psi B^T),
-    on a lopsided psi and in ragged blocks of 3 rows as well as one block."""
+    on a lopsided psi, in one block and in blocks of 3 and 4 rows.  The
+    3-row blocks split two-box blocks, so psi rows outside them are read;
+    each 4-row block holds one two-box block, so spin operators read only
+    its own rows, re-indexed from past row 0."""
 
     AXES = [("plus", "y"), ("y", "minus"), ("plus", "minus"), ("z", "plus"), ("minus", "x")]
 
-    @pytest.fixture(params=[3 * 32, 1 << 18], ids=["3-row-blocks", "one-block"])
+    @pytest.fixture(
+        params=[3 * 32, 4 * 32, 1 << 18], ids=["3-row-blocks", "4-row-blocks", "one-block"]
+    )
     def lopsided(self, request, monkeypatch, spin_grid):
         monkeypatch.setattr(boxops, "_BLOCK_ENTRIES", request.param)
         monkeypatch.setattr(boxops, "wavefunction", _lopsided)

@@ -14,10 +14,12 @@ empty piece cache, as the benchmark's selftest workload does.
 
 Recorded per side and criterion: the median seconds over every pass of
 every run, and the process's ``ru_maxrss`` right after the criterion
-in the first pass (the median over runs).  ``ru_maxrss`` is a high-water
-mark, so a criterion's stamp minus the one before it is the memory it
-added on top of everything before it.  Also recorded: the stamp after
-the import, the peak after the last pass, and every failed criterion.
+in each pass (one median over runs per pass).  ``ru_maxrss`` is a
+high-water mark, so a criterion's stamp minus the one before it is the
+memory it added on top of everything before it; a later pass can set
+the peak because the first pass leaves the process larger than it found
+it.  Also recorded: the stamp after the import, the peak after the last
+pass, and every failed criterion.
 """
 
 from __future__ import annotations
@@ -52,15 +54,14 @@ def worker() -> dict:
 
     after_import = rss_mb()
     seconds = {cid: [] for cid in points.SELFTEST_CRITERIA}
-    stamps = {}
+    stamps = {cid: [] for cid in points.SELFTEST_CRITERIA}
     failed = []
     for i in range(PASSES):
         correlators.clear_cache()
         for cid in points.SELFTEST_CRITERIA:
             result = acceptance.run_criterion(cid)
             seconds[cid].append(result.seconds)
-            if i == 0:
-                stamps[cid] = rss_mb()
+            stamps[cid].append(rss_mb())
             if not result.passed:
                 failed.append({"criterion": cid, "pass": i, "detail": result.detail})
     return {"import_rss_mb": after_import, "seconds": seconds, "rss_after_mb": stamps,
@@ -76,13 +77,14 @@ def run_side(src: Path) -> dict:
 
 
 def summarize(runs: list[dict]) -> dict:
-    """Medians over runs (stamps) and over all passes (seconds)."""
+    """Medians over runs (stamps, per pass) and over all passes (seconds)."""
     criteria = {}
     for cid in points.SELFTEST_CRITERIA:
         key = str(cid)
         criteria[key] = {
             "seconds": statistics.median(s for run in runs for s in run["seconds"][key]),
-            "rss_after_mb": statistics.median(run["rss_after_mb"][key] for run in runs),
+            "rss_after_mb": [statistics.median(run["rss_after_mb"][key][i] for run in runs)
+                             for i in range(PASSES)],
         }
     return {
         "runs": len(runs),
@@ -130,8 +132,8 @@ def main() -> int:
     payload = {
         "layer": "selftest",
         "what": "acceptance criteria 1, 2 and 7-12 in battery order, each pass from an empty "
-                "piece cache; seconds are medians over all passes, rss stamps are ru_maxrss "
-                "after each criterion of the first pass (median over runs)",
+                "piece cache; seconds are medians over all passes, rss_after_mb lists ru_maxrss "
+                "after the criterion in each pass (median over runs)",
         "machine": machine(),
         "passes_per_run": PASSES,
         "parent": summary["parent"],
