@@ -72,7 +72,6 @@ from .gaussian_state import (
 )
 from .quadrature import (
     IntegralResult,
-    QuadratureSpec,
     integrate_gaussian_lattice,
     integrate_gaussian_line,
     integrate_gaussian_poisson,

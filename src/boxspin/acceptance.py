@@ -39,7 +39,6 @@ from .correlators import (
     correlator,
     correlator_set,
     czz_sampled,
-    default_spec,
     rotated_correlator,
     single_site,
 )
@@ -53,16 +52,16 @@ def criterion_normalization() -> str:
     """Both closed-form evaluators recover total probability 1.
 
     With every sign +1 the signed box sum of the joint density is its
-    mass.  The erf lattice (on the production spec) and the theta series
-    must each find 1 within their reported error and within 1e-12.
+    mass.  The erf lattice (on the u-panels it sizes for l and r, as in
+    production) and the theta series must each find 1 within their
+    reported error and within 1e-12.
     """
     worst = 0.0
     for r in (0.0, 0.5, 1.0, 2.0):
         state = SqueezeState(r)
         results = {
             "lattice": integrate_gaussian_lattice(
-                1.0, state.cosh2r, state.sinh2r, (0.0, 0.0), np.ones_like, np.ones_like,
-                0.0, default_spec(1.0, state),
+                1.0, state.cosh2r, state.sinh2r, (0.0, 0.0), np.ones_like, np.ones_like, 0.0
             ),
             "series": integrate_gaussian_poisson(1.0, r, np.ones_like, np.ones_like, 0.0),
         }

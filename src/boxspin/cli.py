@@ -32,7 +32,7 @@ from .bell import (
     optimize_settings,
 )
 from .bits import TruncationWindow, bit_at, format_binary, spin_from_bit, truncated_value
-from .correlators import PAIRS, CorrelatorSet, correlator_grid, correlator_set
+from .correlators import MAX_BOX_LENGTH, PAIRS, CorrelatorSet, correlator_grid, correlator_set
 from .errors import InvalidScale, MisalignedGrid, RangeError
 
 __all__ = ["SweepConfig", "build_parser", "main"]
@@ -56,6 +56,8 @@ class SweepConfig:
             raise InvalidScale(
                 f"need 0 < l_min < l_max, got {self.l_min!r}, {self.l_max!r}"
             )
+        if self.l_max > MAX_BOX_LENGTH:
+            raise InvalidScale(f"l_max must be at most {MAX_BOX_LENGTH}, got {self.l_max!r}")
         if self.points < 2:
             raise InvalidScale(f"points must be >= 2, got {self.points!r}")
         if self.format not in ("csv", "json"):

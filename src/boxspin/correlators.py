@@ -26,9 +26,9 @@ series leaves a nonnegative piece with few significant digits.
 :func:`single_site` needs neither: <s_z> is exactly 0 by reflection, and
 <s_x> is one 1-D box sum of the position marginal.
 
-Pieces are cached per (piece, l, r), so a cache hit builds no spec.
-The cache holds at most _PIECE_CACHE_SIZE pieces and drops the oldest
-insertion when full.
+Pieces are cached per (piece, l, r), so a cache hit plans no series
+and estimates no lattice work.  The cache holds at most
+_PIECE_CACHE_SIZE pieces and drops the oldest insertion when full.
 """
 
 from __future__ import annotations
@@ -42,9 +42,7 @@ from .errors import InvalidScale, RangeError
 from .gaussian_state import SqueezeState
 from .quadrature import (
     IntegralResult,
-    QuadratureSpec,
     PoissonSeries,
-    gaussian_lattice_floor,
     gaussian_lattice_work,
     integrate_gaussian_lattice,
     integrate_gaussian_line,
@@ -60,7 +58,6 @@ __all__ = [
     "correlator_grid",
     "rotated_correlator",
     "czz_sampled",
-    "default_spec",
     "clear_cache",
 ]
 
@@ -135,22 +132,6 @@ class CorrelatorSet:
                 "cxz": self.cxz_err,
             },
         }
-
-
-def default_spec(l: float, state: SqueezeState) -> QuadratureSpec:
-    """The erf lattice's spec for this box length and state.
-
-    The tail radius, max(8*sigma, 3*l), follows the marginal std sigma,
-    so the discarded tail is negligible.  Panels are capped at
-    min(l, 2*sigma/cosh2r): two widths of the conditional std
-    1/sqrt(2*cosh2r), the Gaussian scale of every piece's axis sections,
-    where both the full-order and half-order Legendre rules integrate a
-    Gaussian to machine precision.
-    """
-    return QuadratureSpec(
-        max_panel_width=min(l, 2.0 * (state.sigma / state.cosh2r)),
-        tail_radius=max(8.0 * state.sigma, 3.0 * l),
-    )
 
 
 def _check_box_length(l: float) -> float:
@@ -245,12 +226,12 @@ def _cache_put(key, result: IntegralResult) -> None:
     _PIECE_CACHE[key] = result
 
 
-def _erf_piece(name: str, l: float, state: SqueezeState, spec: QuadratureSpec) -> IntegralResult:
-    """One piece by the erf lattice on ``spec``."""
+def _erf_piece(name: str, l: float, state: SqueezeState) -> IntegralResult:
+    """One piece by the erf lattice."""
     su, sv, shifts = _PIECES[name]
     mean = (-shifts[0] * l / 2.0, -shifts[1] * l / 2.0)
     return integrate_gaussian_lattice(
-        l, state.cosh2r, state.sinh2r, mean, su, sv, _log_mass(name, l, state), spec
+        l, state.cosh2r, state.sinh2r, mean, su, sv, _log_mass(name, l, state)
     )
 
 
@@ -275,30 +256,26 @@ def _evaluate(name: str, l_values: list[float], state: SqueezeState) -> list[Int
 
     One theta-series plan covers every box length.  At each, the series
     evaluates the piece where it takes fewer terms than the erf
-    lattice's u-nodes x edges under :func:`default_spec`, counted over
-    the panels the lattice lays for this piece's mass, and the lattice
-    on that spec elsewhere and where the series leaves a nonnegative
-    piece with few digits.  The spec is built only where the series'
-    terms reach the lattice's floor or the lattice runs.  The series is
-    summed at once at every box length where it wins.
+    lattice's u-nodes x edges (:func:`gaussian_lattice_work`), counted
+    over the panels the lattice lays for this piece's mass, and the
+    lattice elsewhere and where the series leaves a nonnegative piece
+    with few digits.  An empty series takes no work estimate.  The
+    series is summed at once at every box length where it wins.
     """
     su, sv, shifts = _PIECES[name]
     log_masses = [_log_mass(name, l, state) for l in l_values]
     series = PoissonSeries(l_values, state.r, su, sv, log_masses, shifts)
-    summed, defaults = [], {}
-    for i, (l, terms) in enumerate(zip(l_values, series.terms)):
-        if terms >= gaussian_lattice_floor(l, state.cosh2r):
-            defaults[i] = default = default_spec(l, state)
-            if terms >= gaussian_lattice_work(l, state.cosh2r, log_masses[i], default):
-                continue
-        summed.append(i)
+    summed = [
+        i for i, (l, terms) in enumerate(zip(l_values, series.terms))
+        if not terms or terms < gaussian_lattice_work(l, state.cosh2r, log_masses[i])
+    ]
     results = [None] * len(l_values)
     for i, result in zip(summed, series.integrate(summed) if summed else ()):
         results[i] = result
     for i, (l, terms) in enumerate(zip(l_values, series.terms)):
         # An empty series (zx, xz, or a mass that underflows) is an exact 0.
         if terms and (results[i] is None or _series_lost_digits(name, results[i])):
-            results[i] = _erf_piece(name, l, state, defaults.get(i) or default_spec(l, state))
+            results[i] = _erf_piece(name, l, state)
         _cache_put((name, l, state.r), results[i])
     return results
 

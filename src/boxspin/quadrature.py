@@ -13,7 +13,7 @@ length l holding the two coordinates.  Entry points:
 * :func:`integrate_gaussian_lattice` evaluates the same expectation in
   position space.  One axis is summed in closed form as erf
   differences, the other is integrated on Gauss-Legendre panels
-  aligned with the boxes.
+  aligned with the boxes, sized from the box length and cosh 2r alone.
 * :class:`PoissonSeries` plans the theta series without summing it,
   and :func:`gaussian_lattice_work` predicts the lattice's work, so a
   caller can pick the cheaper one and sum the series only if it wins.
@@ -43,13 +43,11 @@ from scipy.special import erfc, roots_legendre
 from .errors import InvalidScale, NonFiniteIntegrand
 
 __all__ = [
-    "QuadratureSpec",
     "IntegralResult",
     "integrate_gaussian_lattice",
     "integrate_gaussian_line",
     "integrate_gaussian_poisson",
     "gaussian_lattice_work",
-    "gaussian_lattice_floor",
     "PoissonSeries",
 ]
 
@@ -57,6 +55,10 @@ __all__ = [
 # each Gaussian centre; the lattice reports erfc(6.5) ~ 4e-20 of the mass
 # for the boxes beyond, the line the tails beyond its outermost edges.
 _ERF_WINDOW = 6.5
+
+# Gauss-Legendre nodes per u-panel of the lattice; its error estimate
+# compares this rule with the one of half the order.
+_PANEL_ORDER = 20
 
 # Node-by-edge entries the erf evaluator holds at once, both panel rules
 # together: 256 kB per array, so a chunk's arrays stay in cache.
@@ -82,36 +84,6 @@ _UNDERFLOW_SLACK = 1e-6
 _LOG_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True, kw_only=True)
-class QuadratureSpec:
-    """Parameters of the panel rule.
-
-    Attributes
-    ----------
-    panel_order : int
-        Nodes per panel per axis (>= 2).
-    max_panel_width : float
-        Upper bound on panel side length; each box edge is split into
-        equal panels no wider than this.
-    tail_radius : float
-        The erf evaluator cuts its Gaussian axis at this distance from
-        the Gaussian's centre, or nearer, where the Gaussian underflows
-        to 0.0.
-    """
-
-    panel_order: int = 20
-    max_panel_width: float = math.inf
-    tail_radius: float
-
-    def __post_init__(self) -> None:
-        if self.panel_order < 2:
-            raise InvalidScale(f"panel_order must be >= 2, got {self.panel_order}")
-        if not self.max_panel_width > 0.0:
-            raise InvalidScale("max_panel_width must be positive")
-        if not (math.isfinite(self.tail_radius) and self.tail_radius > 0.0):
-            raise InvalidScale("tail_radius must be positive and finite")
-
-
 @dataclass(frozen=True)
 class IntegralResult:
     value: float
@@ -134,10 +106,12 @@ def _check_log_mass(log_mass: float) -> None:
 
 
 def _sign_values(sign, idx: np.ndarray) -> np.ndarray:
-    """sign(idx) as floats, checked to lie in {-1, 0, +1}."""
+    """sign(idx) as floats, checked to be shaped like idx and to lie in {-1, 0, +1}."""
     values = np.asarray(sign(idx), dtype=float)
     if values.shape != idx.shape:
-        values = np.asarray(np.vectorize(sign)(idx), dtype=float)
+        raise InvalidScale(
+            f"sign function must return an array of shape {idx.shape}, got {values.shape}"
+        )
     if not np.array_equal(values, np.sign(values)):
         raise InvalidScale("sign function must return values in {-1, 0, +1}")
     return values
@@ -148,8 +122,22 @@ def _edge_count(l, root_c):
     return math.ceil(2.0 * _ERF_WINDOW / (root_c * l)) + 2
 
 
-def _panels_per_box(l, spec):
-    return max(1, math.ceil(l / spec.max_panel_width - 1e-12))
+def _lattice_rule(l: float, c: float) -> tuple[float, float]:
+    """The lattice's u-panel width and tail radius for box length l, c = cosh 2r.
+
+    The tail radius, max(8*sigma, 3*l), follows the marginal std sigma =
+    sqrt(c/2), so the discarded tail is negligible.  Panels are at most
+    min(l, 2*sigma/c) wide: two widths of the conditional std
+    1/sqrt(2*c), the Gaussian scale of every piece's axis sections,
+    where both the full-order and half-order Legendre rules integrate a
+    Gaussian to machine precision.
+    """
+    sigma = math.sqrt(c / 2.0)
+    return min(l, 2.0 * (sigma / c)), max(8.0 * sigma, 3.0 * l)
+
+
+def _panels_per_box(l, panel_width):
+    return max(1, math.ceil(l / panel_width - 1e-12))
 
 
 def _erf_boxes(mu, k0, l, root_c, sv_table, m_first, n_edges):
@@ -194,7 +182,6 @@ def integrate_gaussian_lattice(
     su: Callable[[np.ndarray], np.ndarray],
     sv: Callable[[np.ndarray], np.ndarray],
     log_mass: float,
-    spec: QuadratureSpec,
 ) -> IntegralResult:
     """Signed box-lattice sum of a correlated Gaussian, one axis in closed form.
 
@@ -210,14 +197,14 @@ def integrate_gaussian_lattice(
 
         integral of exp(log_mass - (u - u0)**2 / c) / pi * su(n(u)) * H(u) du,
 
-    taken on Gauss-Legendre panels aligned with the u-boxes (at most
-    ``max_panel_width`` wide, ``panel_order`` nodes) over u0 +/-
-    ``tail_radius``.  ``log_mass`` is folded into that exponent.  Beyond
+    taken on Gauss-Legendre panels of _PANEL_ORDER nodes aligned with the
+    u-boxes, over u0 +/- a tail radius; :func:`_lattice_rule` sizes both
+    from l and c.  ``log_mass`` is folded into that exponent.  Beyond
     R0 = sqrt(c*(log_mass - ln(pi) - ln(ulp(0)/2))) from u0 that weight
     rounds to exactly 0.0, so only the panels reaching inside R0 are
     laid, each whole; the others would add exact zeros to the value and
     to every rounding term.  The sums run in fixed chunks over all
-    panels within ``tail_radius``, with zeros in place of the panels not
+    panels within the tail radius, with zeros in place of the panels not
     laid, so the value is the same to the bit as with every panel laid.
 
     The u-curvature 1/c = (c**2 - s**2)/c uses c**2 - s**2 = 1: the
@@ -252,15 +239,16 @@ def integrate_gaussian_lattice(
     log_w = log_mass - math.log(math.pi)
     # Absolute size of the terms that make up each node's exponent.
     exponent_scale = abs(log_mass) + math.log(math.pi)
-    u_lo = u0 - spec.tail_radius
-    u_hi = u0 + spec.tail_radius
-    reach = min(spec.tail_radius, _weight_reach(c, log_mass))
+    panel_width, tail_radius = _lattice_rule(l, c)
+    u_lo = u0 - tail_radius
+    u_hi = u0 + tail_radius
+    reach = min(tail_radius, _weight_reach(c, log_mass))
 
     # u-panels: each kept box split into equal panels, clipped to the cut.
     boxes = np.arange(math.floor(u_lo / l), math.floor(u_hi / l) + 1)
     box_signs = _sign_values(su, boxes)
     kept = box_signs != 0.0
-    per_box = _panels_per_box(l, spec)
+    per_box = _panels_per_box(l, panel_width)
     h = l / per_box
     starts = (boxes[kept, None] * l + h * np.arange(per_box)).ravel()
     signs = np.repeat(box_signs[kept], per_box)
@@ -302,11 +290,11 @@ def integrate_gaussian_lattice(
     h_relative = 7.0 * max(1.0 / l, 17.0 * root_c)
     v_shift0 = 3.0 * abs(v0) + 1.0 / root_c + 2.0 * (s / c) * abs(u0)
     v_shift1 = 6.0 * (s / c)
-    full, half = spec.panel_order, max(2, spec.panel_order // 2)
+    full, half = _PANEL_ORDER, _PANEL_ORDER // 2
     x, w = _paired_rule(full, half)
     # One pass evaluates both rules' nodes, a few panels at a time.  Each
     # rule's sums run over its own fixed chunks of all panels within
-    # tail_radius, counted from panel 0, with zeros for the panels not
+    # the tail radius, counted from panel 0, with zeros for the panels not
     # laid, so numpy's pairwise sums group the terms as over every panel:
     # neither the skipped zeros nor the evaluation chunks move a bit of
     # the value or of the rounding terms.
@@ -364,10 +352,10 @@ def integrate_gaussian_lattice(
     # sqrt(pi/c) bounds |H(u)| and sqrt(pi*c)*exp(log_w) is the full
     # u-weight mass; their product is the mass exp(log_mass).
     mass = math.exp(log_mass)
-    tail = mass * float(erfc(spec.tail_radius / root_c))
+    tail = mass * float(erfc(tail_radius / root_c))
     window = mass * float(erfc(_ERF_WINDOW))
     laid = last - first
-    terms = laid * spec.panel_order * n_edges
+    terms = laid * full * n_edges
     rounding = _EPS * v_scale * (
         (math.sqrt(terms) + exponent_scale) * magnitude + exponent_error + position_error
     )
@@ -434,35 +422,28 @@ def _weight_reach(c: float, log_mass: float) -> float:
     return math.sqrt(c * excess) if excess > 0.0 else 0.0
 
 
-def gaussian_lattice_work(l: float, c: float, log_mass: float, spec: QuadratureSpec) -> int:
+def gaussian_lattice_work(l: float, c: float, log_mass: float) -> int:
     """Predicted u-nodes x edges of one :func:`integrate_gaussian_lattice` call.
 
     The full-order nodes on every u-panel the lattice lays times the
     edges of one erf window; the half-order rule adds half as much
-    again.  Panels are laid within the smaller of ``tail_radius`` and
-    the distance R0 where the u-weight underflows to 0.0 (which
-    ``log_mass`` sets) from the centre.  Where R0 reaches past
-    ``tail_radius`` that is every panel of the floor(2*tail_radius/l) + 2
-    boxes a range of that length can touch; where it does not, the
-    floor(2*R0/h) + 2 panels of width h that a range of length 2*R0 can
-    touch, since that range may end inside a box.  Boxes whose sign is 0
-    are counted, so this overestimates the even-box indicator's work.
+    again.  Panels are laid within the smaller of the tail radius of
+    :func:`_lattice_rule` and the distance R0 where the u-weight
+    underflows to 0.0 (which ``log_mass`` sets) from the centre.  Where
+    R0 reaches past the tail radius T that is every panel of the
+    floor(2*T/l) + 2 boxes a range of that length can touch; where it
+    does not, the floor(2*R0/h) + 2 panels of width h that a range of
+    length 2*R0 can touch, since that range may end inside a box.  Boxes
+    whose sign is 0 are counted, so this overestimates the even-box
+    indicator's work.
     """
-    per_box = _panels_per_box(l, spec)
-    panels = (math.floor(2.0 * spec.tail_radius / l) + 2) * per_box
+    panel_width, tail_radius = _lattice_rule(l, c)
+    per_box = _panels_per_box(l, panel_width)
+    panels = (math.floor(2.0 * tail_radius / l) + 2) * per_box
     reach = _weight_reach(c, log_mass)
-    if reach < spec.tail_radius:
+    if reach < tail_radius:
         panels = min(panels, math.floor(2.0 * reach / (l / per_box)) + 2)
-    return panels * spec.panel_order * _edge_count(l, math.sqrt(c))
-
-
-def gaussian_lattice_floor(l: float, c: float) -> int:
-    """A lower bound on :func:`gaussian_lattice_work` under any spec of the default panel order.
-
-    Every lattice call lays at least two u-panels, each against a whole
-    erf window of edges.
-    """
-    return 2 * QuadratureSpec.panel_order * _edge_count(l, math.sqrt(c))
+    return panels * _PANEL_ORDER * _edge_count(l, math.sqrt(c))
 
 
 # The theta series stops where the dropped terms carry at most this

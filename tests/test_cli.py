@@ -51,6 +51,8 @@ class TestSweepConfig:
             SweepConfig(l_min=0.0)
         with pytest.raises(InvalidScale):
             SweepConfig(l_min=2.0, l_max=1.0)
+        with pytest.raises(InvalidScale, match="got 60.0$"):
+            SweepConfig(l_max=60.0)
         with pytest.raises(InvalidScale):
             SweepConfig(points=1)
         with pytest.raises(InvalidScale):
@@ -84,6 +86,14 @@ class TestSweeps:
         assert main(["fig1", *self.ARGS, "--out", str(third)]) == 0
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes() == third.read_bytes()
+
+    @pytest.mark.parametrize("command", ["fig1", "fig2"])
+    def test_a_box_length_past_the_limit_names_the_given_value(self, capsys, command):
+        """The sweep is refused before any point is evaluated, and the error
+        names the --l-max given, not a grid point that rounding moved."""
+        code, out, err = _run(capsys, [command, "--l-max", "60"])
+        assert (code, out) == (2, "")
+        assert err == "error: l_max must be at most 50.0, got 60.0\n"
 
     def test_fig1_json_payload(self, capsys):
         code, out, _ = _run(capsys, ["fig1", *self.ARGS, "--format", "json"])

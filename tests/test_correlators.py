@@ -11,8 +11,9 @@ Each piece's signs, mean and mass are checked pointwise against the
 wavefunction products that define it, and against a 50-digit
 derivation.  The error-bound tests check that every reported error
 covers the distance to an independent value: the exact mass 1, the
-exact <s_z> = 0, Monte Carlo sampling, and a 40-digit mpmath sum for
-<s_x>.  The two closed-form evaluators, the theta series and the erf
+exact <s_z> = 0, Monte Carlo sampling, and 40-digit mpmath sums: the
+even boxes of <s_x>, their square for cxx at r = 0, and the theta
+series of czz and cxx at squeezed corners.  The two closed-form evaluators, the theta series and the erf
 lattice, are also checked against each other over the whole accepted
 domain.
 """
@@ -55,9 +56,8 @@ from boxspin.correlators import (
     _log_mass,
     _parity,
     clear_cache,
-    default_spec,
 )
-from boxspin.quadrature import PoissonSeries, gaussian_lattice_floor, gaussian_lattice_work
+from boxspin.quadrature import PoissonSeries, gaussian_lattice_work
 
 import mp_reference
 
@@ -384,8 +384,8 @@ class TestSampling:
         assert czz_sampled(l, r, n, seed=seed) == expected
 
 
-class TestSpecAndCache:
-    def test_default_spec_tracks_state_scales(self):
+class TestLatticeRuleAndCache:
+    def test_lattice_rule_tracks_state_scales(self):
         """The tail radius is 8 sigma, or 3*l where that is wider; panels
         are capped at the box length or 2*sigma/cosh2r, whichever is less."""
         state = SqueezeState(2.0)
@@ -394,9 +394,9 @@ class TestSpecAndCache:
             (1.0, 8.0 * state.sigma, 2.0 * state.sigma / state.cosh2r),
             (40.0, 120.0, 2.0 * state.sigma / state.cosh2r),
         ):
-            spec = default_spec(l, state)
-            assert spec.tail_radius == pytest.approx(tail_radius)
-            assert spec.max_panel_width == pytest.approx(panel)
+            width, radius = quadrature._lattice_rule(l, state.cosh2r)
+            assert radius == pytest.approx(tail_radius)
+            assert width == pytest.approx(panel)
 
     def test_cache_roundtrip(self):
         clear_cache()
@@ -426,7 +426,7 @@ class TestReportedErrorIsABound:
         state = SqueezeState(r)
         one = np.ones_like
         res = integrate_gaussian_lattice(
-            l, state.cosh2r, state.sinh2r, (0.0, 0.0), one, one, 0.0, default_spec(l, state)
+            l, state.cosh2r, state.sinh2r, (0.0, 0.0), one, one, 0.0
         )
         assert abs(res.value - 1.0) <= res.error_estimate
         series = integrate_gaussian_poisson(l, r, one, one, 0.0)
@@ -450,6 +450,36 @@ class TestReportedErrorIsABound:
         value, err = single_site("x", l, r)
         assert abs(mpmath.mpf(value) - mp_reference.site_x(l, r)) <= err
 
+    @pytest.mark.parametrize("l", _SCAN_L)
+    def test_unsqueezed_xx_and_yy_match_the_mpmath_product(self, l):
+        """At r = 0 the modes are independent, so cxx is the product of the
+        sites' <s_x> (a 40-digit erfc sum) and cyy is 0.  The theta series
+        takes the small boxes and the lattice the large ones; from l = 13.65
+        to 23.81 the lattice keeps one of the two even boxes that carry the
+        value, so it prints half of it, and only the bound covers that."""
+        value, err = correlator("xx", l, 0.0)
+        assert abs(mpmath.mpf(value) - mp_reference.cxx_unsqueezed(l)) <= err
+        value, err = correlator("yy", l, 0.0)
+        assert abs(value) <= err
+
+    @pytest.mark.parametrize("pair", ["zz", "xx"])
+    @pytest.mark.parametrize("r", [2.0, 5.0])
+    @pytest.mark.parametrize("l", [0.03, 1.0])
+    def test_squeezed_corners_match_the_mpmath_theta_series(self, pair, r, l):
+        """czz and cxx at the squeezed corners with l <= 1 against a
+        40-digit theta series summed over (j, k) directly."""
+        name = {"zz": "density", "xx": "step"}[pair]
+        value, err = correlator(pair, l, r)
+        assert abs(mpmath.mpf(value) - mp_reference.theta_piece(name, l, r)) <= err
+
+    @pytest.mark.parametrize("l", [0.03, 1.0])
+    def test_the_theta_reference_factorizes_at_r0(self, l):
+        """The mpmath theta series against the mpmath erfc product, which
+        shares no summation with it: the step series is the product and
+        the density series cancels to 0, to 35 digits of the mass."""
+        assert abs(mp_reference.theta_piece("step", l, 0.0) - mp_reference.cxx_unsqueezed(l)) < 1e-35
+        assert abs(mp_reference.theta_piece("density", l, 0.0)) < 1e-35
+
     @pytest.mark.parametrize("r", [3.0, 5.0])
     def test_czz_matches_sampling_at_strong_squeezing(self, r):
         value, err = correlator("zz", 1.0, r)
@@ -472,7 +502,7 @@ def _series(name: str, l: float, state: SqueezeState) -> PoissonSeries:
 
 def _series_pays(name: str, l: float, state: SqueezeState) -> bool:
     """Whether the series takes fewer terms than the lattice's predicted work."""
-    work = gaussian_lattice_work(l, state.cosh2r, _log_mass(name, l, state), default_spec(l, state))
+    work = gaussian_lattice_work(l, state.cosh2r, _log_mass(name, l, state))
     return _series(name, l, state).terms[0] < work
 
 
@@ -483,10 +513,9 @@ class TestEvaluatorsAgree:
     @pytest.mark.parametrize("r, l", _CROSS_GRID)
     def test_pieces_agree_within_summed_bounds(self, r, l):
         state = SqueezeState(r)
-        spec = default_spec(l, state)
         for name in _PIECES:
             series = _series(name, l, state).integrate()[0]
-            lattice = _erf_piece(name, l, state, spec)
+            lattice = _erf_piece(name, l, state)
             bound = series.error_estimate + lattice.error_estimate
             assert abs(series.value - lattice.value) <= bound, name
 
@@ -500,23 +529,20 @@ class TestEvaluatorsAgree:
             assert _series_pays(name, 0.03, state), name
             assert _lattice_piece(name, 0.03, state) == _series(name, 0.03, state).integrate()[0]
         assert not _series_pays("density", 50.0, state)
-        assert _lattice_piece("density", 50.0, state) == _erf_piece(
-            "density", 50.0, state, default_spec(50.0, state)
-        )
+        assert _lattice_piece("density", 50.0, state) == _erf_piece("density", 50.0, state)
 
     @pytest.mark.parametrize("name, r, l", [("step", 0.0, 7.5)])
     def test_nonnegative_pieces_fall_back_to_the_lattice(self, name, r, l):
         """Far below its mass a nonnegative piece keeps its digits on the lattice only."""
         state = SqueezeState(r)
-        spec = default_spec(l, state)
         assert _series_pays(name, l, state)
         clear_cache()
         got = _lattice_piece(name, l, state)
-        assert got == _erf_piece(name, l, state, spec)
+        assert got == _erf_piece(name, l, state)
         assert got.error_estimate < 1e-3 * _series(name, l, state).integrate()[0].error_estimate
 
 
-# Values and errors of the erf lattice under the default spec before
+# Values and errors of the erf lattice before
 # the lattice laid its u-panels only where the u-weight is nonzero:
 # (piece, r, l): (value, error, u-panels laid then).
 _UNCUT_LATTICE = {
@@ -536,7 +562,7 @@ class TestLatticeCut:
         """Fewer panels, the same value to the bit, and no larger error."""
         value, error, panels = _UNCUT_LATTICE[(name, r, l)]
         state = SqueezeState(r)
-        res = _erf_piece(name, l, state, default_spec(l, state))
+        res = _erf_piece(name, l, state)
         assert res.panels_used < panels
         assert res.value == value
         assert res.error_estimate <= error
@@ -553,7 +579,6 @@ class TestLatticeCut:
         panels, so for density, whose every box is laid, it is within one
         panel per side."""
         state = SqueezeState(r)
-        spec = default_spec(l, state)
         log_mass = _log_mass(name, l, state)
         entries = []
         real_erfc = quadrature.erfc
@@ -564,26 +589,16 @@ class TestLatticeCut:
             return real_erfc(x, *args, **kwargs)
 
         monkeypatch.setattr(quadrature, "erfc", counted)
-        res = _erf_piece(name, l, state, spec)
-        full, half = spec.panel_order, spec.panel_order // 2
+        res = _erf_piece(name, l, state)
+        full, half = quadrature._PANEL_ORDER, quadrature._PANEL_ORDER // 2
         edges = quadrature._edge_count(l, math.sqrt(state.cosh2r))
         assert sum(entries) == res.panels_used * (full + half) * edges
         evaluated = res.panels_used * full * edges
-        work = gaussian_lattice_work(l, state.cosh2r, log_mass, spec)
+        work = gaussian_lattice_work(l, state.cosh2r, log_mass)
         assert work >= evaluated
-        if name == "density" and quadrature._weight_reach(state.cosh2r, log_mass) < spec.tail_radius:
+        tail_radius = quadrature._lattice_rule(l, state.cosh2r)[1]
+        if name == "density" and quadrature._weight_reach(state.cosh2r, log_mass) < tail_radius:
             assert work - evaluated <= 2 * full * edges
-
-    def test_floor_bounds_the_work(self):
-        """A series below the floor wins without the spec being built, so
-        the floor may not exceed the work under the default spec anywhere."""
-        for r in (0.0, 0.5, 2.0, 5.0):
-            state = SqueezeState(r)
-            for l in np.geomspace(0.03, 50.0, 25):
-                spec = default_spec(l, state)
-                for name in ("density", "step"):
-                    work = gaussian_lattice_work(l, state.cosh2r, _log_mass(name, l, state), spec)
-                    assert gaussian_lattice_floor(l, state.cosh2r) <= work, (name, r, l)
 
     def test_step_at_large_box_skips_the_series_sum(self, monkeypatch):
         """At r = 0.5, l = 50 the lattice lays few enough panels to win
@@ -596,7 +611,7 @@ class TestLatticeCut:
         monkeypatch.setattr(PoissonSeries, "integrate", unused)
         clear_cache()
         got = _lattice_piece("step", 50.0, state)
-        assert got == _erf_piece("step", 50.0, state, default_spec(50.0, state))
+        assert got == _erf_piece("step", 50.0, state)
         clear_cache()
 
 
@@ -657,29 +672,30 @@ class TestPieceDispatch:
         "name, r, l", [(name, r, l) for name in ("zx", "xz") for r, l in _SWEEP_AND_CORNERS]
         + [("step", 0.0, 50.0)],
     )
-    def test_an_empty_series_builds_no_spec(self, monkeypatch, name, r, l):
+    def test_an_empty_series_takes_no_work_estimate(self, monkeypatch, name, r, l):
         """zx and xz at every point, and a step piece whose mass underflows,
-        plan no terms: the series' exact 0 needs no spec and no work estimate."""
+        plan no terms: the series' exact 0 needs no work estimate and no lattice."""
         state = SqueezeState(r)
         expected = _series(name, l, state).integrate()[0]
 
         def unused(*args):
-            raise AssertionError("an empty series built a spec")
+            raise AssertionError("an empty series estimated or ran the lattice")
 
-        monkeypatch.setattr(correlators, "default_spec", unused)
         monkeypatch.setattr(correlators, "gaussian_lattice_work", unused)
+        monkeypatch.setattr(correlators, "integrate_gaussian_lattice", unused)
         clear_cache()
         result = _lattice_piece(name, l, state)
         assert result == expected and result.value == 0.0
 
-    def test_a_cache_hit_builds_no_spec(self, monkeypatch):
+    def test_a_cache_hit_evaluates_nothing(self, monkeypatch):
         clear_cache()
         first = correlator_set(0.7768, 0.5)
 
         def unused(*args):
-            raise AssertionError("a cache hit built a spec")
+            raise AssertionError("a cache hit evaluated a piece")
 
-        monkeypatch.setattr(correlators, "default_spec", unused)
+        monkeypatch.setattr(correlators, "_evaluate", unused)
+        monkeypatch.setattr(correlators, "gaussian_lattice_work", unused)
         assert correlator_set(0.7768, 0.5) == first
 
 

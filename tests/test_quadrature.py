@@ -13,7 +13,6 @@ import pytest
 from boxspin import (
     InvalidScale,
     NonFiniteIntegrand,
-    QuadratureSpec,
     integrate_gaussian_lattice,
     integrate_gaussian_line,
     integrate_gaussian_poisson,
@@ -24,18 +23,6 @@ from boxspin.quadrature import PoissonSeries
 
 def _normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-class TestSpecValidation:
-    def test_rejects_tiny_panel_order(self):
-        with pytest.raises(InvalidScale):
-            QuadratureSpec(panel_order=1, tail_radius=5.0)
-
-    def test_rejects_bad_tail_radius(self):
-        with pytest.raises(InvalidScale):
-            QuadratureSpec(tail_radius=0.0)
-        with pytest.raises(InvalidScale):
-            QuadratureSpec(tail_radius=math.inf)
 
 
 def _box_integrals(l: float, centre: float, ns: np.ndarray) -> np.ndarray:
@@ -59,18 +46,19 @@ class TestGaussianLattice:
     signed box sum factorizes into two one-dimensional erf sums."""
 
     @pytest.mark.parametrize(
-        "spec, max_err",
+        "panel_order, max_err",
         [
-            (QuadratureSpec(max_panel_width=0.5, tail_radius=9.0), 1e-12),
+            (quadrature._PANEL_ORDER, 1e-12),
             # Under-resolved panels: the half-order difference must carry the error.
-            (QuadratureSpec(panel_order=4, max_panel_width=0.7, tail_radius=9.0), 1e-2),
+            (4, 1e-2),
         ],
     )
-    def test_independent_coordinates_factorize(self, spec, max_err):
+    def test_independent_coordinates_factorize(self, monkeypatch, panel_order, max_err):
+        monkeypatch.setattr(quadrature, "_PANEL_ORDER", panel_order)
         l, a, b = 0.7, 0.3, -0.2
         # Mass 2*pi: the sum of 2*exp(-(u - a)**2 - (v - b)**2) over the boxes.
         res = integrate_gaussian_lattice(
-            l, 1.0, 0.0, (a, b), _parity, _even, math.log(2.0 * math.pi), spec
+            l, 1.0, 0.0, (a, b), _parity, _even, math.log(2.0 * math.pi)
         )
         ns = np.arange(-40, 40)
         expected = 2.0 * float(
@@ -85,8 +73,7 @@ class TestGaussianLattice:
         """A mean about a hundred boxes out: with every sign +1 the sum is the mass."""
         c, s = math.cosh(1.0), math.sinh(1.0)
         one = np.ones_like
-        spec = QuadratureSpec(max_panel_width=0.5, tail_radius=10.0)
-        res = integrate_gaussian_lattice(0.6, c, s, (60.3, -40.7), one, one, math.log(math.pi), spec)
+        res = integrate_gaussian_lattice(0.6, c, s, (60.3, -40.7), one, one, math.log(math.pi))
         assert res.value == pytest.approx(math.pi, rel=1e-9)
         assert abs(res.value - math.pi) <= res.error_estimate
 
@@ -96,21 +83,19 @@ class TestGaussianLattice:
         the sums, sets the error, and the bound must cover it."""
         c, s = math.cosh(1.0), math.sinh(1.0)
         one = np.ones_like
-        spec = QuadratureSpec(max_panel_width=0.5, tail_radius=10.0)
-        res = integrate_gaussian_lattice(0.6, c, s, mean, one, one, math.log(math.pi), spec)
+        res = integrate_gaussian_lattice(0.6, c, s, mean, one, one, math.log(math.pi))
         assert abs(res.value - math.pi) <= res.error_estimate
         assert res.error_estimate < 1e-10
 
     def test_rejects_bad_inputs(self):
         one = np.ones_like
-        spec = QuadratureSpec(tail_radius=5.0)
         with pytest.raises(InvalidScale):
-            integrate_gaussian_lattice(0.0, 1.0, 0.0, (0.0, 0.0), one, one, 0.0, spec)
+            integrate_gaussian_lattice(0.0, 1.0, 0.0, (0.0, 0.0), one, one, 0.0)
         with pytest.raises(InvalidScale):  # not a (cosh 2r, sinh 2r) pair
-            integrate_gaussian_lattice(1.0, 2.0, 0.5, (0.0, 0.0), one, one, 0.0, spec)
+            integrate_gaussian_lattice(1.0, 2.0, 0.5, (0.0, 0.0), one, one, 0.0)
         with pytest.raises(InvalidScale):
             integrate_gaussian_lattice(
-                1.0, 1.0, 0.0, (0.0, 0.0), lambda n: 2 * np.ones_like(n), one, 0.0, spec
+                1.0, 1.0, 0.0, (0.0, 0.0), lambda n: 2 * np.ones_like(n), one, 0.0
             )
 
 
@@ -196,9 +181,7 @@ class TestOverflowingMass:
         monkeypatch.setattr(quadrature, "_erf_boxes", unused)
         one = np.ones_like
         with pytest.raises(NonFiniteIntegrand):
-            integrate_gaussian_lattice(
-                1.0, 1.0, 0.0, (0.0, 0.0), one, one, log_mass, QuadratureSpec(tail_radius=5.0)
-            )
+            integrate_gaussian_lattice(1.0, 1.0, 0.0, (0.0, 0.0), one, one, log_mass)
 
     @pytest.mark.parametrize("log_mass", [800.0, math.inf, math.nan])
     def test_series_rejects_it_up_front(self, log_mass):
@@ -235,9 +218,7 @@ class TestOverflowingMass:
         """At log_mass = 709 the mass is finite but the lattice's sums overflow."""
         one = np.ones_like
         with pytest.raises(NonFiniteIntegrand):
-            integrate_gaussian_lattice(
-                1.0, 1.0, 0.0, (0.0, 0.0), one, one, 709.0, QuadratureSpec(tail_radius=5.0)
-            )
+            integrate_gaussian_lattice(1.0, 1.0, 0.0, (0.0, 0.0), one, one, 709.0)
 
 
 class TestGaussianLine:
@@ -354,3 +335,27 @@ class TestGaussianLine:
             integrate_gaussian_line(1.0, 0.0, np.ones_like)
         with pytest.raises(InvalidScale):  # signs outside {-1, 0, +1}
             integrate_gaussian_line(1.0, 1.0, lambda n: 2 * np.ones_like(n))
+
+
+class TestSignFunctionShape:
+    """A sign function maps an index array to an array of its shape; one
+    that returns a scalar is rejected, not applied index by index."""
+
+    @staticmethod
+    def _scalar(n):
+        return 1
+
+    def test_lattice_rejects_a_scalar_sign(self):
+        one = np.ones_like
+        with pytest.raises(InvalidScale, match="shape"):
+            integrate_gaussian_lattice(1.0, 1.0, 0.0, (0.0, 0.0), self._scalar, one, 0.0)
+        with pytest.raises(InvalidScale, match="shape"):
+            integrate_gaussian_lattice(1.0, 1.0, 0.0, (0.0, 0.0), one, self._scalar, 0.0)
+
+    def test_line_rejects_a_scalar_sign(self):
+        with pytest.raises(InvalidScale, match="shape"):
+            integrate_gaussian_line(1.0, 1.0, self._scalar)
+
+    def test_series_rejects_a_scalar_sign(self):
+        with pytest.raises(InvalidScale, match="shape"):
+            integrate_gaussian_poisson(1.0, 0.0, self._scalar, np.ones_like, 0.0)
