@@ -99,14 +99,18 @@ def truncated_value(q: float, window: TruncationWindow) -> float:
 def format_binary(q: float, window: TruncationWindow) -> str:
     """Binary rendering of q's digits over the window.
 
-    Digits run from max(k_hi, 0) down to k_lo with a radix point after
-    the k = 0 digit; the point is omitted when the window holds no
-    fractional digits.  For negative q these are the floor-expansion
-    digits, i.e. the rendering equals q only modulo 2**(k_hi + 1).
+    Positions run from max(k_hi, 0) down to min(k_lo, 0) with a radix
+    point after the k = 0 position; the point is omitted when the window
+    holds no fractional digits.  Positions outside the window print 0,
+    so the string reads as truncated_value(q, window).  For negative q
+    these are the floor-expansion digits, i.e. the rendering equals q
+    only modulo 2**(k_hi + 1).
     """
-    int_ks = range(max(window.k_hi, 0), -1, -1)
-    digits = "".join(str(bit_at(q, k)) for k in int_ks)
+
+    def digit(k: int) -> str:
+        return str(bit_at(q, k)) if window.k_lo <= k <= window.k_hi else "0"
+
+    digits = "".join(digit(k) for k in range(max(window.k_hi, 0), -1, -1))
     if window.k_lo < 0:
-        frac_ks = range(-1, window.k_lo - 1, -1)
-        digits += "." + "".join(str(bit_at(q, k)) for k in frac_ks)
+        digits += "." + "".join(digit(k) for k in range(-1, window.k_lo - 1, -1))
     return digits

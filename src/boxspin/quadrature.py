@@ -61,14 +61,11 @@ _ERF_WINDOW = 6.5
 _PANEL_ORDER = 20
 
 # Node-by-edge entries the erf evaluator holds at once, both panel rules
-# together: 256 kB per array, so a chunk's arrays stay in cache.
+# together: 256 kB per array, so a step's arrays stay in cache.  Each
+# step's partial sums are added to running totals, so the step also sets
+# how the sums group, which moves only the last bits of the value and of
+# its rounding bound.
 _EDGE_CHUNK_ENTRIES = 1 << 15
-
-# The erf evaluator sums each rule's terms in chunks of panels holding
-# this many node-by-edge entries.  The grouping sets the last bits of the
-# value and of its rounding bound, so it stays fixed whatever the
-# evaluation chunks are.
-_SUM_CHUNK_ENTRIES = 1_000_000
 
 _EPS = float(np.finfo(float).eps)
 
@@ -146,8 +143,8 @@ def _erf_boxes(mu, k0, l, root_c, sv_table, m_first, n_edges):
     Row i holds sv(m) * [erf(root_c*(e_{m+1} - mu_i)) - erf(root_c*(e_m - mu_i))],
     e_m = m*l, for the ``n_edges`` edges from m = k0_i.
     """
-    # Edge-major (edge x centre), so every elementwise step runs over rows
-    # as long as the chunk rather than as short as one window.
+    # Edge-major (edge x centre), so every elementwise operation runs over
+    # rows as long as the step's nodes rather than as short as one window.
     x = (k0 + np.arange(n_edges)[:, None]) * l
     x -= mu
     x *= root_c
@@ -203,9 +200,9 @@ def integrate_gaussian_lattice(
     R0 = sqrt(c*(log_mass - ln(pi) - ln(ulp(0)/2))) from u0 that weight
     rounds to exactly 0.0, so only the panels reaching inside R0 are
     laid, each whole; the others would add exact zeros to the value and
-    to every rounding term.  The sums run in fixed chunks over all
-    panels within the tail radius, with zeros in place of the panels not
-    laid, so the value is the same to the bit as with every panel laid.
+    to every rounding term.  The laid panels are summed in steps of
+    _EDGE_CHUNK_ENTRIES node-by-edge entries, each step's partial sums
+    added to running totals.
 
     The u-curvature 1/c = (c**2 - s**2)/c uses c**2 - s**2 = 1: the
     difference c - s = exp(-2r) cancels catastrophically in floating
@@ -292,61 +289,42 @@ def integrate_gaussian_lattice(
     v_shift1 = 6.0 * (s / c)
     full, half = _PANEL_ORDER, _PANEL_ORDER // 2
     x, w = _paired_rule(full, half)
-    # One pass evaluates both rules' nodes, a few panels at a time.  Each
-    # rule's sums run over its own fixed chunks of all panels within
-    # the tail radius, counted from panel 0, with zeros for the panels not
-    # laid, so numpy's pairwise sums group the terms as over every panel:
-    # neither the skipped zeros nor the evaluation chunks move a bit of
-    # the value or of the rounding terms.
-    n_panels = starts.size
-    sum_step, half_step = (max(1, _SUM_CHUNK_ENTRIES // (o * n_edges)) for o in (full, half))
-    eval_step = max(1, _EDGE_CHUNK_ENTRIES // ((full + half) * n_edges))
+    # One pass over the laid panels evaluates both rules' nodes, a few
+    # panels at a time.
+    step = max(1, _EDGE_CHUNK_ENTRIES // ((full + half) * n_edges))
     total = half_total = 0.0
-    half_chunk, half_start = np.zeros(0), None
-    for i in range(first - first % sum_step, last, sum_step):
-        # Per full-order node of the chunk: weight * H(u), |weight| times
-        # the sum of |box masses|, (u - u0)**2/c, |u - u0| and H's slope bound.
-        products, habs, spread, offset, slope = np.zeros((5, min(sum_step, n_panels - i), full))
-        for lo in range(max(i, first), min(i + sum_step, last), eval_step):
-            hi = min(lo + eval_step, i + sum_step, last)
-            width = widths[lo:hi, None]
-            u = starts[lo:hi, None] + width * x
-            weight = (width * signs[lo:hi, None]) * w
-            d = u - u0
-            d2 = d ** 2 / c
-            weight *= np.exp(log_w - d2)
-            mu = (v0 + (s / c) * d).ravel()
-            k0 = np.floor((mu - _ERF_WINDOW / root_c) / l)
-            boxes = _erf_boxes(mu, k0, l, root_c, sv_table, m_first, n_edges)
-            hs, ha = boxes.sum(axis=1), np.abs(boxes, out=boxes).sum(axis=1)
-            both = weight * hs.reshape(weight.shape)
-            for j in range(lo - lo % half_step, hi, half_step):
-                if j != half_start:
-                    half_total += float(half_chunk.sum())
-                    half_chunk, half_start = np.zeros((min(j + half_step, n_panels) - j, half)), j
-                a, b = max(lo, j), min(hi, j + half_step)
-                half_chunk[a - j:b - j] = both[a - lo:b - lo, full:]
-            rows = slice(lo - i, hi - i)
-            products[rows] = both[:, :full]
-            abs_weight = np.abs(weight[:, :full])
-            ha = ha.reshape(weight.shape)[:, :full]
-            slope[rows] = np.minimum(h_slope, h_relative * ha) * abs_weight
-            habs[rows] = ha * abs_weight
-            spread[rows] = d2[:, :full]
-            offset[rows] = np.abs(d[:, :full])
-        habs, offset = habs.ravel(), offset.ravel()
-        total += float(products.sum())
+    for lo in range(first, last, step):
+        hi = min(lo + step, last)
+        width = widths[lo:hi, None]
+        u = starts[lo:hi, None] + width * x
+        weight = (width * signs[lo:hi, None]) * w
+        d = u - u0
+        d2 = d ** 2 / c
+        weight *= np.exp(log_w - d2)
+        mu = (v0 + (s / c) * d).ravel()
+        k0 = np.floor((mu - _ERF_WINDOW / root_c) / l)
+        boxes = _erf_boxes(mu, k0, l, root_c, sv_table, m_first, n_edges)
+        hs, ha = boxes.sum(axis=1), np.abs(boxes, out=boxes).sum(axis=1)
+        both = weight * hs.reshape(weight.shape)
+        total += float(both[:, :full].sum())
+        half_total += float(both[:, full:].sum())
+        # Per full-order node: |weight| times the sum of |box masses|,
+        # |u - u0| and H's slope bound.
+        abs_weight = np.abs(weight[:, :full])
+        ha = ha.reshape(weight.shape)[:, :full]
+        slope = np.minimum(h_slope, h_relative * ha) * abs_weight
+        habs = ha * abs_weight
+        offset = np.abs(d[:, :full])
         magnitude += float(habs.sum())
-        spread_sum = float((spread.ravel() * habs).sum())
+        spread_sum = float((d2[:, :full] * habs).sum())
         exponent_error += spread_sum
-        # einsum, not @: BLAS threads dot products over 10 000 entries,
-        # which costs a hand-off and ties the last bits to its thread count.
+        # einsum, not @: BLAS threads long dot products, which costs a
+        # hand-off and ties the last bits to its thread count.
         position_error += (
-            (4.0 * abs(u0) / c) * float(np.einsum("i,i->", offset, habs)) + 4.0 * spread_sum
+            (4.0 * abs(u0) / c) * float(np.einsum("ij,ij->", offset, habs)) + 4.0 * spread_sum
             + v_shift0 * float(slope.sum())
-            + v_shift1 * float(np.einsum("i,i->", offset, slope.ravel()))
+            + v_shift1 * float(np.einsum("ij,ij->", offset, slope))
         )
-    half_total += float(half_chunk.sum())
 
     v_scale = 0.5 * math.sqrt(math.pi / c)
     # sqrt(pi/c) bounds |H(u)| and sqrt(pi*c)*exp(log_w) is the full

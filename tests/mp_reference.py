@@ -75,6 +75,17 @@ def _fourier(signs, j: int):
     return (s0 - s1) / (mpmath.j * mpmath.pi * j)
 
 
+def piece_mass(name: str, l: float, r: float) -> mpmath.mpf:
+    """The mass of the ``density`` or ``step`` piece, at the caller's precision:
+    1 for density and 2*(1 + exp(-s*l**2))*exp(-(c - s)*l**2/2) for step,
+    with c - s = exp(-2r)."""
+    if name == "density":
+        return mpmath.mpf(1)
+    l, r = mpmath.mpf(l), mpmath.mpf(r)
+    s = mpmath.sinh(2 * r)
+    return 2 * (1 + mpmath.exp(-s * l * l)) * mpmath.exp(-mpmath.exp(-2 * r) * l * l / 2)
+
+
 def theta_piece(name: str, l: float, r: float, digits: int = 40) -> mpmath.mpf:
     """czz (``density``) or cxx (``step``) as a theta series, to ``digits`` digits of the mass.
 
@@ -94,13 +105,10 @@ def theta_piece(name: str, l: float, r: float, digits: int = 40) -> mpmath.mpf:
     """
     su, sv, (hu, hv) = _THETA_PIECES[name]
     with mpmath.workdps(digits + 15):
+        mass = piece_mass(name, l, r)
         l, r = mpmath.mpf(l), mpmath.mpf(r)
         c, s = mpmath.cosh(2 * r), mpmath.sinh(2 * r)
         scale = mpmath.pi ** 2 / (4 * l * l)
-        if name == "density":
-            mass = mpmath.mpf(1)
-        else:
-            mass = 2 * (1 + mpmath.exp(-s * l * l)) * mpmath.exp(-mpmath.exp(-2 * r) * l * l / 2)
         cut = (digits + 10) * mpmath.log(10) / scale
         total = mpmath.mpc(0)
         j_max = int(mpmath.floor(mpmath.sqrt(cut * c)))

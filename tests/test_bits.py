@@ -105,6 +105,17 @@ class TestFormatBinary:
     def test_point_is_omitted_without_fractional_digits(self):
         assert format_binary(2.5, TruncationWindow(1, 0)) == "10"
 
+    @pytest.mark.parametrize(
+        "q, window, expected",
+        [(5.296875, (3, 1), "0100"), (1.75, (-1, -2), "0.11"), (0.75, (-2, -3), "0.010")],
+    )
+    def test_positions_outside_the_window_print_zero(self, q, window, expected):
+        """The rendering reads as the truncated value, not as q's own digits."""
+        window = TruncationWindow(*window)
+        rendered = format_binary(q, window)
+        assert rendered == expected
+        assert int(rendered.replace(".", ""), 2) * 2.0 ** min(window.k_lo, 0) == truncated_value(q, window)
+
 
 class TestXorExpectation:
     def test_endpoint_map(self):

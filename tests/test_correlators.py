@@ -13,7 +13,8 @@ derivation.  The error-bound tests check that every reported error
 covers the distance to an independent value: the exact mass 1, the
 exact <s_z> = 0, Monte Carlo sampling, and 40-digit mpmath sums: the
 even boxes of <s_x>, their square for cxx at r = 0, and the theta
-series of czz and cxx at squeezed corners.  The two closed-form evaluators, the theta series and the erf
+series of czz and cxx at squeezed corners and of cxx and cyy at the
+benchmark sweep's lattice cells.  The two closed-form evaluators, the theta series and the erf
 lattice, are also checked against each other over the whole accepted
 domain.
 """
@@ -472,6 +473,23 @@ class TestReportedErrorIsABound:
         value, err = correlator(pair, l, r)
         assert abs(mpmath.mpf(value) - mp_reference.theta_piece(name, l, r)) <= err
 
+    @pytest.mark.parametrize("r", [0.5, 1.0])
+    def test_squeezed_lattice_cells_match_the_mpmath_theta_series(self, r):
+        """cxx at l = 7.5, where the benchmark sweep's step piece falls back
+        to the lattice, against the theta series at 40 digits of the value
+        (40 + log10(mass/|value|) of the mass), and cyy through its ratio
+        -tanh(s*l**2/2) to cxx."""
+        l = 7.5
+        value, err = correlator("xx", l, r)
+        mass = mp_reference.piece_mass("step", l, r)
+        digits = 40 + math.ceil(mpmath.log10(mass / abs(value)))
+        ref = mp_reference.theta_piece("step", l, r, digits)
+        assert abs(mpmath.mpf(value) - ref) <= err
+        value, err = correlator("yy", l, r)
+        with mpmath.workdps(digits + 10):
+            ratio = mpmath.tanh(mpmath.sinh(2 * mpmath.mpf(r)) * mpmath.mpf(l) ** 2 / 2)
+            assert abs(mpmath.mpf(value) + ratio * ref) <= err
+
     @pytest.mark.parametrize("l", [0.03, 1.0])
     def test_the_theta_reference_factorizes_at_r0(self, l):
         """The mpmath theta series against the mpmath erfc product, which
@@ -599,6 +617,22 @@ class TestLatticeCut:
         tail_radius = quadrature._lattice_rule(l, state.cosh2r)[1]
         if name == "density" and quadrature._weight_reach(state.cosh2r, log_mass) < tail_radius:
             assert work - evaluated <= 2 * full * edges
+
+    @pytest.mark.parametrize(
+        "name, r, l",
+        [("step", 0.5, 7.5), ("step", 2.0, 50.0), ("step", 2.0, 1.0),
+         ("density", 0.0, 50.0), ("density", 1.0, 0.25)],
+    )
+    def test_step_size_moves_only_rounding(self, monkeypatch, name, r, l):
+        """Summed one panel per step, the lattice lays the same panels and
+        its value moves by less than either reported bound."""
+        state = SqueezeState(r)
+        default = _erf_piece(name, l, state)
+        monkeypatch.setattr(quadrature, "_EDGE_CHUNK_ENTRIES", 1)
+        one_panel = _erf_piece(name, l, state)
+        assert one_panel.panels_used == default.panels_used
+        moved = abs(one_panel.value - default.value)
+        assert moved <= min(default.error_estimate, one_panel.error_estimate)
 
     def test_step_at_large_box_skips_the_series_sum(self, monkeypatch):
         """At r = 0.5, l = 50 the lattice lays few enough panels to win
