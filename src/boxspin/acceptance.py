@@ -17,6 +17,7 @@ import numpy as np
 
 from .bell import (
     STANDARD_SETTINGS,
+    _chsh_of_angles,
     bit_bell_from_correlators,
     chsh_from_correlators,
     lhv_chsh_max,
@@ -39,7 +40,6 @@ from .correlators import (
     correlator,
     correlator_set,
     czz_sampled,
-    rotated_correlator,
     single_site,
 )
 from .gaussian_state import SqueezeState, czz_asymptote
@@ -321,11 +321,7 @@ def _grid_search_chsh(corr: CorrelatorSet) -> float:
     start = np.asarray([angles[a], angles[b], angles[g], angles[d]])
 
     def objective(v):
-        e_ag = rotated_correlator(v[0], v[2], corr)
-        e_ad = rotated_correlator(v[0], v[3], corr)
-        e_bg = rotated_correlator(v[1], v[2], corr)
-        e_bd = rotated_correlator(v[1], v[3], corr)
-        return -(abs(e_ag + e_ad) + abs(e_bg - e_bd))
+        return -_chsh_of_angles(v, corr)
 
     res = minimize(objective, start, method="Nelder-Mead",
                    options={"xatol": 1e-10, "fatol": 1e-10, "maxiter": 4000})

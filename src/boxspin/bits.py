@@ -51,8 +51,13 @@ class TruncationWindow:
         return range(self.k_hi, self.k_lo - 1, -1)
 
     def weight_total(self) -> float:
-        """Sum of 2**k over the window (the all-ones value)."""
-        return math.ldexp(1.0, self.k_hi + 1) - math.ldexp(1.0, self.k_lo)
+        """Sum of 2**k over the window (the all-ones value); ValueError for k_hi >= 1023."""
+        try:
+            return math.ldexp(1.0, self.k_hi + 1) - math.ldexp(1.0, self.k_lo)
+        except OverflowError:
+            raise ValueError(
+                f"window [{self.k_hi}, {self.k_lo}]: 2**{self.k_hi + 1} is beyond the float range"
+            ) from None
 
 
 def bit_at(q: float, k: int) -> int:

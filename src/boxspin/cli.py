@@ -16,7 +16,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .bell import (
     optimize_settings,
 )
 from .bits import TruncationWindow, bit_at, format_binary, spin_from_bit, truncated_value
-from .correlators import MAX_BOX_LENGTH, PAIRS, CorrelatorSet, correlator_grid, correlator_set
+from .correlators import MAX_BOX_LENGTH, MIN_BOX_LENGTH, PAIRS, CorrelatorSet, correlator_grid, correlator_set
 from .errors import InvalidScale, MisalignedGrid, RangeError
 
 __all__ = ["SweepConfig", "build_parser", "main"]
@@ -52,9 +52,9 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not self.r_list:
             raise InvalidScale("r_list must not be empty")
-        if not (0.0 < self.l_min < self.l_max):
+        if not (MIN_BOX_LENGTH <= self.l_min < self.l_max):
             raise InvalidScale(
-                f"need 0 < l_min < l_max, got {self.l_min!r}, {self.l_max!r}"
+                f"need {MIN_BOX_LENGTH} <= l_min < l_max, got {self.l_min!r}, {self.l_max!r}"
             )
         if self.l_max > MAX_BOX_LENGTH:
             raise InvalidScale(f"l_max must be at most {MAX_BOX_LENGTH}, got {self.l_max!r}")
@@ -72,25 +72,12 @@ class SweepConfig:
         return [float(l) for l in grid]
 
     def as_dict(self) -> dict:
-        return {
-            "r_list": list(self.r_list),
-            "l_min": self.l_min,
-            "l_max": self.l_max,
-            "points": self.points,
-            "format": self.format,
-            "out": self.out,
-        }
+        return dict(asdict(self), r_list=list(self.r_list))
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
-        return cls(
-            r_list=tuple(data["r_list"]),
-            l_min=data["l_min"],
-            l_max=data["l_max"],
-            points=data["points"],
-            format=data["format"],
-            out=data["out"],
-        )
+        """The config from ``data``'s entries named after its fields; others are ignored."""
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
 def _fmt(x) -> str:
@@ -141,7 +128,7 @@ def _sweep_report(config: SweepConfig, header: list[str], pairs, row_fn) -> str:
 
 
 def _cmd_fig1(args) -> int:
-    config = _config_from_args(args)
+    config = SweepConfig.from_dict(vars(args))
 
     def row(r: float, l: float, values):
         (czz, czz_err), (cxx, cxx_err), (cyy, cyy_err) = (values[p] for p in ("zz", "xx", "yy"))
@@ -153,7 +140,7 @@ def _cmd_fig1(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
-    config = _config_from_args(args)
+    config = SweepConfig.from_dict(vars(args))
 
     def row(r: float, l: float, values):
         report = chsh_from_correlators(CorrelatorSet.from_pairs(l, r, values))
@@ -291,17 +278,6 @@ def _cmd_selftest(args) -> int:
     return 0 if passed else 1
 
 
-def _config_from_args(args) -> SweepConfig:
-    return SweepConfig(
-        r_list=tuple(args.r_list),
-        l_min=args.l_min,
-        l_max=args.l_max,
-        points=args.points,
-        format=args.format,
-        out=args.out,
-    )
-
-
 def _add_output_flags(parser, default_format: str | None = None) -> None:
     """--out, and --format for the commands that can render csv as well as json."""
     if default_format is not None:
@@ -310,11 +286,12 @@ def _add_output_flags(parser, default_format: str | None = None) -> None:
 
 
 def _add_sweep_flags(parser) -> None:
+    """The sweep's flags, defaulting to SweepConfig's fields."""
     parser.add_argument("--r-list", type=float, nargs="+",
-                        default=(0.0, 0.5, 1.0, 2.0), help="squeezing values")
-    parser.add_argument("--l-min", type=float, default=0.03)
-    parser.add_argument("--l-max", type=float, default=7.5)
-    parser.add_argument("--points", type=int, default=64,
+                        default=SweepConfig.r_list, help="squeezing values")
+    parser.add_argument("--l-min", type=float, default=SweepConfig.l_min)
+    parser.add_argument("--l-max", type=float, default=SweepConfig.l_max)
+    parser.add_argument("--points", type=int, default=SweepConfig.points,
                         help="box lengths, spaced evenly in log2")
     parser.add_argument("--jobs", type=int, default=1,
                         help="ignored: points run in order in one thread")

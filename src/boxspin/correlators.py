@@ -13,18 +13,19 @@ c - s = exp(-2r), which cancels; the whole assembly prefactor is in
 them, so each piece is its correlator.  See
 docs/correlator-reduction.md for the derivations.
 
-Each piece is evaluated by one of two closed forms in
-:mod:`boxspin.quadrature`: the theta series of
-:class:`~boxspin.quadrature.PoissonSeries`, or the erf lattice of
-:func:`~boxspin.quadrature.integrate_gaussian_lattice`.
-:func:`_evaluate` plans the series once for all the box lengths it is
-asked for at one r, sums it at those where it takes fewer terms than
-the lattice's predicted work, and falls back to the lattice where the
-series leaves a nonnegative piece with few significant digits.
+Reflection maps box n to box -n - 1 on both axes and leaves the state
+unchanged.  It flips s_z and maps each s_x pair of boxes onto a pair,
+so czx, cxz and <s_z> are exactly 0 and take no piece.  czz reads the
+``density`` piece, cxx and cyy the ``step`` piece.
+
+:func:`~boxspin.quadrature.integrate_gaussian_box_sums` evaluates a
+piece at all the box lengths it is asked for at one r: by the theta
+series or the erf lattice, whichever it predicts is cheaper, and by the
+lattice where the series leaves a nonnegative box sum with few digits.
 :func:`correlator_grid` evaluates a sweep's box lengths that way;
 :func:`correlator` and :func:`correlator_set` take one box length.
-:func:`single_site` needs neither: <s_z> is exactly 0 by reflection, and
-<s_x> is one 1-D box sum of the position marginal.
+:func:`single_site` needs neither: <s_x> is one 1-D box sum of the
+position marginal.
 
 Pieces are cached per (piece, l, r), so a cache hit plans no series
 and estimates no lattice work.  The cache holds at most
@@ -40,16 +41,11 @@ import numpy as np
 
 from .errors import InvalidScale, RangeError
 from .gaussian_state import SqueezeState
-from .quadrature import (
-    IntegralResult,
-    PoissonSeries,
-    gaussian_lattice_work,
-    integrate_gaussian_lattice,
-    integrate_gaussian_line,
-)
+from .quadrature import IntegralResult, integrate_gaussian_box_sums, integrate_gaussian_line
 
 __all__ = [
     "PAIRS",
+    "MIN_BOX_LENGTH",
     "MAX_BOX_LENGTH",
     "CorrelatorSet",
     "correlator",
@@ -66,12 +62,17 @@ PAIRS = ("zz", "xx", "yy", "zx", "xz")
 # Beyond this the xx/yy prefactor exponents can overflow double range.
 MAX_BOX_LENGTH = 50.0
 
+# Below this the work grows without bound: <s_x>'s line sum holds about
+# 1364/l boxes at r = 5 (350k here, 28 ms), and the theta series'
+# exponents, of order 1/l**2, overflow.  Every documented use has l >= 0.03.
+MIN_BOX_LENGTH = 2.0**-8
+
 # czz_sampled maps its normal draws to parities this many at a time.
 _SAMPLE_CHUNK = 1 << 16
 
 # A set's cross correlators must agree within this multiple of their
 # combined error bounds (czx = cxz exactly, so a multiple of 1 already
-# holds for correct values; 10 leaves a margin).
+# holds for correct values; 10 leaves a margin for sets built by hand).
 _SYMMETRY_SLACK = 10.0
 
 
@@ -136,9 +137,9 @@ class CorrelatorSet:
 
 def _check_box_length(l: float) -> float:
     l = float(l)
-    if not (math.isfinite(l) and 0.0 < l <= MAX_BOX_LENGTH):
+    if not (MIN_BOX_LENGTH <= l <= MAX_BOX_LENGTH):
         raise InvalidScale(
-            f"box length must be in (0, {MAX_BOX_LENGTH}], got {l!r}"
+            f"box length must be in [{MIN_BOX_LENGTH}, {MAX_BOX_LENGTH}], got {l!r}"
         )
     return l
 
@@ -162,23 +163,15 @@ def _even(n):
 _PIECES = {
     "density": (_parity, _parity, (0, 0)),
     "step": (_even, _even, (1, 1)),
-    "zx": (_parity, _even, (0, 1)),
-    "xz": (_even, _parity, (1, 0)),
 }
-
-
-# Pieces whose signs are never negative, and the relative error of the
-# theta series above which they go to the lattice instead.
-_NONNEGATIVE_PIECES = ("step",)
-_SERIES_RELATIVE_ERROR = 1e-12
 
 
 def _log_mass(name: str, l: float, state: SqueezeState) -> float:
     """Log of the piece's mass, whole assembly prefactor included.
 
     The piece is then the correlator itself: czz for density, cxx for
-    step (cyy = -tanh(s*l**2/2) * cxx), czx, and cxz, whose mass <s_x> shares.
-    Written with exp(-2r) where c - s = exp(-2r) would cancel.
+    step (cyy = -tanh(s*l**2/2) * cxx).  Written with exp(-2r) where
+    c - s = exp(-2r) would cancel.
     """
     if name == "density":
         return 0.0
@@ -190,27 +183,10 @@ def _log_mass(name: str, l: float, state: SqueezeState) -> float:
             + math.log1p(math.exp(-state.sinh2r * l * l))
             - l * l * math.exp(-2.0 * state.r) / 2.0
         )
-    if name in _PIECES:
-        return math.log(2.0) - state.cosh2r * l * l / 4.0
     raise ValueError(f"unknown piece {name!r}")
 
 
-def _series_lost_digits(name: str, result: IntegralResult) -> bool:
-    """Whether the theta series left a nonnegative piece with few digits.
-
-    The series adds and subtracts terms as large as the mass, so a piece
-    far below its mass keeps few digits; with nonnegative signs the
-    lattice only adds box masses and keeps them all.  A value of 0 means
-    the mass underflowed, which the lattice would repeat.
-    """
-    return (
-        name in _NONNEGATIVE_PIECES
-        and result.value != 0.0
-        and result.error_estimate > _SERIES_RELATIVE_ERROR * abs(result.value)
-    )
-
-
-# Pieces the cache holds: 4 per point, so a sweep of 1024 points fits.
+# Pieces the cache holds: 2 per point, so a sweep of 2048 points fits.
 _PIECE_CACHE_SIZE = 4096
 _PIECE_CACHE: dict = {}
 
@@ -224,15 +200,6 @@ def _cache_put(key, result: IntegralResult) -> None:
     if len(_PIECE_CACHE) >= _PIECE_CACHE_SIZE:
         del _PIECE_CACHE[next(iter(_PIECE_CACHE))]
     _PIECE_CACHE[key] = result
-
-
-def _erf_piece(name: str, l: float, state: SqueezeState) -> IntegralResult:
-    """One piece by the erf lattice."""
-    su, sv, shifts = _PIECES[name]
-    mean = (-shifts[0] * l / 2.0, -shifts[1] * l / 2.0)
-    return integrate_gaussian_lattice(
-        l, state.cosh2r, state.sinh2r, mean, su, sv, _log_mass(name, l, state)
-    )
 
 
 def _lattice_piece(name: str, l: float, state: SqueezeState) -> IntegralResult:
@@ -252,36 +219,17 @@ def _pieces(name: str, l_values: list[float], state: SqueezeState) -> list[Integ
 
 
 def _evaluate(name: str, l_values: list[float], state: SqueezeState) -> list[IntegralResult]:
-    """One piece at each of the distinct box lengths ``l_values``, cached per (name, l, r).
-
-    One theta-series plan covers every box length.  At each, the series
-    evaluates the piece where it takes fewer terms than the erf
-    lattice's u-nodes x edges (:func:`gaussian_lattice_work`), counted
-    over the panels the lattice lays for this piece's mass, and the
-    lattice elsewhere and where the series leaves a nonnegative piece
-    with few digits.  An empty series takes no work estimate.  The
-    series is summed at once at every box length where it wins.
-    """
+    """One piece at each of the distinct box lengths ``l_values``, cached per (name, l, r)."""
     su, sv, shifts = _PIECES[name]
     log_masses = [_log_mass(name, l, state) for l in l_values]
-    series = PoissonSeries(l_values, state.r, su, sv, log_masses, shifts)
-    summed = [
-        i for i, (l, terms) in enumerate(zip(l_values, series.terms))
-        if not terms or terms < gaussian_lattice_work(l, state.cosh2r, log_masses[i])
-    ]
-    results = [None] * len(l_values)
-    for i, result in zip(summed, series.integrate(summed) if summed else ()):
-        results[i] = result
-    for i, (l, terms) in enumerate(zip(l_values, series.terms)):
-        # An empty series (zx, xz, or a mass that underflows) is an exact 0.
-        if terms and (results[i] is None or _series_lost_digits(name, results[i])):
-            results[i] = _erf_piece(name, l, state)
-        _cache_put((name, l, state.r), results[i])
+    results = integrate_gaussian_box_sums(l_values, state.r, su, sv, log_masses, shifts)
+    for l, result in zip(l_values, results):
+        _cache_put((name, l, state.r), result)
     return results
 
 
-# The piece each pair reads.
-_PAIR_PIECES = {"zz": "density", "xx": "step", "yy": "step", "zx": "zx", "xz": "xz"}
+# The piece each pair reads; czx and cxz, exactly 0, read none.
+_PAIR_PIECES = {"zz": "density", "xx": "step", "yy": "step"}
 
 
 def _check_pair(pair: str) -> str:
@@ -290,17 +238,20 @@ def _check_pair(pair: str) -> str:
     return pair
 
 
-def _pair_value(pair: str, l: float, state: SqueezeState, piece: IntegralResult) -> tuple[float, float]:
-    """(value, error) of ``pair`` from its piece at box length l."""
+def _pair_value(pair: str, l: float, state: SqueezeState, piece) -> tuple[float, float]:
+    """(value, error) of ``pair`` at box length l; ``piece(name)`` gives a piece there."""
+    name = _PAIR_PIECES.get(pair)
+    if name is None:
+        return 0.0, 0.0
+    result = piece(name)
     if pair == "yy":
         # The diagonal translate product is exp(s*l**2) times the
         # anti-diagonal one, so cyy/cxx = -(1 - e)/(1 + e) with
         # e = exp(-s*l**2).
         ratio = math.tanh(state.sinh2r * l * l / 2.0)
-        return -ratio * piece.value, ratio * piece.error_estimate
-    # zz: the parity sum; xx: the translate product; zx / xz: a parity
-    # sum on one site against the translate overlap on the other.
-    return piece.value, piece.error_estimate
+        return -ratio * result.value, ratio * result.error_estimate
+    # zz: the parity sum; xx: the translate product.
+    return result.value, result.error_estimate
 
 
 def correlator(pair: str, l: float, r: float) -> tuple[float, float]:
@@ -311,23 +262,26 @@ def correlator(pair: str, l: float, r: float) -> tuple[float, float]:
     pair = _check_pair(pair)
     l = _check_box_length(l)
     state = SqueezeState(r)
-    return _pair_value(pair, l, state, _lattice_piece(_PAIR_PIECES[pair], l, state))
+    return _pair_value(pair, l, state, lambda name: _lattice_piece(name, l, state))
 
 
 def single_site(axis: str, l: float, r: float) -> tuple[float, float]:
     """Single-site expectation of s_z or s_x.  Returns (value, error).
 
     <s_z> is exactly 0: reflection maps box n of the centred marginal onto
-    box -n - 1, of opposite parity.  <s_x> is the xz piece with sign 1 on
-    the second site, which sums out, leaving the xz mass times the
-    probability that the u-marginal N(-l/2, c/2) falls in an even box.
+    box -n - 1, of opposite parity.  <s_x> sums 2*psi(u, v)*psi(u + l, v)
+    over every v and over u in the even boxes.  That product is
+    2*exp(-c*l**2/4) times a normal density whose u-marginal is
+    N(-l/2, c/2), so the sum is that mass times the probability that the
+    marginal falls in an even box.
     """
     l = _check_box_length(l)
     state = SqueezeState(r)
     if axis == "z":
         return 0.0, 0.0
     if axis == "x":
-        res = integrate_gaussian_line(l, state.sigma, _even, -l / 2.0, _log_mass("xz", l, state))
+        log_mass = math.log(2.0) - state.cosh2r * l * l / 4.0
+        res = integrate_gaussian_line(l, state.sigma, _even, -l / 2.0, log_mass)
         return res.value, res.error_estimate
     raise ValueError(f"axis must be 'z' or 'x', got {axis!r}")
 
@@ -336,10 +290,7 @@ def correlator_set(l: float, r: float) -> CorrelatorSet:
     """All five correlators at one (l, r) as a validated set."""
     l = _check_box_length(l)
     state = SqueezeState(r)
-    values = {
-        pair: _pair_value(pair, l, state, _lattice_piece(_PAIR_PIECES[pair], l, state))
-        for pair in PAIRS
-    }
+    values = {pair: _pair_value(pair, l, state, lambda name: _lattice_piece(name, l, state)) for pair in PAIRS}
     return CorrelatorSet.from_pairs(l, r, values)
 
 
@@ -356,10 +307,10 @@ def correlator_grid(pairs, l_values, r: float) -> list[dict[str, tuple[float, fl
     state = SqueezeState(r)
     pieces = {
         name: _pieces(name, l_values, state)
-        for name in dict.fromkeys(_PAIR_PIECES[pair] for pair in pairs)
+        for name in dict.fromkeys(_PAIR_PIECES[pair] for pair in pairs if pair in _PAIR_PIECES)
     }
     return [
-        {pair: _pair_value(pair, l, state, pieces[_PAIR_PIECES[pair]][i]) for pair in pairs}
+        {pair: _pair_value(pair, l, state, lambda name: pieces[name][i]) for pair in pairs}
         for i, l in enumerate(l_values)
     ]
 
@@ -372,9 +323,9 @@ def rotated_correlator(
     """Correlator of spins rotated in the x-z plane by the given angles.
 
     Direction at angle t measures cos(t)*s_z + sin(t)*s_x, so the full
-    bilinear form is ca*cb*czz + sa*sb*cxx + ca*sb*czx + sa*cb*cxz; the
-    cross terms are kept even though they vanish for this state, so the
-    symmetry is tested rather than baked in.
+    bilinear form is ca*cb*czz + sa*sb*cxx + ca*sb*czx + sa*cb*cxz.  The
+    cross terms are exactly 0 for this state, by reflection; they are
+    kept so the form holds for any set.
     """
     ca, sa = math.cos(angle_a), math.sin(angle_a)
     cb, sb = math.cos(angle_b), math.sin(angle_b)

@@ -15,8 +15,9 @@ length l holding the two coordinates.  Entry points:
   differences, the other is integrated on Gauss-Legendre panels
   aligned with the boxes, sized from the box length and cosh 2r alone.
 * :class:`PoissonSeries` plans the theta series without summing it,
-  and :func:`gaussian_lattice_work` predicts the lattice's work, so a
-  caller can pick the cheaper one and sum the series only if it wins.
+  and :func:`gaussian_lattice_work` predicts the lattice's work.
+  :func:`integrate_gaussian_box_sums` weighs the two at each of several
+  box lengths and sums the series only where it wins;
   :func:`integrate_gaussian_poisson` is the series at one box length,
   planned and summed.
 * :func:`integrate_gaussian_line` is the one-dimensional signed box sum
@@ -47,6 +48,7 @@ __all__ = [
     "integrate_gaussian_lattice",
     "integrate_gaussian_line",
     "integrate_gaussian_poisson",
+    "integrate_gaussian_box_sums",
     "gaussian_lattice_work",
     "PoissonSeries",
 ]
@@ -769,3 +771,58 @@ def integrate_gaussian_poisson(
     plus the smallest subnormal per term.  ``panels_used`` is 0.
     """
     return PoissonSeries((l,), r, su, sv, (log_mass,), mean_half_boxes).integrate()[0]
+
+
+# Above this error relative to its value, a series result whose signs
+# are nonnegative is replaced by the lattice's.
+_SERIES_RELATIVE_ERROR = 1e-12
+
+
+@lru_cache(maxsize=64)
+def _nonnegative(sign) -> bool:
+    """Whether a sign function of period 2 in the box index is >= 0 on every box."""
+    return bool((_sign_values(sign, np.arange(2)) >= 0.0).all())
+
+
+def _lost_digits(result: IntegralResult) -> bool:
+    """Whether a nonzero series result has an error above _SERIES_RELATIVE_ERROR of its value."""
+    return result.value != 0.0 and result.error_estimate > _SERIES_RELATIVE_ERROR * abs(result.value)
+
+
+def integrate_gaussian_box_sums(
+    l_values,
+    r: float,
+    su: Callable[[np.ndarray], np.ndarray],
+    sv: Callable[[np.ndarray], np.ndarray],
+    log_masses,
+    mean_half_boxes: tuple[int, int],
+) -> list[IntegralResult]:
+    """One signed box sum at each box length of ``l_values``, by the cheaper evaluator.
+
+    Takes the arguments of :class:`PoissonSeries`, whose one plan covers
+    every box length.  At each, the series is summed where it is empty
+    or takes fewer terms than the lattice's predicted work
+    (:func:`gaussian_lattice_work`); :func:`integrate_gaussian_lattice`
+    runs elsewhere.  The series adds and subtracts terms as large as the
+    mass, so a sum far below its mass keeps few digits, while with both
+    sign functions nonnegative the lattice only adds box masses and
+    keeps them all: there the lattice also replaces a series result that
+    lost its digits.  A series value of 0 means the mass underflowed,
+    which the lattice would repeat.
+    """
+    series = PoissonSeries(l_values, r, su, sv, log_masses, mean_half_boxes)
+    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    log_masses = series.log_mass
+    summed = [
+        i for i, (l, terms) in enumerate(zip(l_values, series.terms))
+        if not terms or terms < gaussian_lattice_work(l, c, log_masses[i])
+    ]
+    results = [None] * len(log_masses)
+    for i, result in zip(summed, series.integrate(summed) if summed else ()):
+        results[i] = result
+    for i, (l, terms, result) in enumerate(zip(l_values, series.terms, results)):
+        # An empty series is an exact 0.
+        if terms and (result is None or _lost_digits(result) and _nonnegative(su) and _nonnegative(sv)):
+            mean = tuple(-h * l / 2.0 for h in series.shifts)
+            results[i] = integrate_gaussian_lattice(l, c, s, mean, su, sv, log_masses[i])
+    return results

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from boxspin import boxops
+from boxspin import acceptance, boxops
 from boxspin import (
     Grid,
     SqueezeState,
@@ -53,6 +53,21 @@ def _criterion_11_set(fields):
 def test_grid_search_is_pinned(fields, expected):
     """The exact values of the search that built both n**3 cubes."""
     assert _grid_search_chsh(_criterion_11_set(fields)) == expected
+
+
+def test_grid_search_refines_with_the_bell_objective(monkeypatch):
+    """The Nelder-Mead refinement evaluates bell's own CHSH of four angles."""
+    calls = []
+    real = acceptance._chsh_of_angles
+
+    def counted(angles, corr):
+        calls.append(corr)
+        return real(angles, corr)
+
+    monkeypatch.setattr(acceptance, "_chsh_of_angles", counted)
+    corr = _criterion_11_set(_CRITERION_11_SETS[2][0])
+    assert _grid_search_chsh(corr) == _CRITERION_11_SETS[2][1]
+    assert calls and all(c is corr for c in calls)
 
 
 def _peak_mb(call) -> float:

@@ -36,6 +36,11 @@ class TestWindow:
         assert TruncationWindow(0, 0).weight_total() == 1.0
         assert TruncationWindow(2, -1).weight_total() == 7.5
 
+    def test_weight_total_beyond_the_float_range_is_rejected(self):
+        assert TruncationWindow(1022, -3).weight_total() == math.ldexp(1.0, 1023)
+        with pytest.raises(ValueError, match=r"window \[1023, -3\]"):
+            TruncationWindow(1023, -3).weight_total()
+
     def test_inverted_window_is_rejected(self):
         with pytest.raises(ValueError):
             TruncationWindow(k_hi=-1, k_lo=0)

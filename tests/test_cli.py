@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from boxspin import InvalidScale, acceptance, cli, correlators
+from boxspin import InvalidScale, acceptance, cli, correlators, quadrature
 from boxspin.cli import SweepConfig, build_parser, main
 from boxspin.quadrature import PoissonSeries
 
@@ -35,6 +35,18 @@ class TestSweepConfig:
         assert SweepConfig.from_dict(config.as_dict()) == config
         assert set(config.as_dict()) == {f.name for f in dataclasses.fields(SweepConfig)}
 
+    def test_sweep_flags_default_to_the_config_fields(self, monkeypatch):
+        """The parser takes its sweep defaults from SweepConfig, so a
+        changed field default is what the flags give."""
+        assert SweepConfig.from_dict(vars(build_parser().parse_args(["fig1"]))) == SweepConfig()
+        monkeypatch.setattr(SweepConfig, "r_list", (0.25,))
+        monkeypatch.setattr(SweepConfig, "l_max", 5.0)
+        monkeypatch.setattr(SweepConfig, "points", 9)
+        args = build_parser().parse_args(["fig2"])
+        assert (tuple(args.r_list), args.l_min, args.l_max, args.points) == (
+            (0.25,), SweepConfig.l_min, 5.0, 9
+        )
+
     def test_l_values_span_the_range_in_log2(self):
         config = SweepConfig(l_min=0.25, l_max=4.0, points=5)
         values = config.l_values()
@@ -53,6 +65,9 @@ class TestSweepConfig:
             SweepConfig(l_min=2.0, l_max=1.0)
         with pytest.raises(InvalidScale, match="got 60.0$"):
             SweepConfig(l_max=60.0)
+        with pytest.raises(InvalidScale, match="got 0.001, 7.5$"):
+            SweepConfig(l_min=0.001)
+        assert SweepConfig(l_min=correlators.MIN_BOX_LENGTH).l_values()[0] == correlators.MIN_BOX_LENGTH
         with pytest.raises(InvalidScale):
             SweepConfig(points=1)
         with pytest.raises(InvalidScale):
@@ -195,16 +210,17 @@ class TestSweepPlans:
                 plans.append((su, sv, shifts, r))
                 super().__init__(l_values, r, su, sv, log_masses, shifts)
 
-        monkeypatch.setattr(correlators, "PoissonSeries", Counted)
+        monkeypatch.setattr(quadrature, "PoissonSeries", Counted)
         yield plans
         correlators.clear_cache()
 
-    @pytest.mark.parametrize("command, pieces", [("fig1", 2), ("fig2", 4)])
-    def test_one_plan_per_piece_and_r(self, capsys, plans, command, pieces):
+    @pytest.mark.parametrize("command", ["fig1", "fig2"])
+    def test_one_plan_per_piece_and_r(self, capsys, plans, command):
+        """Both read the density and step pieces; czx and cxz read none."""
         correlators.clear_cache()
         code, out, _ = _run(capsys, [command, *self.ARGS])
         assert code == 0 and len(_parse_csv(out)[1]) == 12
-        assert len(plans) == len(set(plans)) == 3 * pieces
+        assert len(plans) == len(set(plans)) == 3 * 2
 
     def test_points_read_the_sweep_cache(self, capsys, plans):
         """After fig1 its pairs, and after fig2 whole sets, need no plan."""
@@ -311,6 +327,22 @@ class TestSingleShotCommands:
         payload = json.loads(out)
         assert payload["binary"] == "101.0100110"
         assert payload["truncated_value"] == 1.25
+
+    def test_lhv_window_beyond_the_float_range_is_an_input_error(self, capsys):
+        """2**1024 overflows: exit 2 naming the window, not a traceback."""
+        code, out, err = _run(capsys, ["lhv", "--k-hi", "1023"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: window [1023, -3]")
+        code, out, _ = _run(capsys, ["lhv", "--k-hi", "1022"])
+        assert code == 0 and json.loads(out)["multibit_bound"] == math.ldexp(1.0, 1023)
+        code, out, _ = _run(capsys, ["bits-demo", "--q", "5.296875", "--k-hi", "2000"])
+        assert code == 0 and json.loads(out)["binary"].endswith("101.0100110")
+
+    def test_bell_bits_below_the_smallest_box_is_an_input_error(self, capsys):
+        """Its window reaches l = 2**-1002: exit 2 naming that box length."""
+        code, out, err = _run(capsys, ["bell-bits", "--r", "2", "--k-hi", "-1000", "--k-lo", "-1002"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: box length") and repr(math.ldexp(1.0, -1000)) in err
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"

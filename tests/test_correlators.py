@@ -51,16 +51,40 @@ from boxspin.correlators import (
     _PIECES,
     PAIRS,
     MAX_BOX_LENGTH,
-    _erf_piece,
+    MIN_BOX_LENGTH,
     _even,
     _lattice_piece,
     _log_mass,
     _parity,
     clear_cache,
 )
-from boxspin.quadrature import PoissonSeries, gaussian_lattice_work
+from boxspin.quadrature import PoissonSeries, gaussian_lattice_work, integrate_gaussian_box_sums
 
 import mp_reference
+
+
+# The pieces czx and cxz would read if they were not exactly 0 by
+# reflection: (su, sv, (hu, hv)) as in _PIECES, with the mass <s_x> shares.
+_CROSS_PIECES = {
+    "zx": (_parity, _even, (0, 1)),
+    "xz": (_even, _parity, (1, 0)),
+}
+_ALL_PIECES = {**_PIECES, **_CROSS_PIECES}
+
+
+def _piece_log_mass(name: str, l: float, state: SqueezeState) -> float:
+    if name in _CROSS_PIECES:
+        return math.log(2.0) - state.cosh2r * l * l / 4.0
+    return _log_mass(name, l, state)
+
+
+def _erf_piece(name: str, l: float, state: SqueezeState):
+    """One piece, or one cross sign pair, by the erf lattice alone."""
+    su, sv, shifts = _ALL_PIECES[name]
+    mean = (-shifts[0] * l / 2.0, -shifts[1] * l / 2.0)
+    return integrate_gaussian_lattice(
+        l, state.cosh2r, state.sinh2r, mean, su, sv, _piece_log_mass(name, l, state)
+    )
 
 
 class _DenseOracle:
@@ -208,11 +232,12 @@ def _site_x_line(l: float, r: float) -> tuple:
 
 
 def _closed_forms(l: float, state: SqueezeState):
-    """(name, su, sv, mean, log_mass) of every piece, and of <s_x> as
-    single_site sums it: the line's sign on u and its mean and mass, with
-    sign 1 on the v it sums out."""
-    for name, (su, sv, shifts) in _PIECES.items():
-        yield name, su, sv, (-shifts[0] * l / 2.0, -shifts[1] * l / 2.0), _log_mass(name, l, state)
+    """(name, su, sv, mean, log_mass) of every piece and cross sign pair,
+    and of <s_x> as single_site sums it: the line's sign on u and its mean
+    and mass, with sign 1 on the v it sums out."""
+    for name, (su, sv, shifts) in _ALL_PIECES.items():
+        mean = (-shifts[0] * l / 2.0, -shifts[1] * l / 2.0)
+        yield name, su, sv, mean, _piece_log_mass(name, l, state)
     _, _, sign, mean, log_mass = _site_x_line(l, state.r)
     yield "site_x", sign, np.ones_like, (mean, 0.0), log_mass
 
@@ -221,7 +246,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("r", [0.0, 0.5, 2.0, 5.0])
     @pytest.mark.parametrize("l", [0.03, 1.0, 7.5, 50.0])
     def test_means_and_masses_match_the_derivation(self, r, l):
-        """_PIECES, _log_mass and <s_x>'s line against the (a, b) form,
+        """_PIECES, _log_mass, the cross sign pairs and <s_x>'s line against the (a, b) form,
         without its cancellations; the line's width is the u-marginal's,
         sqrt(c/2), since summing v out of the piece leaves N(u0, c/2)."""
         state = SqueezeState(r)
@@ -236,7 +261,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 1.5, 3.0, 5.0])
     @pytest.mark.parametrize("l", [0.03, 0.25, 1.0, 4.0, 7.5, 50.0])
     def test_pieces_match_the_wavefunction_pointwise(self, r, l):
-        """_PIECES, _log_mass and <s_x>'s line against the wavefunction
+        """_PIECES, _log_mass, the cross sign pairs and <s_x>'s line against the wavefunction
         products that define each piece.
 
         The defining box signs must be su(n) * sv(m) on every box pair
@@ -337,6 +362,28 @@ class TestValidation:
             correlator("zz", MAX_BOX_LENGTH * 2, 0.5)
         with pytest.raises(InvalidScale):
             czz_sampled(-1.0, 0.5, 1000)
+
+    @pytest.mark.parametrize(
+        "call, l",
+        [
+            (lambda l: correlator("zz", l, 1.0), 1e-160),
+            (lambda l: correlator_set(l, 1.0), 5e-324),
+            (lambda l: single_site("x", l, 1.0), 1e-150),
+            (lambda l: correlator_grid(["xx"], [1.0, l], 0.5), math.nextafter(MIN_BOX_LENGTH, 0.0)),
+        ],
+    )
+    def test_box_lengths_below_the_smallest_are_rejected(self, call, l):
+        """The first three once failed inside the evaluators (a nan series
+        plan, a division by zero, an array too large to allocate)."""
+        with pytest.raises(InvalidScale, match=f"got {l!r}$"):
+            call(l)
+
+    @pytest.mark.parametrize("r", [0.0, 5.0])
+    def test_the_smallest_box_length_evaluates(self, r):
+        cs = correlator_set(MIN_BOX_LENGTH, r)
+        assert cs.cyy <= cs.cyy_err and cs.cxx > 0.9
+        sx, sx_err = single_site("x", MIN_BOX_LENGTH, r)
+        assert 0.9 < sx <= 1.0 + sx_err
 
     def test_set_rejects_out_of_range_values(self):
         with pytest.raises(RangeError):
@@ -504,6 +551,18 @@ class TestReportedErrorIsABound:
         est, se = czz_sampled(1.0, r, 200_000, seed=11)
         assert abs(value - est) <= 4.0 * se + err
 
+    @pytest.mark.parametrize("r", [0.0, 2.0, 5.0])
+    @pytest.mark.parametrize("l", [0.03, 1.0, 50.0])
+    def test_cross_sign_pairs_vanish_on_the_lattice_at_corners(self, r, l):
+        """czx and cxz are exactly 0 by reflection, as correlator reports;
+        the erf lattice, which sums the boxes in position space, finds each
+        cross sign pair 0 within its bound at every corner."""
+        state = SqueezeState(r)
+        for name in _CROSS_PIECES:
+            res = _erf_piece(name, l, state)
+            assert abs(res.value) <= res.error_estimate, name
+            assert correlator(name, l, r) == (0.0, 0.0)
+
 
 # r <= 4 over every ROADMAP box length; at r = 5 the lattice takes about
 # 2 s per box length, so only l = 50 is kept there.
@@ -513,14 +572,14 @@ _CROSS_GRID = [
 
 
 def _series(name: str, l: float, state: SqueezeState) -> PoissonSeries:
-    """The piece's theta series at box length l alone, planned."""
-    su, sv, shifts = _PIECES[name]
-    return PoissonSeries([l], state.r, su, sv, [_log_mass(name, l, state)], shifts)
+    """The piece's (or cross sign pair's) theta series at box length l alone, planned."""
+    su, sv, shifts = _ALL_PIECES[name]
+    return PoissonSeries([l], state.r, su, sv, [_piece_log_mass(name, l, state)], shifts)
 
 
 def _series_pays(name: str, l: float, state: SqueezeState) -> bool:
     """Whether the series takes fewer terms than the lattice's predicted work."""
-    work = gaussian_lattice_work(l, state.cosh2r, _log_mass(name, l, state))
+    work = gaussian_lattice_work(l, state.cosh2r, _piece_log_mass(name, l, state))
     return _series(name, l, state).terms[0] < work
 
 
@@ -531,7 +590,7 @@ class TestEvaluatorsAgree:
     @pytest.mark.parametrize("r, l", _CROSS_GRID)
     def test_pieces_agree_within_summed_bounds(self, r, l):
         state = SqueezeState(r)
-        for name in _PIECES:
+        for name in _ALL_PIECES:
             series = _series(name, l, state).integrate()[0]
             lattice = _erf_piece(name, l, state)
             bound = series.error_estimate + lattice.error_estimate
@@ -672,7 +731,7 @@ class TestPieceDispatch:
                 plans.append(args)
                 super().__init__(*args)
 
-        monkeypatch.setattr(correlators, "PoissonSeries", Counted)
+        monkeypatch.setattr(quadrature, "PoissonSeries", Counted)
         state = SqueezeState(r)
         clear_cache()
         _lattice_piece(name, l, state)
@@ -681,10 +740,26 @@ class TestPieceDispatch:
         assert len(plans) == 1
 
     @pytest.mark.parametrize("r, l", _SWEEP_AND_CORNERS)
-    def test_cross_pieces_are_exactly_zero_without_a_series(self, monkeypatch, r, l):
-        """No block of zx or xz has a real part, so their series is planned
-        and summed without a tail bound or any array: (0.0, 0.0), as the
-        summed empty series gives, and as single_site gives <s_z>."""
+    def test_cross_pairs_are_exactly_zero_without_a_piece(self, monkeypatch, r, l):
+        """czx and cxz are (0.0, 0.0) by reflection, as <s_z> is: no box
+        sum is evaluated and nothing is cached."""
+
+        def unused(*args):
+            raise AssertionError("a cross pair evaluated a box sum")
+
+        monkeypatch.setattr(correlators, "integrate_gaussian_box_sums", unused)
+        clear_cache()
+        for pair in ("zx", "xz"):
+            assert correlator(pair, l, r) == (0.0, 0.0)
+        assert correlator_grid(["zx", "xz"], [l], r) == [{"zx": (0.0, 0.0), "xz": (0.0, 0.0)}]
+        assert correlators._PIECE_CACHE == {}
+        assert single_site("z", l, r) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("r, l", _SWEEP_AND_CORNERS)
+    def test_cross_sign_pairs_plan_an_empty_series(self, monkeypatch, r, l):
+        """The Fourier side of the same symmetry: no block of the zx or xz
+        sign pair has a real part, so its series is planned and summed
+        without a tail bound or any array, to an exact (0.0, 0.0)."""
         state = SqueezeState(r)
         _series("zx", l, state)  # warms the sign functions' Fourier cache
 
@@ -692,34 +767,35 @@ class TestPieceDispatch:
             raise AssertionError("an empty series sized its tail")
 
         monkeypatch.setattr(quadrature, "_theta_bound", unused)
-        for name in ("zx", "xz"):
+        for name in _CROSS_PIECES:
             with monkeypatch.context() as m:
                 m.setattr(quadrature, "np", None)
                 series = _series(name, l, state)
                 assert (series.terms, series.tail) == ([0], [0.0])
                 assert series.integrate() == [quadrature.IntegralResult(0.0, 0.0, 0)]
-            clear_cache()
-            assert correlator(name, l, r) == (0.0, 0.0)
-        assert single_site("z", l, r) == (0.0, 0.0)
 
     @pytest.mark.parametrize(
-        "name, r, l", [(name, r, l) for name in ("zx", "xz") for r, l in _SWEEP_AND_CORNERS]
+        "name, r, l", [(name, r, l) for name in _CROSS_PIECES for r, l in _SWEEP_AND_CORNERS]
         + [("step", 0.0, 50.0)],
     )
     def test_an_empty_series_takes_no_work_estimate(self, monkeypatch, name, r, l):
-        """zx and xz at every point, and a step piece whose mass underflows,
-        plan no terms: the series' exact 0 needs no work estimate and no lattice."""
+        """The cross sign pairs at every point, and a step piece whose mass
+        underflows, plan no terms: the series' exact 0 needs no work
+        estimate and no lattice."""
         state = SqueezeState(r)
         expected = _series(name, l, state).integrate()[0]
+        su, sv, shifts = _ALL_PIECES[name]
 
         def unused(*args):
             raise AssertionError("an empty series estimated or ran the lattice")
 
-        monkeypatch.setattr(correlators, "gaussian_lattice_work", unused)
-        monkeypatch.setattr(correlators, "integrate_gaussian_lattice", unused)
-        clear_cache()
-        result = _lattice_piece(name, l, state)
+        monkeypatch.setattr(quadrature, "gaussian_lattice_work", unused)
+        monkeypatch.setattr(quadrature, "integrate_gaussian_lattice", unused)
+        result, = integrate_gaussian_box_sums([l], r, su, sv, [_piece_log_mass(name, l, state)], shifts)
         assert result == expected and result.value == 0.0
+        if name in _PIECES:
+            clear_cache()
+            assert _lattice_piece(name, l, state) == expected
 
     def test_a_cache_hit_evaluates_nothing(self, monkeypatch):
         clear_cache()
@@ -729,7 +805,7 @@ class TestPieceDispatch:
             raise AssertionError("a cache hit evaluated a piece")
 
         monkeypatch.setattr(correlators, "_evaluate", unused)
-        monkeypatch.setattr(correlators, "gaussian_lattice_work", unused)
+        monkeypatch.setattr(correlators, "integrate_gaussian_box_sums", unused)
         assert correlator_set(0.7768, 0.5) == first
 
 
@@ -769,7 +845,7 @@ class TestCorrelatorGrid:
         assert _series("step", 50.0, state).terms == [0]
         assert _series_pays("step", 0.03, state)
         step = _series("step", 7.5, state)
-        assert correlators._series_lost_digits("step", step.integrate()[0])
+        assert quadrature._lost_digits(step.integrate()[0])
 
     def test_a_set_builds_one_state(self, monkeypatch):
         states = []
@@ -792,10 +868,10 @@ class TestCorrelatorGrid:
         monkeypatch.setattr(correlators, "_PIECE_CACHE_SIZE", 3)
         clear_cache()
         first = correlator_set(0.7768, 0.5)
-        assert len(correlators._PIECE_CACHE) == 3
-        assert ("density", 0.7768, 0.5) not in correlators._PIECE_CACHE
+        assert len(correlators._PIECE_CACHE) == 2
         others = [correlator_set(l, r) for l, r in ((2.5, 1.0), (0.03, 2.0))]
         assert len(correlators._PIECE_CACHE) == 3
+        assert ("density", 0.7768, 0.5) not in correlators._PIECE_CACHE
         assert correlator_set(0.7768, 0.5) == first
         assert [correlator_set(l, r) for l, r in ((2.5, 1.0), (0.03, 2.0))] == others
         grid = correlator_grid(PAIRS, [0.7768, 2.5], 0.5)

@@ -18,7 +18,7 @@ from boxspin import (
     integrate_gaussian_poisson,
 )
 from boxspin import quadrature
-from boxspin.quadrature import PoissonSeries
+from boxspin.quadrature import PoissonSeries, integrate_gaussian_box_sums
 
 
 def _normal_cdf(x: float) -> float:
@@ -39,6 +39,10 @@ def _parity(n):
 
 def _even(n):
     return (n % 2 == 0).astype(int)
+
+
+def _odd(n):
+    return (n % 2 == 1).astype(int)
 
 
 class TestGaussianLattice:
@@ -359,3 +363,36 @@ class TestSignFunctionShape:
     def test_series_rejects_a_scalar_sign(self):
         with pytest.raises(InvalidScale, match="shape"):
             integrate_gaussian_poisson(1.0, 0.0, self._scalar, np.ones_like, 0.0)
+
+
+class TestBoxSumDispatch:
+    """integrate_gaussian_box_sums picks each box length's evaluator from
+    the predicted work and the signs, not from a list of pieces."""
+
+    L, R, HALF_BOXES = 7.5, 0.0, (1, 1)
+    MEAN = (-3.75, -3.75)
+
+    def test_nonnegative_signs_fall_back_to_the_lattice(self):
+        """Even boxes on u, odd boxes on v, both means half a box below 0.
+        u's even boxes lie over 5 standard deviations from its mean, so
+        the sum sits far below its mass and the series keeps few digits.
+        Both signs are nonnegative, so the lattice's result replaces it."""
+        series = PoissonSeries([self.L], self.R, _even, _odd, [0.0], self.HALF_BOXES)
+        assert 0 < series.terms[0] < quadrature.gaussian_lattice_work(self.L, 1.0, 0.0)
+        summed = series.integrate()[0]
+        assert quadrature._lost_digits(summed)
+        lattice = integrate_gaussian_lattice(self.L, 1.0, 0.0, self.MEAN, _even, _odd, 0.0)
+        got = integrate_gaussian_box_sums([self.L], self.R, _even, _odd, [0.0], self.HALF_BOXES)
+        assert got == [lattice]
+        assert lattice.error_estimate < 1e-3 * summed.error_estimate
+        assert abs(lattice.value - summed.value) <= lattice.error_estimate + summed.error_estimate
+
+    def test_signed_sums_keep_the_series(self):
+        """Parity on v, signs of both kinds: the series loses its digits
+        just as above, but the lattice would cancel as much, so the series
+        result stands."""
+        series = PoissonSeries([self.L], self.R, _even, _parity, [0.0], self.HALF_BOXES)
+        assert 0 < series.terms[0] < quadrature.gaussian_lattice_work(self.L, 1.0, 0.0)
+        summed = series.integrate()
+        assert quadrature._lost_digits(summed[0])
+        assert integrate_gaussian_box_sums([self.L], self.R, _even, _parity, [0.0], self.HALF_BOXES) == summed

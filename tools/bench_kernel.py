@@ -174,8 +174,11 @@ def scan_worker(seed: int) -> dict:
 
     calls = []
     real_integrate = quadrature.PoissonSeries.integrate
-    real_lattice = correlators.integrate_gaussian_lattice
+    real_lattice = quadrature.integrate_gaussian_lattice
     real_line = correlators.integrate_gaussian_line
+    # The lattice is called from correlators in checkouts that pick the
+    # evaluator there, and from quadrature.integrate_gaussian_box_sums since.
+    lattice_callers = [m for m in (correlators, quadrature) if hasattr(m, "integrate_gaussian_lattice")]
 
     def counted_integrate(series, which=None):
         # One box length per call here: _lattice_piece plans each piece alone.
@@ -192,7 +195,8 @@ def scan_worker(seed: int) -> dict:
         return real_line(*args)
 
     quadrature.PoissonSeries.integrate = counted_integrate
-    correlators.integrate_gaussian_lattice = counted_lattice
+    for module in lattice_callers:
+        module.integrate_gaussian_lattice = counted_lattice
     correlators.integrate_gaussian_line = counted_line
     records = []
     for r, l, name in cells:
@@ -204,7 +208,8 @@ def scan_worker(seed: int) -> dict:
         records.append({"method": method, "terms": used.get("series"), "panels": used.get("lattice"),
                         "value": value, "bound": bound})
     quadrature.PoissonSeries.integrate = real_integrate
-    correlators.integrate_gaussian_lattice = real_lattice
+    for module in lattice_callers:
+        module.integrate_gaussian_lattice = real_lattice
     correlators.integrate_gaussian_line = real_line
 
     seconds = [[] for _ in cells]
