@@ -74,7 +74,6 @@ from .quadrature import (
     IntegralResult,
     integrate_gaussian_lattice,
     integrate_gaussian_line,
-    integrate_gaussian_poisson,
 )
 
 __version__ = "0.1.0"

@@ -222,18 +222,13 @@ def _spherical_correlator(t1: float, p1: float, t2: float, p2: float, corr: Corr
     """Correlator for directions (theta, phi) on each site's spin sphere.
 
     Direction components are (z, x, y) = (cos t, sin t cos p, sin t sin p).
-    Pairings of y with z or x vanish for this state by symmetry, so only
-    the five stored correlators enter.
+    The correlation matrix over (z, x, y) is diagonal for this state
+    (:class:`~boxspin.correlators.CorrelatorSet`), so only czz, cxx and cyy
+    enter.
     """
     z1, x1, y1 = math.cos(t1), math.sin(t1) * math.cos(p1), math.sin(t1) * math.sin(p1)
     z2, x2, y2 = math.cos(t2), math.sin(t2) * math.cos(p2), math.sin(t2) * math.sin(p2)
-    return (
-        z1 * z2 * corr.czz
-        + x1 * x2 * corr.cxx
-        + y1 * y2 * corr.cyy
-        + z1 * x2 * corr.czx
-        + x1 * z2 * corr.cxz
-    )
+    return z1 * z2 * corr.czz + x1 * x2 * corr.cxx + y1 * y2 * corr.cyy
 
 
 def _chsh_of_directions(params, corr: CorrelatorSet) -> float:
@@ -245,86 +240,51 @@ def _chsh_of_directions(params, corr: CorrelatorSet) -> float:
     return abs(e_ag + e_ad) + abs(e_bg - e_bd)
 
 
-def _positive_first(u: tuple, v: tuple) -> tuple[tuple, tuple]:
-    """Flip a singular pair so that the first nonzero component of u is positive."""
-    for x in u:
-        if x:
-            return (u, v) if x > 0.0 else (tuple(-y for y in u), tuple(-y for y in v))
-    return u, v
+# The coordinate axes over (z, x) and over (z, x, y), each as (e, -e).
+_AXES = {
+    False: (((1.0, 0.0), (-1.0, 0.0)), ((0.0, 1.0), (0.0, -1.0))),
+    True: (
+        ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)),
+        ((0.0, 1.0, 0.0), (0.0, -1.0, 0.0)),
+        ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)),
+    ),
+}
 
 
-def _singular_pairs(a: float, b: float, c: float, d: float):
-    """Singular triples (s, u, v) of M = [[a, b], [c, d]] in closed form, largest first.
-
-    M = U diag(s1, s2) V^T with U, V rotations up to the sign of each
-    pair (Blinn, "Consider the lowly 2x2 matrix", IEEE CG&A 16(2), 1996):
-
-        s1 = (hypot(a + d, c - b) + hypot(a - d, c + b)) / 2,  s2 = |det M| / s1,
-
-    and u1, the leading eigenvector of M M^T, at half the angle of
-    (p, q) = (a**2 + b**2 - c**2 - d**2, 2 (a c + b d)).  u1 is taken along
-    (|(p, q)| + p, q), or (q, |(p, q)| - p) when p < 0, which sums no terms
-    of opposite sign: a component near 0, such as a 1e-17 cross
-    correlator, keeps its sign, and the sign convention reads it.
-    v1 = M^T u1 / s1; u2 and v2 are u1 and v1 turned by +90 degrees, v2
-    reversed when det M < 0.  Each pair is then signed so that the first
-    nonzero component of u is positive, and M v = s u.  The zero matrix
-    gives the identity's vectors.
-    """
-    scale = max(abs(a), abs(b), abs(c), abs(d))
-    if scale == 0.0:
-        return (0.0, (1.0, 0.0), (1.0, 0.0)), (0.0, (0.0, 1.0), (0.0, 1.0))
-    # Dividing by the largest entry keeps the squares below from underflowing.
-    a, b, c, d = a / scale, b / scale, c / scale, d / scale
-    s1 = (math.hypot(a + d, c - b) + math.hypot(a - d, c + b)) / 2.0
-    det = a * d - b * c
-    p, q = (a - d) * (a + d) + (b - c) * (b + c), 2.0 * (a * c + b * d)
-    norm = math.hypot(p, q)
-    uz, ux = (norm + p, q) if p >= 0.0 else (q, norm - p)
-    norm = math.hypot(uz, ux)
-    # A zero (p, q) means s1 == s2: every unit vector is a left singular vector.
-    uz, ux = (uz / norm, ux / norm) if norm else (1.0, 0.0)
-    vz, vx = a * uz + c * ux, b * uz + d * ux
-    norm = math.hypot(vz, vx)
-    vz, vx = vz / norm, vx / norm
-    v2 = (-vx, vz) if det >= 0.0 else (vx, -vz)
-    return (
-        (s1 * scale, *_positive_first((uz, ux), (vz, vx))),
-        (min(abs(det) / s1, s1) * scale, *_positive_first((-ux, uz), v2)),
-    )
+def _axis_triple(c: float, axis) -> tuple:
+    """The singular triple (|c|, e, sign(c) e) of diagonal entry c on axis (e, -e)."""
+    e, minus_e = axis
+    return abs(c), e, e if math.copysign(1.0, c) > 0.0 else minus_e
 
 
 def _leading_pairs(corr: CorrelatorSet, include_y: bool = False):
     """The two largest singular triples (t, u, v) of the correlation matrix of corr.
 
-    Over (z, x) the matrix is the 2x2 block [[czz, czx], [cxz, cxx]],
-    whose triples :func:`_singular_pairs` gives in closed form.  With
-    ``include_y`` it is [[czz, czx, 0], [cxz, cxx, 0], [0, 0, cyy]]: its
-    triples are the block's two, embedded in (z, x, 0), and
-    (|cyy|, e_y, sign(cyy) e_y).  On a tie the y triple ranks below the
-    block's first and above its second.
+    The matrix is diag(czz, cxx) over (z, x), or diag(czz, cxx, cyy)
+    over (z, x, y) with ``include_y``, so the leading triples are the
+    :func:`_axis_triple` of its two largest |entries|.  On a tie z ranks
+    before x, and y below the larger of the two and above the smaller.
     """
-    first, second = _singular_pairs(corr.czz, corr.czx, corr.cxz, corr.cxx)
-    if not include_y:
-        return first, second
-    first, second = ((s, (*u, 0.0), (*v, 0.0)) for s, u, v in (first, second))
-    y_pair = (abs(corr.cyy), (0.0, 0.0, 1.0), (0.0, 0.0, math.copysign(1.0, corr.cyy)))
-    if y_pair[0] > first[0]:
-        return y_pair, first
-    if y_pair[0] >= second[0]:
-        return first, y_pair
+    axes = _AXES[include_y]
+    first, second = _axis_triple(corr.czz, axes[0]), _axis_triple(corr.cxx, axes[1])
+    if second[0] > first[0]:
+        first, second = second, first
+    if include_y:
+        y = _axis_triple(corr.cyy, axes[2])
+        if y[0] > first[0]:
+            return y, first
+        if y[0] >= second[0]:
+            return first, y
     return first, second
 
 
 def _optimal_vectors(corr: CorrelatorSet, include_y: bool = False):
     """Analyzer vectors (a, a', b, b') maximizing CHSH for the correlation matrix of corr.
 
-    With (t1, u1, v1), (t2, u2, v2) the two leading singular triples,
-    a = u1, a' = u2 and b, b' = cos(phi) v1 +- sin(phi) v2, tan(phi) = t2/t1.
-    The triples are those of the closed-form 2x2 SVD of [[czz, czx],
-    [cxz, cxx]], joined with ``include_y`` by (|cyy|, e_y, sign(cyy) e_y)
-    (:func:`_leading_pairs`); the first nonzero component of each u_i is
-    positive.
+    With (t1, u1, v1), (t2, u2, v2) the two leading singular triples
+    (:func:`_leading_pairs`), a = u1, a' = u2 and b, b' = cos(phi) v1 +-
+    sin(phi) v2, tan(phi) = t2/t1.  Each u_i is a coordinate axis and
+    v_i is u_i signed like its correlator.
     """
     (t1, u1, v1), (t2, u2, v2) = _leading_pairs(corr, include_y)
     phi = math.atan2(t2, t1)
@@ -353,13 +313,12 @@ def optimize_settings(
     Lett. A 200, 340 (1995)): with T = U diag(t1, t2, ...) V^T the
     correlation matrix over (z, x[, y]), a = u1, a' = u2 and b, b' =
     cos(phi) v1 +- sin(phi) v2, tan(phi) = t2/t1, give 2*sqrt(t1**2 + t2**2).
-    The singular triples come from the closed-form SVD of the 2x2 block
-    [[czz, czx], [cxz, cxx]]; with ``include_y`` T is that block plus cyy
-    on the diagonal, whose third triple is (|cyy|, e_y, sign(cyy) e_y).
-    Each pair is signed so that the first nonzero component of u_i is
-    positive.  The value returned is the CHSH expression at the returned
-    settings.  The result is deterministic, and the planar value is never
-    below the standard-settings value.
+    T is diag(czz, cxx), with ``include_y`` diag(czz, cxx, cyy), so the
+    t_i are its two largest |entries|, u_i their coordinate axes and v_i
+    = sign(c_i) u_i.  On a tie z ranks before x, and y below the larger
+    of the two and above the smaller.  The value returned is the CHSH
+    expression at the returned settings.  The result is deterministic,
+    and the planar value is never below the standard-settings value.
     """
     if include_y:
         directions = tuple(

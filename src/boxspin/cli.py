@@ -32,7 +32,7 @@ from .bell import (
     optimize_settings,
 )
 from .bits import TruncationWindow, bit_at, format_binary, spin_from_bit, truncated_value
-from .correlators import MAX_BOX_LENGTH, MIN_BOX_LENGTH, PAIRS, CorrelatorSet, correlator_grid, correlator_set
+from .correlators import MAX_BOX_LENGTH, MIN_BOX_LENGTH, CorrelatorSet, correlator_grid, correlator_set
 from .errors import InvalidScale, MisalignedGrid, RangeError
 
 __all__ = ["SweepConfig", "build_parser", "main"]
@@ -92,9 +92,12 @@ def _fmt_bool(b: bool) -> str:
 def _emit(text: str, out: str) -> None:
     if out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _rows_to_csv(header: list[str], rows: list[list[str]]) -> str:
@@ -149,7 +152,7 @@ def _cmd_fig2(args) -> int:
         return [r, l, report.value, report.violated]
 
     header = ["r", "l", "chsh_standard", "violated"]
-    _emit(_sweep_report(config, header, PAIRS, row), config.out)
+    _emit(_sweep_report(config, header, ("zz", "xx", "yy"), row), config.out)
     return 0
 
 

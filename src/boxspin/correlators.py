@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -58,6 +59,8 @@ __all__ = [
 ]
 
 PAIRS = ("zz", "xx", "yy", "zx", "xz")
+# The pairs a CorrelatorSet stores; the other two are exactly 0.
+_DIAGONAL = ("zz", "xx", "yy")
 
 # Beyond this the xx/yy prefactor exponents can overflow double range.
 MAX_BOX_LENGTH = 50.0
@@ -70,49 +73,44 @@ MIN_BOX_LENGTH = 2.0**-8
 # czz_sampled maps its normal draws to parities this many at a time.
 _SAMPLE_CHUNK = 1 << 16
 
-# A set's cross correlators must agree within this multiple of their
-# combined error bounds (czx = cxz exactly, so a multiple of 1 already
-# holds for correct values; 10 leaves a margin for sets built by hand).
-_SYMMETRY_SLACK = 10.0
-
 
 @dataclass(frozen=True)
 class CorrelatorSet:
-    """All five measured correlators at one (l, r), with error estimates."""
+    """The correlators at one (l, r), with error estimates.
+
+    The correlation matrix over (z, x, y) is diag(czz, cxx, cyy): czx
+    and cxz are exactly 0 by reflection, so they are class constants,
+    as are their errors, and every pair in PAIRS reads as c<pair> and
+    c<pair>_err.
+    """
 
     l: float
     r: float
     czz: float
     cxx: float
     cyy: float
-    czx: float
-    cxz: float
     czz_err: float
     cxx_err: float
     cyy_err: float
-    czx_err: float
-    cxz_err: float
+    czx: ClassVar[float] = 0.0
+    cxz: ClassVar[float] = 0.0
+    czx_err: ClassVar[float] = 0.0
+    cxz_err: ClassVar[float] = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("czz", "cxx", "cyy", "czx", "cxz"):
-            value = getattr(self, name)
-            err = getattr(self, name + "_err")
+        for pair in _DIAGONAL:
+            value = getattr(self, "c" + pair)
+            err = getattr(self, "c" + pair + "_err")
             if abs(value) > 1.0 + 10.0 * err + 1e-12:
                 raise RangeError(
-                    f"{name} = {value!r} exceeds magnitude 1 beyond tolerance"
+                    f"c{pair} = {value!r} exceeds magnitude 1 beyond tolerance"
                 )
-        slack = _SYMMETRY_SLACK * (self.czx_err + self.cxz_err) + 1e-9
-        if abs(self.czx - self.cxz) > slack:
-            raise RangeError(
-                f"czx and cxz differ by {abs(self.czx - self.cxz):.3e}, "
-                f"more than the allowed {slack:.3e}"
-            )
 
     @classmethod
     def from_pairs(cls, l: float, r: float, values: dict) -> "CorrelatorSet":
-        """The set whose ``values[pair]`` is (value, error) for every pair in PAIRS."""
+        """The set whose ``values[pair]`` is (value, error) for zz, xx and yy; other pairs are ignored."""
         fields = {}
-        for pair in PAIRS:
+        for pair in _DIAGONAL:
             fields["c" + pair], fields["c" + pair + "_err"] = values[pair]
         return cls(l=float(l), r=float(r), **fields)
 
@@ -287,10 +285,10 @@ def single_site(axis: str, l: float, r: float) -> tuple[float, float]:
 
 
 def correlator_set(l: float, r: float) -> CorrelatorSet:
-    """All five correlators at one (l, r) as a validated set."""
+    """The correlators at one (l, r) as a validated set."""
     l = _check_box_length(l)
     state = SqueezeState(r)
-    values = {pair: _pair_value(pair, l, state, lambda name: _lattice_piece(name, l, state)) for pair in PAIRS}
+    values = {pair: _pair_value(pair, l, state, lambda name: _lattice_piece(name, l, state)) for pair in _DIAGONAL}
     return CorrelatorSet.from_pairs(l, r, values)
 
 
@@ -322,19 +320,13 @@ def rotated_correlator(
 ) -> float:
     """Correlator of spins rotated in the x-z plane by the given angles.
 
-    Direction at angle t measures cos(t)*s_z + sin(t)*s_x, so the full
-    bilinear form is ca*cb*czz + sa*sb*cxx + ca*sb*czx + sa*cb*cxz.  The
-    cross terms are exactly 0 for this state, by reflection; they are
-    kept so the form holds for any set.
+    Direction at angle t measures cos(t)*s_z + sin(t)*s_x, so with the
+    diagonal correlation matrix of ``corr`` the bilinear form is
+    ca*cb*czz + sa*sb*cxx.
     """
     ca, sa = math.cos(angle_a), math.sin(angle_a)
     cb, sb = math.cos(angle_b), math.sin(angle_b)
-    return (
-        ca * cb * corr.czz
-        + sa * sb * corr.cxx
-        + ca * sb * corr.czx
-        + sa * cb * corr.cxz
-    )
+    return ca * cb * corr.czz + sa * sb * corr.cxx
 
 
 def czz_sampled(

@@ -4,22 +4,21 @@ Every correlator piece is exp(log_mass) times the expectation of
 su(n) * sv(m) under a correlated normal law, with (n, m) the boxes of
 length l holding the two coordinates.  Entry points:
 
-* :func:`integrate_gaussian_poisson` sums that expectation as a theta
-  series.  Each sign function has period 2 in the box index, so Poisson
+* :class:`PoissonSeries` sums that expectation as a theta series.
+  Each sign function has period 2 in the box index, so Poisson
   summation turns the box sum into a double series over the sign
   functions' Fourier coefficients, whose terms fall off as Gaussians in
   the frequencies.  Its error is an explicit tail bound plus a rounding
-  floor.
+  floor.  It plans the series at several box lengths before summing
+  any.
 * :func:`integrate_gaussian_lattice` evaluates the same expectation in
   position space.  One axis is summed in closed form as erf
   differences, the other is integrated on Gauss-Legendre panels
   aligned with the boxes, sized from the box length and cosh 2r alone.
-* :class:`PoissonSeries` plans the theta series without summing it,
-  and :func:`gaussian_lattice_work` predicts the lattice's work.
-  :func:`integrate_gaussian_box_sums` weighs the two at each of several
-  box lengths and sums the series only where it wins;
-  :func:`integrate_gaussian_poisson` is the series at one box length,
-  planned and summed.
+* :func:`gaussian_lattice_work` predicts the lattice's work, and
+  :func:`integrate_gaussian_box_sums` weighs it against the series'
+  planned terms at each box length and sums the series only where it
+  wins.
 * :func:`integrate_gaussian_line` is the one-dimensional signed box sum
   of a normal density, entirely in erf differences.
 
@@ -47,7 +46,6 @@ __all__ = [
     "IntegralResult",
     "integrate_gaussian_lattice",
     "integrate_gaussian_line",
-    "integrate_gaussian_poisson",
     "integrate_gaussian_box_sums",
     "gaussian_lattice_work",
     "PoissonSeries",
@@ -483,9 +481,26 @@ def _band_counts(q_max: np.ndarray, p: np.ndarray) -> np.ndarray:
 class PoissonSeries:
     """The theta series of one signed box sum at several box lengths, planned but not summed.
 
-    Takes the arguments of :func:`integrate_gaussian_poisson` with a
-    sequence ``l_values`` of box lengths and one ``log_masses`` entry per
-    box length.  Building it finds, per box length, the blocks, where
+    At box length l the sum is exp(log_mass) times the expectation of
+    su(n(u)) * sv(n(v)) for (u, v) normal with mean -(hu, hv) * l/2,
+    (hu, hv) = ``mean_half_boxes``, and covariance [[c, s], [s, c]]/2
+    (c = cosh 2r, s = sinh 2r), where n(u) is the box [n*l, (n+1)*l)
+    holding u.  Both sign functions must have period 2 in the box index.
+    Each is then a 2l-periodic step function with Fourier coefficients
+    F_j, G_k, and Poisson summation gives
+
+        exp(log_mass) * sum over (j, k) of F_j * G_k * (-i)**(hu*j + hv*k)
+                        * exp(-pi**2/(4*l**2) * [exp(-2r)*(j**2 + k**2)
+                                                 + s*(j + k)**2]).
+
+    Only j, k in {0} and the odd integers carry coefficients, every
+    phase is a power of -i, and the sum is real.  ``log_mass`` is folded
+    into each term's exponent.  The terms fall off in j + k on the scale
+    l*exp(-r) and in j - k on the scale l*exp(r), so small boxes and
+    strong squeezing need few of them.
+
+    ``l_values`` holds the box lengths and ``log_masses`` one log_mass
+    per box length.  Building it finds, per box length, the blocks, where
     each stops and the tail bound; ``terms[i]`` is the number of
     exponentials :meth:`integrate` takes at box length i, so a caller can
     weigh the series against other work before summing it.
@@ -601,8 +616,14 @@ class PoissonSeries:
     def integrate(self, which=None) -> list[IntegralResult]:
         """Sum the planned terms at the box lengths ``which`` (indices; default all).
 
-        Returns one result per index, each what
-        :func:`integrate_gaussian_poisson` gives at that box length alone.
+        Returns one result per index, each what a series planned at that
+        box length alone gives.  The error is a bound: the Gaussian-tail
+        bound on the dropped terms, plus a rounding floor.  The terms are
+        summed exactly (``math.fsum``), so the floor covers each term's
+        own rounding: 8 * eps * (1 + |log_mass| + exponent) * |term|
+        summed over the terms, since exp() turns the absolute rounding of
+        its argument into relative error, plus the smallest subnormal per
+        term.  ``panels_used`` is 0.
         """
         which = range(len(self.kept)) if which is None else list(which)
         results, rows = {}, []
@@ -733,44 +754,6 @@ class PoissonSeries:
                 raise NonFiniteIntegrand("theta series sum is not finite")
             results.append(IntegralResult(value=value, error_estimate=error, panels_used=0))
         return results
-
-
-def integrate_gaussian_poisson(
-    l: float,
-    r: float,
-    su: Callable[[np.ndarray], np.ndarray],
-    sv: Callable[[np.ndarray], np.ndarray],
-    log_mass: float,
-    mean_half_boxes: tuple[int, int] = (0, 0),
-) -> IntegralResult:
-    """Signed box-lattice sum of a correlated Gaussian as a theta series.
-
-    Computes exp(log_mass) times the expectation of su(n(u)) * sv(n(v))
-    for (u, v) normal with mean -(hu, hv) * l/2, (hu, hv) =
-    ``mean_half_boxes``, and covariance [[c, s], [s, c]]/2 (c = cosh 2r,
-    s = sinh 2r), where n(u) is the box [n*l, (n+1)*l) holding u.  Both
-    sign functions must have period 2 in the box index.  Each is then a
-    2l-periodic step function with Fourier coefficients F_j, G_k, and
-    Poisson summation gives
-
-        exp(log_mass) * sum over (j, k) of F_j * G_k * (-i)**(hu*j + hv*k)
-                        * exp(-pi**2/(4*l**2) * [exp(-2r)*(j**2 + k**2)
-                                                 + s*(j + k)**2]).
-
-    Only j, k in {0} and the odd integers carry coefficients, every
-    phase is a power of -i, and the sum is real.  ``log_mass`` is folded
-    into each term's exponent.  The terms fall off in j + k on the scale
-    l*exp(-r) and in j - k on the scale l*exp(r), so small boxes and
-    strong squeezing need few of them.
-
-    The error is a bound: the Gaussian-tail bound on the dropped terms,
-    plus a rounding floor.  The terms are summed exactly (``math.fsum``),
-    so the floor covers each term's own rounding: 8 * eps * (1 +
-    |log_mass| + exponent) * |term| summed over the terms, since exp()
-    turns the absolute rounding of its argument into relative error,
-    plus the smallest subnormal per term.  ``panels_used`` is 0.
-    """
-    return PoissonSeries((l,), r, su, sv, (log_mass,), mean_half_boxes).integrate()[0]
 
 
 # Above this error relative to its value, a series result whose signs

@@ -22,7 +22,7 @@ from boxspin import (
     wavefunction,
 )
 from boxspin.acceptance import CRITERIA, _grid_search_chsh, format_result, run_criterion
-from boxspin.correlators import CorrelatorSet, correlator_set, czz_sampled
+from boxspin.correlators import CorrelatorSet, _even, _parity, correlator_set, czz_sampled
 
 _IDS = [f"{cid:02d}-{title.replace(' ', '-')}" for cid, title, _, _ in CRITERIA]
 
@@ -32,6 +32,17 @@ def test_criterion(cid):
     result = run_criterion(cid)
     print(format_result(result))
     assert result.passed, f"criterion {result.cid} ({result.title}): {result.detail}"
+
+
+@pytest.mark.parametrize("pair, signs", [("zx", (_parity, _even)), ("xz", (_even, _parity))], ids=["zx", "xz"])
+def test_symmetry_criterion_fails_on_an_asymmetric_pair(monkeypatch, pair, signs):
+    """Criterion 7 sums the cross sign pairs itself.  Without the x site's
+    half-box shift, reflection maps its even boxes onto odd ones, the pair
+    no longer vanishes, and the criterion reports it."""
+    monkeypatch.setitem(acceptance._CROSS_SIGNS, pair, (*signs, (0, 0)))
+    result = run_criterion(7)
+    assert not result.passed
+    assert result.detail.startswith(f"c{pair} at (l=0.7, r=0.75)")
 
 
 # Criterion 11's sets: three synthetic ones and the computed set at l = 1, r = 2.
@@ -46,7 +57,7 @@ _CRITERION_11_SETS = [
 def _criterion_11_set(fields):
     if fields is None:
         return correlator_set(1.0, 2.0)
-    return CorrelatorSet(*fields, *([0.0] * 7))
+    return CorrelatorSet(*fields, *([0.0] * 3))
 
 
 @pytest.mark.parametrize("fields, expected", _CRITERION_11_SETS, ids=["tsirelson", "z-only", "tilted", "computed"])

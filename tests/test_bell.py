@@ -38,27 +38,22 @@ from boxspin import (
 ROOT2 = math.sqrt(2.0)
 
 
-def _svd_chsh_max(t):
-    """2*sqrt(t1**2 + t2**2) over the two largest singular values of t."""
-    sv = np.linalg.svd(np.asarray(t, dtype=float), compute_uv=False)
-    return 2.0 * math.hypot(sv[0], sv[1])
-
-
-def _make_set(czz, cxx, cyy=0.0, czx=0.0, cxz=0.0, cross_err=0.0):
+def _make_set(czz, cxx, cyy=0.0):
     return CorrelatorSet(
         l=1.0,
         r=0.8,
         czz=czz,
         cxx=cxx,
         cyy=cyy,
-        czx=czx,
-        cxz=cxz,
         czz_err=0.0,
         cxx_err=0.0,
         cyy_err=0.0,
-        czx_err=cross_err,
-        cxz_err=cross_err,
     )
+
+
+def _matrix(corr, include_y):
+    """The correlation matrix over (z, x) or, with include_y, (z, x, y)."""
+    return np.diag([corr.czz, corr.cxx, corr.cyy][: 3 if include_y else 2])
 
 
 def _angle_gap(a, b):
@@ -74,9 +69,7 @@ def _lapack_optimum(corr, include_y, flips):
     fix, so every sign LAPACK could return is tried.  Returns the flat list
     of angles and the CHSH value at them.
     """
-    t = np.array([[corr.czz, corr.czx, 0.0], [corr.cxz, corr.cxx, 0.0], [0.0, 0.0, corr.cyy]])
-    if not include_y:
-        t = t[:2, :2]
+    t = _matrix(corr, include_y)
     u, sv, vh = np.linalg.svd(t)
     for i, flip in enumerate(flips):
         if flip:
@@ -144,11 +137,6 @@ class TestChshFromCorrelators:
     def test_standard_settings_sum_z_and_x(self):
         report = chsh_from_correlators(_make_set(0.9, 0.7, cyy=-0.5))
         assert report.value == pytest.approx(ROOT2 * (0.9 + 0.7), abs=1e-12)
-
-    def test_symmetric_cross_terms_cancel_at_standard_settings(self):
-        plain = chsh_from_correlators(_make_set(0.8, 0.6))
-        crossed = chsh_from_correlators(_make_set(0.8, 0.6, czx=0.3, cxz=0.3))
-        assert crossed.value == pytest.approx(plain.value, abs=1e-12)
 
     def test_z_only_state_cannot_violate(self):
         report = chsh_from_correlators(_make_set(1.0, 0.0))
@@ -263,7 +251,7 @@ class TestOptimizer:
         assert value == pytest.approx(2.0, abs=1e-9)
 
     def test_never_below_standard_settings(self):
-        corr = _make_set(0.82, 0.55, czx=0.1, cxz=0.1)
+        corr = _make_set(0.82, -0.55)
         standard = chsh_from_correlators(corr)
         _, value = optimize_settings(corr)
         assert value >= standard.value - 1e-12
@@ -285,15 +273,17 @@ class TestOptimizer:
     @pytest.mark.parametrize(
         "corr",
         [
-            _make_set(0.6, -0.45, cyy=-0.3, czx=0.2, cxz=0.2),
-            _make_set(0.3, 0.7, cyy=-0.5, czx=-0.25, cxz=0.1, cross_err=0.2),
-            _make_set(-0.8, 0.35, cyy=0.9, czx=0.15, cxz=-0.4, cross_err=0.3),
-            _make_set(0.5, 0.45, cyy=-0.1, czx=0.6, cxz=-0.55, cross_err=0.6),
+            _make_set(0.6, -0.45, cyy=-0.3),
+            _make_set(0.3, 0.7, cyy=-0.5),
+            _make_set(-0.8, 0.35, cyy=0.9),
+            _make_set(0.5, 0.45, cyy=-0.1),
+            _make_set(-0.2, -0.9, cyy=0.55),
         ],
     )
     @pytest.mark.parametrize("include_y", [False, True])
     def test_matches_lapack_under_every_sign_of_its_pairs(self, corr, include_y):
-        """Closed form against np.linalg.svd with the sign fix, whatever signs LAPACK returns."""
+        """Closed form against np.linalg.svd with the sign fix, whatever signs
+        LAPACK returns, where the leading singular values are separated."""
         settings, value = optimize_settings(corr, include_y=include_y)
         got = [a for d in settings for a in d] if include_y else list(settings.as_tuple())
         pairs = 3 if include_y else 2
@@ -319,30 +309,40 @@ class TestOptimizer:
 
 
 _unit = st.floats(-1.0, 1.0)
+_EPS = np.finfo(float).eps
 
 
-@hypothesis_settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(czz=_unit, cxx=_unit, cyy=_unit, czx=_unit, cxz=_unit)
-def test_closed_form_is_the_maximum(czz, cxx, cyy, czx, cxz):
-    """The SVD settings reach 2 sqrt(t1^2 + t2^2) and no other settings beat them."""
-    # Scale so no setting pair gives |E| > 1, which chsh_from_correlators rejects.
-    norm = max(1.0, np.linalg.norm([[czz, czx], [cxz, cxx]], 2))
-    czz, cxx, cyy, czx, cxz = (c / norm for c in (czz, cxx, cyy, czx, cxz))
-    # A cross error of 0.1 lets czx and cxz differ by up to 2.
-    corr = _make_set(czz, cxx, cyy=cyy, czx=czx, cxz=cxz, cross_err=0.1)
+def _directions_chsh(t, directions):
+    """CHSH of a 3x3 correlation matrix at four (theta, phi) directions, by numpy."""
+    a, a2, b, b2 = (
+        np.array([math.cos(th), math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph)])
+        for th, ph in directions
+    )
+    return abs(a @ t @ b + a @ t @ b2) + abs(a2 @ t @ b - a2 @ t @ b2)
+
+
+@hypothesis_settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(czz=_unit, cxx=_unit, cyy=_unit)
+@example(czz=0.0, cxx=0.0, cyy=0.0)  # zero matrix
+@example(czz=1.0, cxx=1.0, cyy=-1.0)  # identity up to sign, three equal values
+@example(czz=0.0, cxx=0.48261945022445896, cyy=-0.0)  # r = 0 product state
+@example(czz=0.82037284495481, cxx=0.10969017178176203, cyy=-0.10969017178176203)  # |cxx| = |cyy|
+@example(czz=1e-170, cxx=6.67e-168, cyy=-1e-300)  # squares underflow
+def test_closed_form_is_the_maximum(czz, cxx, cyy):
+    """The settings reach 2*hypot of the two largest |entries| of the diagonal
+    matrix, reproduce their value, and no other settings beat them."""
+    corr = _make_set(czz, cxx, cyy=cyy)
     settings, planar = optimize_settings(corr)
-    assert planar == pytest.approx(chsh_from_correlators(corr, settings).value, abs=1e-12)
-    assert planar == pytest.approx(_svd_chsh_max([[czz, czx], [cxz, cxx]]), abs=1e-12)
+    assert planar == chsh_from_correlators(corr, settings).value
+    assert abs(planar - 2.0 * math.hypot(czz, cxx)) <= 4 * _EPS
     rng = np.random.default_rng(0)
     for angles in rng.uniform(-math.pi, math.pi, size=(64, 4)):
         assert planar >= chsh_from_correlators(corr, ChshSettings(*angles)).value - 1e-12
-    _, value = optimize_settings(corr, include_y=True)
-    assert value >= planar - 1e-12
-    t3 = [[czz, czx, 0.0], [cxz, cxx, 0.0], [0.0, 0.0, cyy]]
-    assert value == pytest.approx(_svd_chsh_max(t3), abs=1e-12)
-
-
-_EPS = np.finfo(float).eps
+    directions, value = optimize_settings(corr, include_y=True)
+    t1, t2, _ = sorted(map(abs, (czz, cxx, cyy)), reverse=True)
+    assert abs(value - 2.0 * math.hypot(t1, t2)) <= 4 * _EPS
+    assert value == pytest.approx(_directions_chsh(_matrix(corr, True), directions), abs=4 * _EPS)
+    assert value >= planar - 4 * _EPS
 
 
 def _check_triples(t, triples):
@@ -350,41 +350,53 @@ def _check_triples(t, triples):
     s = np.array([p[0] for p in triples])
     u = np.array([p[1] for p in triples]).T
     v = np.array([p[2] for p in triples]).T
-    norm = np.linalg.norm(t, 2)
     assert s[0] >= s[1] >= 0.0
-    assert np.abs(s - np.linalg.svd(t, compute_uv=False)[: len(s)]).max() <= 1e-15
-    assert np.abs(u.T @ u - np.eye(len(s))).max() <= 4 * _EPS
-    assert np.abs(v.T @ v - np.eye(len(s))).max() <= 4 * _EPS
-    assert np.abs(t @ v - u * s).max() <= 8 * _EPS * norm
-    assert np.abs(t.T @ u - v * s).max() <= 8 * _EPS * norm
-    if len(s) == len(t):
-        assert np.abs(u @ np.diag(s) @ v.T - t).max() <= 8 * _EPS * norm
+    assert (np.abs(s - np.linalg.svd(t, compute_uv=False)[: len(s)]) <= 4 * _EPS * s).all()
+    assert (u.T @ u == np.eye(len(s))).all()
+    assert (v.T @ v == np.eye(len(s))).all()
+    assert (t @ v == u * s).all()
+    assert (t.T @ u == v * s).all()
     for column in u.T:
         assert column[np.flatnonzero(column)[0]] > 0.0
 
 
-@hypothesis_settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(czz=_unit, czx=_unit, cxz=_unit, cxx=_unit, cyy=_unit)
-@example(czz=0.0, czx=0.0, cxz=0.0, cxx=0.0, cyy=0.0)  # zero matrix
-@example(czz=0.6, czx=0.3, cxz=0.4, cxx=0.2, cyy=0.0)  # rank 1
-@example(czz=0.0, czx=0.7, cxz=0.0, cxx=0.0, cyy=-0.2)  # rank 1, one entry
-@example(czz=1.0, czx=0.0, cxz=0.0, cxx=1.0, cyy=-1.0)  # identity, three equal values
-@example(czz=math.cos(0.7), czx=-math.sin(0.7), cxz=math.sin(0.7), cxx=math.cos(0.7), cyy=0.3)
-@example(czz=0.2, czx=0.9, cxz=0.8, cxx=-0.1, cyy=0.5)  # negative determinant
-@example(czz=0.0, czx=0.0, cxz=0.0, cxx=0.48261945022445896, cyy=-0.0)  # r = 0 product state
-@example(czz=7.0e-34, czx=-1.0e-16, cxz=-6.9e-18, cxx=0.9995501012348115, cyy=-0.0)
-@example(czz=0.9, czx=0.0, cxz=0.0, cxx=0.5, cyy=-0.5)  # |cyy| tied with t2
-@example(czz=0.9997849558445846, czx=0.0, cxz=0.0, cxx=0.9447058530910046, cyy=-0.9447058530910046)
-@example(czz=0.989247792235841, czx=0.0, cxz=0.0, cxx=0.9946013184478638, cyy=-0.9946013184478638)
-@example(czz=1e-170, czx=3e-171, cxz=0.0, cxx=6.67e-168, cyy=-1e-300)  # squares underflow
-def test_closed_form_singular_triples(czz, czx, cxz, cxx, cyy):
-    """The 2x2 closed form, and the include_y embedding, against LAPACK's singular values."""
-    t = np.array([[czz, czx], [cxz, cxx]])
-    _check_triples(t, bell._singular_pairs(czz, czx, cxz, cxx))
-    corr = _make_set(czz, cxx, cyy=cyy, czx=czx, cxz=cxz, cross_err=1.0)
-    assert bell._leading_pairs(corr) == bell._singular_pairs(czz, czx, cxz, cxx)
-    t3 = np.array([[czz, czx, 0.0], [cxz, cxx, 0.0], [0.0, 0.0, cyy]])
-    _check_triples(t3, bell._leading_pairs(corr, include_y=True))
+@hypothesis_settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(czz=_unit, cxx=_unit, cyy=_unit)
+@example(czz=0.0, cxx=0.0, cyy=0.0)
+@example(czz=-0.6, cxx=0.6, cyy=-0.6)
+@example(czz=0.9, cxx=0.5, cyy=-0.5)
+@example(czz=1e-170, cxx=6.67e-168, cyy=-1e-300)
+def test_leading_pairs_are_exact_singular_triples(czz, cxx, cyy):
+    """Axis triples of the diagonal matrix: t v = s u exactly, and s within 4 eps of LAPACK's."""
+    corr = _make_set(czz, cxx, cyy=cyy)
+    for include_y in (False, True):
+        _check_triples(_matrix(corr, include_y), bell._leading_pairs(corr, include_y))
+
+
+_Z, _X, _Y = "zxy"
+
+
+@pytest.mark.parametrize(
+    "czz, cxx, cyy, planar, with_y",
+    [
+        (0.5, 0.5, 0.0, (_Z, _X), (_Z, _X)),  # z before x
+        (0.5, -0.5, 0.1, (_Z, _X), (_Z, _X)),
+        (0.3, 0.7, -0.7, (_X, _Z), (_X, _Y)),  # y below the block's first
+        (0.7, 0.3, -0.7, (_Z, _X), (_Z, _Y)),
+        (0.7, 0.3, -0.3, (_Z, _X), (_Z, _Y)),  # y above the block's second
+        (0.3, 0.7, -0.3, (_X, _Z), (_X, _Y)),
+        (0.6, -0.6, -0.6, (_Z, _X), (_Z, _Y)),  # all three equal
+        (0.0, 0.0, -0.0, (_Z, _X), (_Z, _Y)),
+        (0.0, 0.48261945022445896, -0.0, (_X, _Z), (_X, _Y)),  # r = 0 product state
+    ],
+    ids=["zx", "zx-signed", "y-x-first", "y-z-first", "y-x-second", "y-z-second", "all", "zero", "product"],
+)
+def test_exact_ties_follow_the_stated_rule(czz, cxx, cyy, planar, with_y):
+    """On a tie z ranks before x, and y below the larger of the two and above the smaller."""
+    corr = _make_set(czz, cxx, cyy=cyy)
+    for include_y, axes in ((False, planar), (True, with_y)):
+        (_, u1, _), (_, u2, _) = bell._leading_pairs(corr, include_y)
+        assert ("zxy"[u1.index(1.0)], "zxy"[u2.index(1.0)]) == axes
 
 
 def test_import_leaves_scipy_optimize_unloaded():

@@ -350,6 +350,19 @@ class TestSingleShotCommands:
         capsys.readouterr()
         assert json.loads(target.read_text())["chsh_bound"] == 2.0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["lhv"], ["fig1", "--points", "2", "--r-list", "0"]],
+        ids=["lhv", "fig1"],
+    )
+    def test_unwritable_output_is_an_input_error(self, capsys, tmp_path, argv):
+        """A path in a missing directory: exit 2 naming the path, not a traceback."""
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = _run(capsys, [*argv, "--out", str(target)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert not target.parent.exists()
+
 
 class TestSelftestCommand:
     def test_single_cheap_criteria(self, capsys):

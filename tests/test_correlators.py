@@ -19,6 +19,7 @@ lattice, are also checked against each other over the whole accepted
 domain.
 """
 
+import dataclasses
 import math
 import sys
 from decimal import Decimal, localcontext
@@ -41,12 +42,11 @@ from boxspin import (
     correlator_set,
     czz_sampled,
     integrate_gaussian_lattice,
-    integrate_gaussian_poisson,
     rotated_correlator,
     single_site,
     wavefunction,
 )
-from boxspin import correlators, quadrature
+from boxspin import acceptance, correlators, quadrature
 from boxspin.correlators import (
     _PIECES,
     PAIRS,
@@ -64,11 +64,9 @@ import mp_reference
 
 
 # The pieces czx and cxz would read if they were not exactly 0 by
-# reflection: (su, sv, (hu, hv)) as in _PIECES, with the mass <s_x> shares.
-_CROSS_PIECES = {
-    "zx": (_parity, _even, (0, 1)),
-    "xz": (_even, _parity, (1, 0)),
-}
+# reflection, as acceptance criterion 7 sums them: (su, sv, (hu, hv)) as
+# in _PIECES, with the mass <s_x> shares.
+_CROSS_PIECES = acceptance._CROSS_SIGNS
 _ALL_PIECES = {**_PIECES, **_CROSS_PIECES}
 
 
@@ -319,7 +317,7 @@ class TestStructure:
         cs = correlator_set(1.0, 0.6)
         assert cs.czz == correlator("zz", 1.0, 0.6)[0]
         assert cs.cxx == correlator("xx", 1.0, 0.6)[0]
-        assert abs(cs.czx - cs.cxz) < 1e-9
+        assert (cs.czx, cs.cxz, cs.czx_err, cs.cxz_err) == (0.0, 0.0, 0.0, 0.0)
         d = cs.as_dict()
         assert set(d) == {"l", "r", "czz", "cxx", "cyy", "czx", "cxz", "errs"}
         assert set(d["errs"]) == {"czz", "cxx", "cyy", "czx", "cxz"}
@@ -328,8 +326,8 @@ class TestStructure:
 class TestRotation:
     def _synthetic(self):
         return CorrelatorSet(
-            l=1.0, r=0.0, czz=0.6, cxx=0.5, cyy=-0.4, czx=0.0, cxz=0.0,
-            czz_err=0.0, cxx_err=0.0, cyy_err=0.0, czx_err=0.0, cxz_err=0.0,
+            l=1.0, r=0.0, czz=0.6, cxx=0.5, cyy=-0.4,
+            czz_err=0.0, cxx_err=0.0, cyy_err=0.0,
         )
 
     def test_axis_extractions(self):
@@ -388,16 +386,23 @@ class TestValidation:
     def test_set_rejects_out_of_range_values(self):
         with pytest.raises(RangeError):
             CorrelatorSet(
-                l=1.0, r=0.0, czz=1.5, cxx=0.0, cyy=0.0, czx=0.0, cxz=0.0,
-                czz_err=0.0, cxx_err=0.0, cyy_err=0.0, czx_err=0.0, cxz_err=0.0,
+                l=1.0, r=0.0, czz=1.5, cxx=0.0, cyy=0.0,
+                czz_err=0.0, cxx_err=0.0, cyy_err=0.0,
             )
 
-    def test_set_rejects_asymmetric_cross_terms(self):
-        with pytest.raises(RangeError):
+    @pytest.mark.parametrize("name", ["czx", "cxz", "czx_err", "cxz_err"])
+    def test_set_holds_no_cross_terms(self, name):
+        """The correlation matrix is diagonal: the set stores czz, cxx and
+        cyy with their errors, rejects a cross term, and reads each as 0.0."""
+        assert [f.name for f in dataclasses.fields(CorrelatorSet)] == [
+            "l", "r", "czz", "cxx", "cyy", "czz_err", "cxx_err", "cyy_err",
+        ]
+        with pytest.raises(TypeError, match=name):
             CorrelatorSet(
-                l=1.0, r=0.0, czz=0.0, cxx=0.0, cyy=0.0, czx=0.2, cxz=-0.2,
-                czz_err=0.0, cxx_err=0.0, cyy_err=0.0, czx_err=1e-6, cxz_err=1e-6,
+                l=1.0, r=0.0, czz=0.0, cxx=0.0, cyy=0.0,
+                czz_err=0.0, cxx_err=0.0, cyy_err=0.0, **{name: 0.2},
             )
+        assert getattr(correlator_set(1.0, 2.0), name) == 0.0
 
 
 class TestSampling:
@@ -477,7 +482,7 @@ class TestReportedErrorIsABound:
             l, state.cosh2r, state.sinh2r, (0.0, 0.0), one, one, 0.0
         )
         assert abs(res.value - 1.0) <= res.error_estimate
-        series = integrate_gaussian_poisson(l, r, one, one, 0.0)
+        series = PoissonSeries([l], r, one, one, [0.0]).integrate()[0]
         assert abs(series.value - 1.0) <= series.error_estimate
 
     @pytest.mark.parametrize("r", [0.0, 2.0, 5.0])
@@ -819,8 +824,7 @@ def test_invariants_hold_within_reported_errors(r, l):
     sx, sx_err = single_site("x", l, r)
     assert 0.0 <= sx <= 1.0 + sx_err
     assert cs.cyy <= cs.cyy_err
-    assert abs(cs.czx - cs.cxz) <= cs.czx_err + cs.cxz_err
-    assert abs(cs.czx) < 1e-5
+    assert cs.czx == cs.cxz == 0.0
     chsh = chsh_from_correlators(cs).value
     assert bit_bell_from_correlators(cs).value == pytest.approx(chsh / 2.0, abs=1e-12)
 

@@ -15,7 +15,6 @@ from boxspin import (
     NonFiniteIntegrand,
     integrate_gaussian_lattice,
     integrate_gaussian_line,
-    integrate_gaussian_poisson,
 )
 from boxspin import quadrature
 from boxspin.quadrature import PoissonSeries, integrate_gaussian_box_sums
@@ -103,6 +102,11 @@ class TestGaussianLattice:
             )
 
 
+def _theta(l, r, su, sv, log_mass, half_boxes=(0, 0)):
+    """The theta series at one box length, planned and summed."""
+    return PoissonSeries([l], r, su, sv, [log_mass], half_boxes).integrate()[0]
+
+
 class TestGaussianPoisson:
     """The theta series against the same factorized erf oracle at r = 0,
     where the coordinates are independent with variance 1/2."""
@@ -110,7 +114,7 @@ class TestGaussianPoisson:
     @pytest.mark.parametrize("l", [0.3, 0.7, 2.5, 9.0])
     @pytest.mark.parametrize("half_boxes", [(1, 0), (0, 1), (1, 1), (2, 0)])
     def test_independent_coordinates_factorize(self, l, half_boxes):
-        res = integrate_gaussian_poisson(l, 0.0, _parity, _even, math.log(2.0), half_boxes)
+        res = _theta(l, 0.0, _parity, _even, math.log(2.0), half_boxes)
         ns = np.arange(-60, 60)
         a, b = (-h * l / 2.0 for h in half_boxes)
         expected = 2.0 / math.pi * float(
@@ -123,7 +127,7 @@ class TestGaussianPoisson:
     def test_blocks_without_real_part_are_exactly_zero(self):
         """Parity on u, even boxes on v, mean (0, -l/2): every term is
         imaginary, so there is nothing to sum and no tail to bound."""
-        res = integrate_gaussian_poisson(0.8, 1.5, _parity, _even, 0.0, (0, 1))
+        res = _theta(0.8, 1.5, _parity, _even, 0.0, (0, 1))
         assert (res.value, res.error_estimate) == (0.0, 0.0)
         assert PoissonSeries([0.8], 1.5, _parity, _even, [0.0], (0, 1)).terms == [0]
 
@@ -131,7 +135,7 @@ class TestGaussianPoisson:
     @pytest.mark.parametrize("half_boxes", [(0, 0), (1, 1), (1, 0)])
     def test_the_sum_takes_the_planned_terms(self, monkeypatch, l, r, half_boxes):
         """``terms`` counts the exponentials the sum evaluates, and the plan
-        sums to what the one-call form returns."""
+        sums to what a fresh plan at that box length returns."""
         series = PoissonSeries([l], r, _even, _parity, [math.log(2.0)], half_boxes)
         evaluated = []
         real_exp = np.exp
@@ -144,16 +148,16 @@ class TestGaussianPoisson:
             m.setattr(np, "exp", counted_exp)
             (res,) = series.integrate()
         assert sum(evaluated) == series.terms[0]
-        assert res == integrate_gaussian_poisson(l, r, _even, _parity, math.log(2.0), half_boxes)
+        assert res == _theta(l, r, _even, _parity, math.log(2.0), half_boxes)
 
     def test_mirrored_terms_cancel_exactly(self):
         """At r = 0 the density series pairs (j, k) with (j, -k) and sums to 0."""
         for l in (0.5, 3.0, 20.0):
-            assert integrate_gaussian_poisson(l, 0.0, _parity, _parity, 0.0).value == 0.0
+            assert _theta(l, 0.0, _parity, _parity, 0.0).value == 0.0
 
     def test_underflowing_mass_takes_no_terms(self):
         assert PoissonSeries([50.0], 0.0, _even, _even, [-1250.0], (1, 1)).terms == [0]
-        res = integrate_gaussian_poisson(50.0, 0.0, _even, _even, -1250.0, (1, 1))
+        res = _theta(50.0, 0.0, _even, _even, -1250.0, (1, 1))
         assert res.value == 0.0
         assert 0.0 < res.error_estimate < 1e-300
 
@@ -165,13 +169,13 @@ class TestGaussianPoisson:
     def test_rejects_bad_inputs(self):
         one = np.ones_like
         with pytest.raises(InvalidScale):
-            integrate_gaussian_poisson(0.0, 0.0, one, one, 0.0)
+            _theta(0.0, 0.0, one, one, 0.0)
         with pytest.raises(InvalidScale):
-            integrate_gaussian_poisson(1.0, -0.5, one, one, 0.0)
+            _theta(1.0, -0.5, one, one, 0.0)
         with pytest.raises(InvalidScale):  # period 3, not 2
-            integrate_gaussian_poisson(1.0, 0.0, lambda n: (n % 3 == 0).astype(int), one, 0.0)
+            _theta(1.0, 0.0, lambda n: (n % 3 == 0).astype(int), one, 0.0)
         with pytest.raises(InvalidScale):
-            integrate_gaussian_poisson(1.0, 0.0, lambda n: 2 * np.ones_like(n), one, 0.0)
+            _theta(1.0, 0.0, lambda n: 2 * np.ones_like(n), one, 0.0)
 
 
 class TestOverflowingMass:
@@ -194,8 +198,6 @@ class TestOverflowingMass:
             PoissonSeries([1.0], 0.0, one, one, [log_mass])
         with pytest.raises(NonFiniteIntegrand):
             PoissonSeries([1.0, 2.0], 0.0, one, one, [0.0, log_mass])
-        with pytest.raises(NonFiniteIntegrand):
-            integrate_gaussian_poisson(1.0, 0.0, one, one, log_mass)
 
     def test_largest_finite_mass_passes_the_check(self):
         """exp(ln(max float)) is finite, so the check lets it through."""
@@ -362,7 +364,7 @@ class TestSignFunctionShape:
 
     def test_series_rejects_a_scalar_sign(self):
         with pytest.raises(InvalidScale, match="shape"):
-            integrate_gaussian_poisson(1.0, 0.0, self._scalar, np.ones_like, 0.0)
+            PoissonSeries([1.0], 0.0, self._scalar, np.ones_like, [0.0])
 
 
 class TestBoxSumDispatch:

@@ -32,6 +32,7 @@ the two leading singular values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -41,7 +42,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -72,10 +72,13 @@ def worker(points: list[dict]) -> list[dict]:
     from boxspin.bell import bit_bell_from_correlators, chsh_from_correlators, optimize_settings
     from boxspin.correlators import CorrelatorSet, correlator_set
 
+    # A point's set names every c<pair> and c<pair>_err; a side's
+    # CorrelatorSet takes those that are its fields.
+    names = [f.name for f in dataclasses.fields(CorrelatorSet)]
     rows = []
     for point in points:
         r, l = point["r"], point["l"]
-        corr = CorrelatorSet(**point["set"])
+        corr = CorrelatorSet(**{name: point["set"][name] for name in names})
         if correlator_set(l, r) != corr:
             raise SystemExit(f"correlator_set({l}, {r}) differs from the one being scored")
 
@@ -130,18 +133,17 @@ def _flat(settings) -> list[float]:
 def against_parent(row: dict, values: dict) -> dict:
     """Per mode: |change - parent| in value, the largest angle gap mod 2 pi, and
     the relative gap (t1 - t2) / t1 of the two leading singular values, below
-    which the leading singular vectors, and so the settings, are not unique."""
+    which the leading singular vectors, and so the settings, are not unique.
+    The correlation matrix is diagonal, so t1 and t2 are its two largest
+    |entries|: |czz| and |cxx|, and |cyy| with include_y."""
     out = {}
-    for mode, planar in (("planar", True), ("include_y", False)):
-        t = [[values["zz"], values["zx"]], [values["xz"], values["xx"]]]
-        if not planar:
-            t = [t[0] + [0.0], t[1] + [0.0], [0.0, 0.0, values["yy"]]]
-        sv = np.linalg.svd(np.array(t), compute_uv=False)
+    for mode, diagonal in (("planar", ("zz", "xx")), ("include_y", ("zz", "xx", "yy"))):
+        t1, t2 = sorted((abs(values[p]) for p in diagonal), reverse=True)[:2]
         parent, change = row["parent"][mode], row["change"][mode]
         out[mode] = {
             "value_dev": abs(change["value"] - parent["value"]),
             "max_angle_gap": max(map(_angle_gap, _flat(change["settings"]), _flat(parent["settings"]))),
-            "leading_separation": float((sv[0] - sv[1]) / sv[0]) if sv[0] else 0.0,
+            "leading_separation": (t1 - t2) / t1 if t1 else 0.0,
         }
     return out
 
@@ -165,7 +167,8 @@ def main() -> int:
     grid = [("settings", r, l) for r, l in points.settings_points()]
     grid += [("corner", r, l) for r, l in points.CORNERS]
     sets = [correlator_set(l, r) for _kind, r, l in grid]
-    inputs = [{"r": r, "l": l, "set": {name: getattr(cs, name) for name in cs.__dataclass_fields__}}
+    names = ["l", "r"] + [f"c{p}{suffix}" for suffix in ("", "_err") for p in PAIRS]
+    inputs = [{"r": r, "l": l, "set": {name: getattr(cs, name) for name in names}}
               for (_kind, r, l), cs in zip(grid, sets)]
     sides = {side: run_side(src, inputs) for side, src in
              (("parent", args.parent_src.resolve()), ("change", ROOT / "src"))}
