@@ -91,8 +91,8 @@ class BellReport:
 
 
 def _checked(e: float) -> float:
-    if abs(e) > 1.0 + _CORR_TOL:
-        raise RangeError(f"correlator {e!r} exceeds magnitude 1")
+    if not abs(e) <= 1.0 + _CORR_TOL:
+        raise RangeError(f"correlator {e!r} is not a number of magnitude <= 1")
     return float(e)
 
 

@@ -8,6 +8,12 @@ the usual combinations.  All matrix entries are in {0, +/-1, +/-i}, so
 products and commutators of these operators stay on Gaussian integers
 far below 2**53 and are exact in double precision; tests can therefore
 assert algebraic identities with zero tolerance.
+
+s_z, s_x and s_y store exactly one entry per row, so each is a row map:
+a column and a value per row.  hierarchy_commutes composes those maps
+instead of multiplying sparse matrices: row r of A B is
+val_a[r] * val_b[col_a[r]] in column col_b[col_a[r]].  The values stay
+in {+/-1, +/-i}, so the composition is as exact as the sparse product.
 """
 
 from __future__ import annotations
@@ -221,17 +227,49 @@ class HierarchyReport:
         return self.commutes
 
 
+def _row_map(op: GridOperator) -> tuple[np.ndarray, np.ndarray]:
+    """(col, val): the column and the value of the one stored entry in
+    each row of ``op``; raises ValueError unless every row stores exactly
+    one."""
+    counts = np.diff(op.matrix.indptr)
+    if np.any(counts != 1):
+        row = int(np.flatnonzero(counts != 1)[0])
+        raise ValueError(
+            f"{op.label} stores {counts[row]} entries in row {row}, not one per row"
+        )
+    return op.matrix.indices, op.matrix.data
+
+
 def hierarchy_commutes(cells_per_box_a: int, cells_per_box_b: int, grid: Grid) -> HierarchyReport:
     """Check [component at scale a, component at scale b] for all 9 pairs.
 
     The report is truthy exactly when every commutator vanishes.
+
+    All nine products of each order are composed at once on the
+    operators' row maps (see the module docstring).  Row r of [A, B]
+    vanishes when A B and B A put equal values in one column, or both
+    put 0.  Every value is a product of two of +/-1, +/-i and exact, so
+    each pair is what is_zero(commutator(A, B)) gives.
     """
-    ops_a = {ax: build_spin_operator(ax, cells_per_box_a, grid) for ax in ("z", "x", "y")}
-    ops_b = {ax: build_spin_operator(ax, cells_per_box_b, grid) for ax in ("z", "x", "y")}
+    axes = ("z", "x", "y")
+    maps_a = [_row_map(build_spin_operator(ax, cells_per_box_a, grid)) for ax in axes]
+    maps_b = [_row_map(build_spin_operator(ax, cells_per_box_b, grid)) for ax in axes]
+    col_a, val_a = (np.stack(arrays) for arrays in zip(*maps_a))
+    col_b, val_b = (np.stack(arrays) for arrays in zip(*maps_b))
+    # Index [i, j, r] is row r of A_i B_j and of B_j A_i; via_a and via_b
+    # are the rows of B_j and A_i that those products read.
+    a_ix, b_ix = np.arange(3)[:, None, None], np.arange(3)[None, :, None]
+    via_a, via_b = col_a[:, None], col_b[None]
+    col_ab, val_ab = col_b[b_ix, via_a], val_a[:, None] * val_b[b_ix, via_a]
+    col_ba, val_ba = col_a[a_ix, via_b], val_b[None] * val_a[a_ix, via_b]
+    rows_vanish = np.where(
+        col_ab == col_ba, val_ab == val_ba, (val_ab == 0) & (val_ba == 0)
+    )
+    vanish = rows_vanish.all(axis=-1)
     pairs = {
-        (ax_a, ax_b): is_zero(commutator(op_a, op_b))
-        for ax_a, op_a in ops_a.items()
-        for ax_b, op_b in ops_b.items()
+        (ax_a, ax_b): bool(vanish[i, j])
+        for i, ax_a in enumerate(axes)
+        for j, ax_b in enumerate(axes)
     }
     return HierarchyReport(
         cells_per_box_a=cells_per_box_a,
@@ -287,6 +325,39 @@ def _real_parts(matrix: sp.csr_matrix) -> list[tuple[complex, sp.csr_matrix]]:
     return parts
 
 
+def _entry_slots(part: sp.csr_matrix) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``part``'s stored entries as slots (rows, cols, vals): slot k holds
+    the k-th stored entry of each row that has one.  Slot 0 lists every
+    row; a row that stores nothing holds 0 at column 0 there."""
+    counts = np.diff(part.indptr)
+    stored = counts > 0
+    first = np.minimum(part.indptr[:-1], part.nnz - 1)
+    slots = [(
+        np.arange(counts.size),
+        np.where(stored, part.indices[first], 0),
+        np.where(stored, part.data[first], 0.0),
+    )]
+    for k in range(1, int(counts.max(initial=0))):
+        rows = np.flatnonzero(counts > k)
+        at = part.indptr[rows] + k
+        slots.append((rows, part.indices[at], part.data[at]))
+    return slots
+
+
+def _times_transpose(applied: np.ndarray, slots: list) -> np.ndarray:
+    """applied @ B.T in C order, for the B whose _entry_slots are
+    ``slots``: column c is the sum of applied[:, j] * B[c, j] over the
+    entries of row c, in slot order."""
+    (_, cols, vals), *rest = slots
+    product = np.take(applied, cols, axis=1)
+    product *= vals
+    for rows, cols, vals in rest:
+        term = np.take(applied, cols, axis=1)
+        term *= vals
+        product[:, rows] += term
+    return product
+
+
 def expectation(op_a: GridOperator, op_b: GridOperator, state: SqueezeState) -> complex:
     """<psi| A (x) B |psi> / <psi|psi> with psi sampled at cell midpoints.
 
@@ -316,7 +387,18 @@ def expectations(
     that reads rows outside R evaluates those rows again for every
     block that reads them, and holds them next to R while it does.
     Nothing complex or dense n x n is ever built.
+
+    (A psi) B^T is written in C order, as the vdot reads it: column c
+    gathers the columns of A psi that row c of a B part stores, scales
+    them and sums them in index order, one stored entry of every row at
+    a time.  A spin operator stores at most one entry per row, so its
+    product is one gather and one scaling of the block.  A general B
+    costs block rows x nnz(B) multiply-adds, like a sparse product, and
+    holds the block's product and one gathered slot, each at most
+    rows x n, never rows x nnz(B).  No pairs give [].
     """
+    if not pairs:
+        return []
     grid = pairs[0][0].grid
     if any(op.grid != grid for pair in pairs for op in pair):
         raise GridMismatch("operators live on different grids")
@@ -326,7 +408,7 @@ def expectations(
     split = [
         (
             _real_parts(op_a.matrix),
-            [(unit, part.T.tocsr()) for unit, part in _real_parts(op_b.matrix)],
+            [(unit, _entry_slots(part)) for unit, part in _real_parts(op_b.matrix)],
         )
         for op_a, op_b in pairs
     ]
@@ -351,6 +433,7 @@ def expectations(
                     shape=(stop - i, read.size),
                 )
                 applied = local @ psi
-                for unit_b, part_bt in parts_b:
-                    numerators[k] += unit_a * unit_b * float(np.vdot(block, applied @ part_bt))
+                for unit_b, slots in parts_b:
+                    product = float(np.vdot(block, _times_transpose(applied, slots)))
+                    numerators[k] += unit_a * unit_b * product
     return [numerator / denominator for numerator in numerators]

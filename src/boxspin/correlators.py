@@ -101,6 +101,10 @@ class CorrelatorSet:
         for pair in _DIAGONAL:
             value = getattr(self, "c" + pair)
             err = getattr(self, "c" + pair + "_err")
+            if not 0.0 <= err < math.inf:
+                raise RangeError(f"c{pair}_err = {err!r} is not a finite error >= 0")
+            if not math.isfinite(value):
+                raise RangeError(f"c{pair} = {value!r} is not finite")
             if abs(value) > 1.0 + 10.0 * err + 1e-12:
                 raise RangeError(
                     f"c{pair} = {value!r} exceeds magnitude 1 beyond tolerance"

@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from boxspin import acceptance, boxops
 from boxspin import (
@@ -106,6 +107,17 @@ class TestOraclesRunInBoundedMemory:
         # rows evaluates psi on 256.
         grid = Grid(2048, 1.0 / 64.0, -16.0)
         op = build_spin_operator("y", 512, grid)
+        assert _peak_mb(lambda: expectation(op, op, SqueezeState(1.0))) <= 24.0
+
+    def test_expectation_of_a_general_operator_holds_a_few_blocks(self):
+        """A random operator of density 0.2 on Grid(512) stores about 100
+        entries per row.  Gathering psi's columns for every stored entry of
+        B at once would take 512 rows x 52 000 entries (214 MB) for the one
+        block; the product gathers one entry of each row at a time."""
+        grid = Grid(512, 1.0 / 16.0, -16.0)
+        rng = np.random.default_rng(3)
+        matrix = sp.random(512, 512, density=0.2, format="csr", random_state=rng)
+        op = boxops.GridOperator(grid, 1, "random", matrix)
         assert _peak_mb(lambda: expectation(op, op, SqueezeState(1.0))) <= 24.0
 
     def test_aligned_spin_operators_evaluate_each_psi_row_once(self, monkeypatch):

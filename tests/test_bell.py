@@ -126,6 +126,11 @@ class TestChshValue:
         with pytest.raises(RangeError):
             chsh_value(lambda a, b: 1.5)
 
+    @pytest.mark.parametrize("e", [math.nan, math.inf, -math.inf])
+    def test_non_finite_correlator_is_rejected(self, e):
+        with pytest.raises(RangeError, match=repr(e)):
+            chsh_value(lambda a, b: e)
+
     def test_report_flag_must_match_value(self):
         with pytest.raises(ValueError):
             BellReport(value=2.5, bound=2.0, violated=False)

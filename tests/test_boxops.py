@@ -8,6 +8,8 @@ literal zeros.
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxspin import acceptance, boxops
 from boxspin import (
@@ -215,6 +217,92 @@ class TestHierarchy:
         assert report.pairs[("z", "x")] is False
         assert report.pairs[("z", "z")] is True
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        log_cells=st.integers(4, 8),
+        log_scale=st.integers(0, 6),
+        ratio=st.sampled_from([1, 2, 4, 3]),
+        fine_first=st.booleans(),
+        log_width=st.integers(-3, 1),
+        block_offset=st.integers(-4, 4),
+    )
+    def test_reports_equal_sparse_commutators(
+        self, log_cells, log_scale, ratio, fine_first, log_width, block_offset
+    ):
+        """Every pair of the row-map report is is_zero(commutator(a, b)),
+        on grids of 16 to 256 cells whose origin sits on a two-box block
+        of the coarser scale, in both argument orders.  A ratio of 3 has
+        no such block on a power-of-two grid."""
+        n = 2**log_cells
+        # The coarser scale's two-box block, in the finer scale's blocks.
+        span = 1 if ratio == 3 else ratio
+        fine = 2 ** min(log_scale, log_cells - span.bit_length())
+        coarse = fine * ratio
+        block = 2 * fine * span
+        grid = Grid(n, cell_width=2.0**log_width, origin=block_offset * block * 2.0**log_width)
+        a, b = (fine, coarse) if fine_first else (coarse, fine)
+        if ratio == 3:
+            with pytest.raises(MisalignedGrid):
+                hierarchy_commutes(a, b, grid)
+            return
+        report = hierarchy_commutes(a, b, grid)
+        expected = {
+            (ax_a, ax_b): is_zero(
+                commutator(build_spin_operator(ax_a, a, grid), build_spin_operator(ax_b, b, grid))
+            )
+            for ax_a in ("z", "x", "y")
+            for ax_b in ("z", "x", "y")
+        }
+        assert list(report.pairs.items()) == list(expected.items())
+        assert all(type(value) is bool for value in report.pairs.values())
+        assert bool(report) is (ratio != 1)
+
+    def test_row_maps_that_land_in_different_columns(self, monkeypatch, spin_grid):
+        """Spin operators move rows by commuting bit flips, so only their
+        values decide.  Here z is a reversal and x a cyclic shift by the
+        box size, whose products land in different columns, and y is a
+        reversal that stores only zeros, so its commutators vanish."""
+        n = spin_grid.n_cells
+        rows = np.arange(n)
+
+        def row_map_operator(axis, cpb, grid):
+            cols = (rows + cpb) % n if axis == "x" else n - 1 - rows
+            vals = np.full(n, 0.0 if axis == "y" else 1.0, dtype=np.complex128)
+            matrix = sp.csr_matrix((vals, cols, np.arange(n + 1)), shape=(n, n))
+            return boxops.GridOperator(grid, cpb, f"{axis}_{cpb}", matrix)
+
+        monkeypatch.setattr(boxops, "build_spin_operator", row_map_operator)
+        report = hierarchy_commutes(2, 4, spin_grid)
+        expected = {
+            (ax_a, ax_b): is_zero(
+                commutator(row_map_operator(ax_a, 2, spin_grid), row_map_operator(ax_b, 4, spin_grid))
+            )
+            for ax_a in ("z", "x", "y")
+            for ax_b in ("z", "x", "y")
+        }
+        assert report.pairs == expected
+        assert not report.pairs[("z", "x")] and not report.pairs[("x", "z")]
+        assert report.pairs[("z", "z")] and report.pairs[("y", "x")] and report.pairs[("x", "y")]
+
+    def test_row_map_refuses_rows_without_exactly_one_entry(self, spin_grid):
+        plus = build_spin_operator("plus", 4, spin_grid)
+        z, x = (build_spin_operator(ax, 4, spin_grid) for ax in ("z", "x"))
+        z_plus_x = boxops.GridOperator(spin_grid, 4, "s_z + s_x", (z.matrix + x.matrix).tocsr())
+        with pytest.raises(ValueError, match="s_plus stores 0 entries in row 4"):
+            boxops._row_map(plus)
+        with pytest.raises(ValueError, match="s_z \\+ s_x stores 2 entries in row 0"):
+            boxops._row_map(z_plus_x)
+        col, val = boxops._row_map(x)
+        np.testing.assert_array_equal(_dense(x)[np.arange(32), col], val)
+
+    def test_hierarchy_checks_each_operator_is_a_row_map(self, monkeypatch, spin_grid):
+        monkeypatch.setattr(
+            boxops, "build_spin_operator",
+            lambda axis, cpb, grid: build_spin_operator("plus" if axis == "y" else axis, cpb, grid),
+        )
+        with pytest.raises(ValueError, match="s_plus"):
+            hierarchy_commutes(2, 4, spin_grid)
+
     def test_cross_grid_commutator_is_rejected(self):
         a = build_spin_operator("z", 2, Grid(16, 1.0, 0.0))
         b = build_spin_operator("x", 2, Grid(16, 1.0, -8.0))
@@ -255,6 +343,28 @@ class TestExpectationOracle:
             assert abs(matrix_value.imag) < 1e-12
             quad_value, _ = correlator(pair, 0.5, 0.8)
             assert matrix_value.real == pytest.approx(quad_value, abs=1e-3)
+
+    def test_no_pairs_give_no_values(self):
+        assert expectations([], SqueezeState(0.5)) == []
+
+    def test_criterion_9_values_are_pinned(self):
+        grid = Grid(2048, 1.0 / 64.0, -16.0)
+        ops = [build_spin_operator(ax, 64, grid) for ax in ("x", "y")]
+        assert expectations([(op, op) for op in ops], SqueezeState(1.0)) == [
+            0.6791493635973423 + 0j,
+            -0.6439553533647212 + 0j,
+        ]
+
+    @pytest.mark.parametrize("density", [0.0, 0.05, 0.5])
+    def test_times_transpose_writes_the_product_in_c_order(self, density):
+        """Rows of B with no entry, one, or several; applied @ B.T in C order."""
+        rng = np.random.default_rng(11)
+        part = sp.random(24, 24, density=density, format="csr", random_state=rng)
+        part = (part + sp.csr_matrix(([2.0], ([3], [5])), shape=(24, 24))).tocsr()
+        applied = rng.standard_normal((7, 24))
+        product = boxops._times_transpose(applied, boxops._entry_slots(part))
+        assert product.flags.c_contiguous
+        np.testing.assert_allclose(product, applied @ part.toarray().T, rtol=1e-15, atol=1e-15)
 
     def test_grid_mismatch_rejected(self):
         a = build_spin_operator("z", 2, Grid(16, 1.0, 0.0))

@@ -390,6 +390,26 @@ class TestValidation:
                 czz_err=0.0, cxx_err=0.0, cyy_err=0.0,
             )
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"cxx": math.nan}, "cxx = nan"),
+            ({"czz": math.inf}, "czz = inf"),
+            ({"cyy": -math.inf, "cyy_err": 1.0}, "cyy = -inf"),
+            ({"czz": 5.0, "czz_err": math.inf}, "czz_err = inf"),
+            ({"cxx_err": math.nan}, "cxx_err = nan"),
+            ({"cyy_err": -1e-3}, "cyy_err = -0.001"),
+        ],
+        ids=["nan-value", "inf-value", "minus-inf-value", "inf-error", "nan-error", "negative-error"],
+    )
+    def test_set_rejects_non_finite_values_and_errors(self, fields, name):
+        """abs(nan) > bound is False, and an infinite error widens the
+        bound to inf: both once let a set through that chsh_from_correlators
+        reported as nan and optimize_settings could not wrap."""
+        values = dict(l=1.0, r=0.0, czz=0.5, cxx=0.5, cyy=-0.2, czz_err=0.0, cxx_err=0.0, cyy_err=0.0)
+        with pytest.raises(RangeError, match=name):
+            CorrelatorSet(**{**values, **fields})
+
     @pytest.mark.parametrize("name", ["czx", "cxz", "czx_err", "cxz_err"])
     def test_set_holds_no_cross_terms(self, name):
         """The correlation matrix is diagonal: the set stores czz, cxx and
