@@ -10,10 +10,11 @@ far below 2**53 and are exact in double precision; tests can therefore
 assert algebraic identities with zero tolerance.
 
 s_z, s_x and s_y store exactly one entry per row, so each is a row map:
-a column and a value per row.  hierarchy_commutes composes those maps
-instead of multiplying sparse matrices: row r of A B is
-val_a[r] * val_b[col_a[r]] in column col_b[col_a[r]].  The values stay
-in {+/-1, +/-i}, so the composition is as exact as the sparse product.
+a column and a value per row.  hierarchy_commutes, and the acceptance
+battery's spin algebra, compose those maps instead of multiplying
+sparse matrices: row r of A B is val_a[r] * val_b[col_a[r]] in column
+col_b[col_a[r]].  The values stay Gaussian integers, so the composition
+is as exact as the sparse product.
 """
 
 from __future__ import annotations
@@ -238,6 +239,23 @@ def _row_map(op: GridOperator) -> tuple[np.ndarray, np.ndarray]:
             f"{op.label} stores {counts[row]} entries in row {row}, not one per row"
         )
     return op.matrix.indices, op.matrix.data
+
+
+def _compose(map_a, map_b) -> tuple[np.ndarray, np.ndarray]:
+    """The row map of A B from those of A and B: row r of A B is row
+    col_a[r] of B times val_a[r]."""
+    col_a, val_a = map_a
+    col_b, val_b = map_b
+    return col_b[col_a], val_a * val_b[col_a]
+
+
+def _rows_cancel(*maps) -> np.ndarray:
+    """Whether each row of the sum of the row maps ``maps`` is zero: in
+    every column a row reaches, the values that land there add to 0."""
+    return np.logical_and.reduce([
+        sum(np.where(col == col_t, val, 0) for col, val in maps) == 0
+        for col_t, _ in maps
+    ])
 
 
 def hierarchy_commutes(cells_per_box_a: int, cells_per_box_b: int, grid: Grid) -> HierarchyReport:

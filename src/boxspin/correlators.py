@@ -25,7 +25,9 @@ lattice where the series leaves a nonnegative box sum with few digits.
 :func:`correlator_grid` evaluates a sweep's box lengths that way;
 :func:`correlator` and :func:`correlator_set` take one box length.
 :func:`single_site` needs neither: <s_x> is one 1-D box sum of the
-position marginal.
+position marginal.  Nor does r = 0, where the state is a product of
+the two sites: there ``density`` is exactly 0 and ``step`` is <s_x>
+squared (:func:`_evaluate`).
 
 Pieces are cached per (piece, l, r), so a cache hit plans no series
 and estimates no lattice work.  The cache holds at most
@@ -35,6 +37,7 @@ _PIECE_CACHE_SIZE pieces and drops the oldest insertion when full.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -221,13 +224,40 @@ def _pieces(name: str, l_values: list[float], state: SqueezeState) -> list[Integ
 
 
 def _evaluate(name: str, l_values: list[float], state: SqueezeState) -> list[IntegralResult]:
-    """One piece at each of the distinct box lengths ``l_values``, cached per (name, l, r)."""
-    su, sv, shifts = _PIECES[name]
-    log_masses = [_log_mass(name, l, state) for l in l_values]
-    results = integrate_gaussian_box_sums(l_values, state.r, su, sv, log_masses, shifts)
+    """One piece at each of the distinct box lengths ``l_values``, cached per (name, l, r).
+
+    At r = 0 the state is a product and no 2-D box sum runs.  Reflecting
+    one site alone (box n -> -n - 1) leaves it unchanged and flips that
+    site's s_z, so ``density`` is exactly 0.  ``step`` is <s_x>**2, with
+    <s_x> the line sum :func:`single_site` takes; its error propagates
+    the line's bound e through the square, e*(2|<s_x>| + e), plus the
+    product's rounding and the smallest subnormal for its underflow.
+    """
+    if state.r == 0.0:
+        results = [_product_piece(name, l, state) for l in l_values]
+    else:
+        su, sv, shifts = _PIECES[name]
+        log_masses = [_log_mass(name, l, state) for l in l_values]
+        results = integrate_gaussian_box_sums(l_values, state.r, su, sv, log_masses, shifts)
     for l, result in zip(l_values, results):
         _cache_put((name, l, state.r), result)
     return results
+
+
+def _site_x_line(l: float, state: SqueezeState) -> IntegralResult:
+    """<s_x> as one line sum; see :func:`single_site`."""
+    log_mass = math.log(2.0) - state.cosh2r * l * l / 4.0
+    return integrate_gaussian_line(l, state.sigma, _even, -l / 2.0, log_mass)
+
+
+def _product_piece(name: str, l: float, state: SqueezeState) -> IntegralResult:
+    """One piece of the unsqueezed product state in closed form; see :func:`_evaluate`."""
+    if name == "density":
+        return IntegralResult(0.0, 0.0, 0)
+    line = _site_x_line(l, state)
+    sx, e = line.value, line.error_estimate
+    error = e * (2.0 * abs(sx) + e) + sys.float_info.epsilon * sx * sx + math.ulp(0.0)
+    return IntegralResult(sx * sx, error, 0)
 
 
 # The piece each pair reads; czx and cxz, exactly 0, read none.
@@ -282,14 +312,18 @@ def single_site(axis: str, l: float, r: float) -> tuple[float, float]:
     if axis == "z":
         return 0.0, 0.0
     if axis == "x":
-        log_mass = math.log(2.0) - state.cosh2r * l * l / 4.0
-        res = integrate_gaussian_line(l, state.sigma, _even, -l / 2.0, log_mass)
+        res = _site_x_line(l, state)
         return res.value, res.error_estimate
     raise ValueError(f"axis must be 'z' or 'x', got {axis!r}")
 
 
 def correlator_set(l: float, r: float) -> CorrelatorSet:
-    """The correlators at one (l, r) as a validated set."""
+    """The correlators at one (l, r) as a validated set.
+
+    At r = 0 they are in closed form: czz is (0.0, 0.0) and cxx is
+    single_site("x", l, 0.0) squared, with that bound carried through
+    the square; no 2-D box sum runs.
+    """
     l = _check_box_length(l)
     state = SqueezeState(r)
     values = {pair: _pair_value(pair, l, state, lambda name: _lattice_piece(name, l, state)) for pair in _DIAGONAL}

@@ -143,3 +143,20 @@ class TestOraclesRunInBoundedMemory:
     def test_grid_search_builds_no_cube(self):
         corr = correlator_set(1.0, 2.0)
         assert _peak_mb(lambda: _grid_search_chsh(corr)) <= 8.0
+
+
+@pytest.mark.parametrize("axis", ["z", "x", "y"])
+def test_operator_algebra_criterion_fails_on_a_flipped_sign(monkeypatch, axis):
+    """Criterion 8 composes the spin operators' row maps itself.  With one
+    operator's sign flipped its square is still I, but [x, y] is -2i z,
+    and the criterion reports it on the first grid."""
+    real = acceptance.build_spin_operator
+
+    def flipped(ax, cpb, grid):
+        op = real(ax, cpb, grid)
+        return boxops.GridOperator(grid, cpb, op.label, -op.matrix) if ax == axis else op
+
+    monkeypatch.setattr(acceptance, "build_spin_operator", flipped)
+    result = run_criterion(8)
+    assert not result.passed
+    assert result.detail == "[x,y] != 2iz at cpb=1 on 16 cells"

@@ -76,6 +76,12 @@ def _piece_log_mass(name: str, l: float, state: SqueezeState) -> float:
     return _log_mass(name, l, state)
 
 
+def _box_sum(name: str, l: float, state: SqueezeState):
+    """One piece, or one cross sign pair, by the evaluator integrate_gaussian_box_sums picks."""
+    su, sv, shifts = _ALL_PIECES[name]
+    return integrate_gaussian_box_sums([l], state.r, su, sv, [_piece_log_mass(name, l, state)], shifts)[0]
+
+
 def _erf_piece(name: str, l: float, state: SqueezeState):
     """One piece, or one cross sign pair, by the erf lattice alone."""
     su, sv, shifts = _ALL_PIECES[name]
@@ -526,14 +532,33 @@ class TestReportedErrorIsABound:
     @pytest.mark.parametrize("l", _SCAN_L)
     def test_unsqueezed_xx_and_yy_match_the_mpmath_product(self, l):
         """At r = 0 the modes are independent, so cxx is the product of the
-        sites' <s_x> (a 40-digit erfc sum) and cyy is 0.  The theta series
-        takes the small boxes and the lattice the large ones; from l = 13.65
-        to 23.81 the lattice keeps one of the two even boxes that carry the
-        value, so it prints half of it, and only the bound covers that."""
+        sites' <s_x> (a 40-digit erfc sum) and cyy is 0.  correlator squares
+        the line sum of <s_x>; where the square underflows (l > 27.2, the
+        four largest box lengths here) its bound is the smallest
+        subnormal, which covers the true value."""
         value, err = correlator("xx", l, 0.0)
         assert abs(mpmath.mpf(value) - mp_reference.cxx_unsqueezed(l)) <= err
         value, err = correlator("yy", l, 0.0)
         assert abs(value) <= err
+
+    @pytest.mark.parametrize("l", _SCAN_L)
+    def test_unsqueezed_step_box_sum_matches_the_mpmath_product(self, l):
+        """The 2-D evaluators' step piece at r = 0, which production no
+        longer runs, against the same product: the theta series takes the
+        small boxes and the lattice the large ones; from l = 13.65 to 23.81
+        the lattice keeps one of the two even boxes that carry the value,
+        so it returns half of it, and only the bound covers that."""
+        res = _box_sum("step", l, SqueezeState(0.0))
+        assert abs(mpmath.mpf(res.value) - mp_reference.cxx_unsqueezed(l)) <= res.error_estimate
+
+    @pytest.mark.parametrize("l", _SCAN_L)
+    def test_unsqueezed_xx_bound_certifies_nine_digits(self, l):
+        """Where cxx at r = 0 is a normal float its bound is at most
+        5e-10 of it, so the printed digits are certified; the lattice's
+        half values above l = 13.7 failed this."""
+        value, err = correlator("xx", l, 0.0)
+        if abs(value) >= sys.float_info.min:
+            assert err <= 5e-10 * abs(value)
 
     @pytest.mark.parametrize("pair", ["zz", "xx"])
     @pytest.mark.parametrize("r", [2.0, 5.0])
@@ -626,20 +651,18 @@ class TestEvaluatorsAgree:
         l = 50 and r = 0 the density series needs more terms than the
         lattice's nodes x edges.  The piece comes from the predicted winner."""
         state = SqueezeState(0.0)
-        clear_cache()
         for name in _PIECES:
             assert _series_pays(name, 0.03, state), name
-            assert _lattice_piece(name, 0.03, state) == _series(name, 0.03, state).integrate()[0]
+            assert _box_sum(name, 0.03, state) == _series(name, 0.03, state).integrate()[0]
         assert not _series_pays("density", 50.0, state)
-        assert _lattice_piece("density", 50.0, state) == _erf_piece("density", 50.0, state)
+        assert _box_sum("density", 50.0, state) == _erf_piece("density", 50.0, state)
 
     @pytest.mark.parametrize("name, r, l", [("step", 0.0, 7.5)])
     def test_nonnegative_pieces_fall_back_to_the_lattice(self, name, r, l):
         """Far below its mass a nonnegative piece keeps its digits on the lattice only."""
         state = SqueezeState(r)
         assert _series_pays(name, l, state)
-        clear_cache()
-        got = _lattice_piece(name, l, state)
+        got = _box_sum(name, l, state)
         assert got == _erf_piece(name, l, state)
         assert got.error_estimate < 1e-3 * _series(name, l, state).integrate()[0].error_estimate
 
@@ -748,7 +771,9 @@ class TestPieceDispatch:
     )
     def test_an_uncached_piece_plans_its_series_once(self, monkeypatch, name, r, l):
         """Counting and summing share one plan, whichever evaluator wins:
-        the last two end on the lattice, by fallback and by predicted work."""
+        the last two end on the lattice, by fallback and by predicted work.
+        A squeezed piece plans once more when first asked for and not
+        again from the cache; the unsqueezed one plans no series at all."""
         plans = []
 
         class Counted(PoissonSeries):
@@ -758,11 +783,12 @@ class TestPieceDispatch:
 
         monkeypatch.setattr(quadrature, "PoissonSeries", Counted)
         state = SqueezeState(r)
+        _box_sum(name, l, state)
+        assert len(plans) == 1
         clear_cache()
         _lattice_piece(name, l, state)
-        assert len(plans) == 1
         _lattice_piece(name, l, state)
-        assert len(plans) == 1
+        assert len(plans) == (2 if r > 0.0 else 1)
 
     @pytest.mark.parametrize("r, l", _SWEEP_AND_CORNERS)
     def test_cross_pairs_are_exactly_zero_without_a_piece(self, monkeypatch, r, l):
@@ -779,6 +805,21 @@ class TestPieceDispatch:
         assert correlator_grid(["zx", "xz"], [l], r) == [{"zx": (0.0, 0.0), "xz": (0.0, 0.0)}]
         assert correlators._PIECE_CACHE == {}
         assert single_site("z", l, r) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("l", _SCAN_L + [MIN_BOX_LENGTH])
+    def test_the_product_state_runs_no_box_sum(self, monkeypatch, l):
+        """At r = 0 a set takes czz as an exact 0 and cxx from one line
+        sum, so no 2-D evaluator runs, at any scan box length or the
+        smallest accepted one."""
+
+        def unused(*args):
+            raise AssertionError("an unsqueezed set evaluated a 2-D box sum")
+
+        monkeypatch.setattr(correlators, "integrate_gaussian_box_sums", unused)
+        clear_cache()
+        cs = correlator_set(l, 0.0)
+        assert (cs.czz, cs.czz_err) == (0.0, 0.0)
+        clear_cache()
 
     @pytest.mark.parametrize("r, l", _SWEEP_AND_CORNERS)
     def test_cross_sign_pairs_plan_an_empty_series(self, monkeypatch, r, l):
@@ -809,18 +850,14 @@ class TestPieceDispatch:
         estimate and no lattice."""
         state = SqueezeState(r)
         expected = _series(name, l, state).integrate()[0]
-        su, sv, shifts = _ALL_PIECES[name]
 
         def unused(*args):
             raise AssertionError("an empty series estimated or ran the lattice")
 
         monkeypatch.setattr(quadrature, "gaussian_lattice_work", unused)
         monkeypatch.setattr(quadrature, "integrate_gaussian_lattice", unused)
-        result, = integrate_gaussian_box_sums([l], r, su, sv, [_piece_log_mass(name, l, state)], shifts)
+        result = _box_sum(name, l, state)
         assert result == expected and result.value == 0.0
-        if name in _PIECES:
-            clear_cache()
-            assert _lattice_piece(name, l, state) == expected
 
     def test_a_cache_hit_evaluates_nothing(self, monkeypatch):
         clear_cache()
@@ -854,16 +891,27 @@ def test_invariants_hold_within_reported_errors(r, l):
     assert abs(product.cxx - sx * sx) <= product.cxx_err + (2.0 * abs(sx) + sx_err) * sx_err
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(l=st.floats(MIN_BOX_LENGTH, MAX_BOX_LENGTH))
+def test_the_product_state_is_closed_form(l):
+    """At r = 0, czz is exactly (0.0, 0.0) and cxx is <s_x> squared, bit for bit."""
+    assert correlator("zz", l, 0.0) == (0.0, 0.0)
+    sx, _ = single_site("x", l, 0.0)
+    assert correlator("xx", l, 0.0)[0] == sx * sx
+
+
 class TestCorrelatorGrid:
     """correlator_grid against per-point sets, the bounded cache, and one
     state per set."""
 
     def test_cells_cover_every_dispatch(self):
-        """At r = 0 the density piece goes to the lattice on predicted work
+        """At r = 0.25 the density piece goes to the lattice on predicted work
         at l = 50, and the series sums it at l = 7.5; the step piece's mass
         underflows at l = 50, the series sums it at l = 0.03 and loses its
-        digits at l = 7.5.  The grid property below starts from these cells."""
-        state = SqueezeState(0.0)
+        digits at l = 7.5.  The grid property below starts from these cells,
+        and from the same box lengths at r = 0, where the pieces are closed
+        forms."""
+        state = SqueezeState(0.25)
         assert not _series_pays("density", 50.0, state)
         assert _series_pays("density", 7.5, state)
         assert _series("step", 50.0, state).terms == [0]
@@ -920,13 +968,14 @@ class TestCorrelatorGrid:
     repeats=st.lists(st.integers(0, 3), max_size=2),
 )
 @example(r=0.0, l_values=[50.0, 0.03, 7.5], repeats=[1])
+@example(r=0.25, l_values=[50.0, 0.03, 7.5], repeats=[1])
 @example(r=0.25, l_values=[30.0], repeats=[])
 @example(r=5.0, l_values=[0.03], repeats=[0])
 def test_grid_matches_per_point_sets(r, l_values, repeats):
     """Every pair at every box length, value and error, to the bit, whether
     its piece came from the series, the lattice on predicted work or after
-    the series lost digits, or an underflowing mass; box lengths unsorted
-    and repeated."""
+    the series lost digits, an underflowing mass, or the closed forms at
+    r = 0; box lengths unsorted and repeated."""
     l_values = l_values + [l_values[i % len(l_values)] for i in repeats]
     clear_cache()
     grid = correlator_grid(PAIRS, l_values, r)

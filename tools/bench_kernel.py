@@ -21,7 +21,9 @@ run), the kernel's evaluation count (erfc values for the erf lattice
 plus exponentials for the theta series), and the largest deviation
 from ``perfbench/reference.json``, together with whether every
 deviation lies within the reported error plus the reference's own.
-Points where the reference itself is known to be off carry a note.
+Per point, whether both sides computed the same values and errors to
+the bit.  Points where the reference itself is known to be off carry a
+note.
 
 With ``--scan`` (layer a, BENCH_kernel.json): the domain scan, 41
 log-spaced box lengths in [0.03, 50] x SCAN_R x the pieces ``density``,
@@ -33,7 +35,9 @@ removed cannot be scanned), and ``site_x``, the single-site <s_x>, by
 is a fresh interpreter; the sides alternate, and so does which one runs
 first.  A run first records, per cell, the method (``series``,
 ``lattice``, ``series_then_lattice`` where the series was summed and
-then discarded, or ``line`` for one 1-D erf box sum), the series' terms
+then discarded, ``line`` for 1-D erf box sums, as <s_x> and the
+unsqueezed ``step`` take, or ``exact`` where no evaluator runs, as for
+the unsqueezed ``density``), the series' terms
 and the lattice's u-panels, the value and the bound, then times every
 cell SCAN_REPEATS times without instrumentation, in an order shuffled
 per run (the same for both sides of a run), and keeps each cell's
@@ -204,7 +208,7 @@ def scan_worker(seed: int) -> dict:
         calls.clear()
         value, bound = evaluate(r, l, name)
         used = dict(calls)
-        method = "series_then_lattice" if len(used) == 2 else calls[0][0]
+        method = "series_then_lattice" if len(used) == 2 else next(iter(used), "exact")
         records.append({"method": method, "terms": used.get("series"), "panels": used.get("lattice"),
                         "value": value, "bound": bound})
     quadrature.PoissonSeries.integrate = real_integrate
@@ -294,7 +298,7 @@ def run_scan(parent_src: Path, out: Path) -> None:
         "summary": {
             side: {
                 "cells_by_method": {m: sum(row[side]["method"] == m for row in rows)
-                                    for m in ("series", "lattice", "series_then_lattice", "line")},
+                                    for m in ("series", "lattice", "series_then_lattice", "line", "exact")},
                 "ms_by_method": totals[side],
                 "lattice_and_discarded_series_s": lattice_seconds(side),
                 "site_x_s": 1e-3 * sum(row[side]["ms"] for row in site_x),
@@ -413,13 +417,14 @@ def main() -> int:
         for (r_note, l_note), note in REFERENCE_NOTES.items():
             if r == r_note and abs(l - l_note) <= 1e-12 * l_note:
                 row["note"] = note
+        computed = {}
         for side, src in (("parent", args.parent_src.resolve()), ("change", ROOT / "src")):
             row[side] = run_side(src, r, l)
             score(row[side], table[(r, l)])
-            row[side].pop("values", None)
-            row[side].pop("errors", None)
+            computed[side] = (row[side].pop("values", None), row[side].pop("errors", None))
         if row["parent"]["ok"] and row["change"]["ok"]:
             row["speedup"] = row["parent"]["seconds"] / row["change"]["seconds"]
+            row["values_identical"] = computed["parent"] == computed["change"]
         print(json.dumps(row), file=sys.stderr)
         rows.append(row)
 
