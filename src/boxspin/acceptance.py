@@ -39,8 +39,6 @@ from .boxops import (
 )
 from .correlators import (
     CorrelatorSet,
-    _even,
-    _parity,
     correlator,
     correlator_set,
     czz_sampled,
@@ -65,9 +63,9 @@ def criterion_normalization() -> str:
         state = SqueezeState(r)
         results = {
             "lattice": integrate_gaussian_lattice(
-                1.0, state.cosh2r, state.sinh2r, (0.0, 0.0), np.ones_like, np.ones_like, 0.0
+                1.0, state.cosh2r, state.sinh2r, (0.0, 0.0), (1, 1), (1, 1), 0.0
             ),
-            "series": PoissonSeries([1.0], r, np.ones_like, np.ones_like, [0.0]).integrate()[0],
+            "series": PoissonSeries([1.0], r, (1, 1), (1, 1), [0.0]).integrate()[0],
         }
         for name, res in results.items():
             dev = abs(res.value - 1.0)
@@ -182,9 +180,10 @@ def criterion_no_violation_unsqueezed() -> str:
 _SYMMETRY_POINTS = ((0.3, 0.25), (0.7, 0.75), (1.0, 1.0), (2.5, 1.5), (5.0, 2.0))
 
 # The sign pairs czx and cxz would sum, (su, sv, (hu, hv)) as in
-# correlators._PIECES: the parity on the z site, the even-box indicator
-# on the x site, and the half-box shift of the x site's mean.
-_CROSS_SIGNS = {"zx": (_parity, _even, (0, 1)), "xz": (_even, _parity, (1, 0))}
+# correlators._PIECES: the parity (1, -1) on the z site, the even-box
+# indicator (1, 0) on the x site, and the half-box shift of the x site's
+# mean.
+_CROSS_SIGNS = {"zx": ((1, -1), (1, 0), (0, 1)), "xz": ((1, 0), (1, -1), (1, 0))}
 
 
 def criterion_symmetry() -> str:
@@ -209,7 +208,7 @@ def criterion_symmetry() -> str:
             assert abs(res.value) <= res.error_estimate, (
                 f"c{pair} at (l={l}, r={r}) = {res.value:.2e}, beyond its bound {res.error_estimate:.1e}"
             )
-        res = integrate_gaussian_line(l, state.sigma, _parity)
+        res = integrate_gaussian_line(l, state.sigma, (1, -1))
         worst_sz = max(worst_sz, abs(res.value))
         assert abs(res.value) <= res.error_estimate, (
             f"<s_z> at (l={l}, r={r}) = {res.value:.2e}, beyond its bound {res.error_estimate:.1e}"

@@ -6,8 +6,9 @@ Site spin components are defined from position boxes of length ``l``:
 even box below it.  Every two-site correlator then reduces to one
 piece: a mass times the expectation of su(n) * sv(m) under a normal law
 with covariance [[c, s], [s, c]]/2 (c = cosh 2r, s = sinh 2r), where n
-and m are the boxes of the two coordinates, su and sv are the parity or
-the even-box indicator, and the mean is 0 or -l/2 on each axis.
+and m are the boxes of the two coordinates, su and sv are the parity
+(1, -1) or the even-box indicator (1, 0) as (even-box value, odd-box
+value) pairs, and the mean is 0 or -l/2 on each axis.
 The masses are closed forms, written without the difference
 c - s = exp(-2r), which cancels; the whole assembly prefactor is in
 them, so each piece is its correlator.  See
@@ -149,25 +150,14 @@ def _check_box_length(l: float) -> float:
     return l
 
 
-# Sign functions over box indices.  Boxes are [n*l, (n+1)*l); the box
-# parity (-1)**n and the even-box indicator both follow Python's
-# floor-mod convention for negative n.  Every piece's sign over a box
-# pair is a product su(n) * sv(m) of two of these.
-
-def _parity(n):
-    return 1 - 2 * (n % 2)
-
-
-def _even(n):
-    return (n % 2 == 0).astype(int)
-
-
 # Each piece is exp(log_mass) times the expectation of su(n) * sv(m) under
-# the normal law of covariance [[c, s], [s, c]]/2 and mean -(hu, hv)*l/2;
-# per piece: (su, sv, (hu, hv)).
+# the normal law of covariance [[c, s], [s, c]]/2 and mean -(hu, hv)*l/2,
+# with boxes [n*l, (n+1)*l).  Per piece: the values of su and sv on even
+# and odd boxes, the parity (1, -1) or the even-box indicator (1, 0), and
+# (hu, hv).
 _PIECES = {
-    "density": (_parity, _parity, (0, 0)),
-    "step": (_even, _even, (1, 1)),
+    "density": ((1, -1), (1, -1), (0, 0)),
+    "step": ((1, 0), (1, 0), (1, 1)),
 }
 
 
@@ -247,7 +237,7 @@ def _evaluate(name: str, l_values: list[float], state: SqueezeState) -> list[Int
 def _site_x_line(l: float, state: SqueezeState) -> IntegralResult:
     """<s_x> as one line sum; see :func:`single_site`."""
     log_mass = math.log(2.0) - state.cosh2r * l * l / 4.0
-    return integrate_gaussian_line(l, state.sigma, _even, -l / 2.0, log_mass)
+    return integrate_gaussian_line(l, state.sigma, (1, 0), -l / 2.0, log_mass)
 
 
 def _product_piece(name: str, l: float, state: SqueezeState) -> IntegralResult:

@@ -2,12 +2,13 @@
 
 Every correlator piece is exp(log_mass) times the expectation of
 su(n) * sv(m) under a correlated normal law, with (n, m) the boxes of
-length l holding the two coordinates.  Entry points:
+length l holding the two coordinates.  Every sign has period 2 in the
+box index, so each sign argument is a pair (s_even, s_odd): its value
+on even boxes and on odd boxes, each in {-1, 0, +1}.  Entry points:
 
 * :class:`PoissonSeries` sums that expectation as a theta series.
-  Each sign function has period 2 in the box index, so Poisson
-  summation turns the box sum into a double series over the sign
-  functions' Fourier coefficients, whose terms fall off as Gaussians in
+  Poisson summation turns the box sum into a double series over the
+  signs' Fourier coefficients, whose terms fall off as Gaussians in
   the frequencies.  Its error is an explicit tail bound plus a rounding
   floor.  It plans the series at several box lengths before summing
   any.
@@ -35,7 +36,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy.special import erfc, roots_legendre
@@ -102,16 +102,19 @@ def _check_log_mass(log_mass: float) -> None:
         )
 
 
-def _sign_values(sign, idx: np.ndarray) -> np.ndarray:
-    """sign(idx) as floats, checked to be shaped like idx and to lie in {-1, 0, +1}."""
-    values = np.asarray(sign(idx), dtype=float)
-    if values.shape != idx.shape:
-        raise InvalidScale(
-            f"sign function must return an array of shape {idx.shape}, got {values.shape}"
-        )
-    if not np.array_equal(values, np.sign(values)):
-        raise InvalidScale("sign function must return values in {-1, 0, +1}")
-    return values
+def _sign_pair(sign) -> tuple[float, float]:
+    """A sign (s_even, s_odd) as two floats, checked to be a pair in {-1, 0, +1}."""
+    if not (isinstance(sign, (tuple, list)) and len(sign) == 2
+            and all(v in (-1, 0, 1) for v in sign)):
+        raise InvalidScale(f"a sign must be a pair (s_even, s_odd) in {{-1, 0, +1}}, got {sign!r}")
+    return float(sign[0]), float(sign[1])
+
+
+def _sign_table(sign: tuple[float, float], n: int) -> np.ndarray:
+    """sign(k) for k = 0, ..., n - 1: the pair (s_even, s_odd) repeated."""
+    table = np.empty(n)
+    table[0::2], table[1::2] = sign
+    return table
 
 
 def _edge_count(l, root_c):
@@ -137,11 +140,12 @@ def _panels_per_box(l, panel_width):
     return max(1, math.ceil(l / panel_width - 1e-12))
 
 
-def _erf_boxes(mu, k0, l, root_c, sv_table, m_first, n_edges):
+def _erf_boxes(mu, k0, l, root_c, sv_table, n_edges):
     """Signed erf-difference box masses, a row per centre mu_i.
 
     Row i holds sv(m) * [erf(root_c*(e_{m+1} - mu_i)) - erf(root_c*(e_m - mu_i))],
-    e_m = m*l, for the ``n_edges`` edges from m = k0_i.
+    e_m = m*l, for the ``n_edges`` edges from m = k0_i; ``sv_table`` is
+    :func:`_sign_table` of sv and n_edges.
     """
     # Edge-major (edge x centre), so every elementwise operation runs over
     # rows as long as the step's nodes rather than as short as one window.
@@ -157,7 +161,8 @@ def _erf_boxes(mu, k0, l, root_c, sv_table, m_first, n_edges):
     diff = lo - hi
     np.negative(diff, out=diff, where=~above[:-1])
     np.subtract(2.0 - lo, hi, out=diff, where=above[1:] & ~above[:-1])
-    rows = (k0 - m_first).astype(np.intp)
+    # sv has period 2, so box k0_i + k takes sv_table[k0_i mod 2 + k].
+    rows = (k0 % 2).astype(np.intp)
     diff *= sv_table[rows + np.arange(n_edges - 1)[:, None]]
     # Centre-major, so each centre's boxes are summed contiguously, in the
     # order numpy's pairwise sum takes a row.
@@ -176,8 +181,8 @@ def integrate_gaussian_lattice(
     c: float,
     s: float,
     mean: tuple[float, float],
-    su: Callable[[np.ndarray], np.ndarray],
-    sv: Callable[[np.ndarray], np.ndarray],
+    su: tuple[int, int],
+    sv: tuple[int, int],
     log_mass: float,
 ) -> IntegralResult:
     """Signed box-lattice sum of a correlated Gaussian, one axis in closed form.
@@ -185,7 +190,8 @@ def integrate_gaussian_lattice(
     Computes exp(log_mass) times the expectation of su(n(u)) * sv(n(v))
     for (u, v) normal with mean ``mean`` = (u0, v0) and covariance
     [[c, s], [s, c]]/2, where c = cosh(2r), s = sinh(2r) for some r >= 0
-    and n(u) is the box B_n = [n*l, (n+1)*l) holding u.  The density is
+    and n(u) is the box B_n = [n*l, (n+1)*l) holding u; ``su`` and ``sv``
+    are sign pairs (s_even, s_odd).  The density is
     exp(-c*x**2 - c*y**2 + 2*s*x*y)/pi in (x, y) = (u - u0, v - v0).  For
     fixed u the v-factor is a Gaussian of centre mu(u) = v0 + (s/c)*(u - u0)
     and width 1/sqrt(2c), so the v box-sum H(u) is sqrt(pi/c)/2 times a
@@ -231,6 +237,7 @@ def integrate_gaussian_lattice(
     if not (c >= 1.0 and abs((c - s) * (c + s) - 1.0) <= 1e-6):
         raise InvalidScale(f"need c = cosh(2r), s = sinh(2r); got c={c!r}, s={s!r}")
     _check_log_mass(log_mass)
+    su, sv = _sign_pair(su), _sign_pair(sv)
     root_c = math.sqrt(c)
     u0, v0 = (float(m) for m in mean)
     log_w = log_mass - math.log(math.pi)
@@ -243,7 +250,7 @@ def integrate_gaussian_lattice(
 
     # u-panels: each kept box split into equal panels, clipped to the cut.
     boxes = np.arange(math.floor(u_lo / l), math.floor(u_hi / l) + 1)
-    box_signs = _sign_values(su, boxes)
+    box_signs = np.array(su)[boxes % 2]
     kept = box_signs != 0.0
     per_box = _panels_per_box(l, panel_width)
     h = l / per_box
@@ -260,12 +267,9 @@ def integrate_gaussian_lattice(
     last = int(np.searchsorted(starts, u0 + reach, side="left"))
 
     # Each centre mu sums n_edges edges from the first one at or below mu -
-    # _ERF_WINDOW/root_c; sv_table[k] = sv(m_first + k) covers every window.
-    mu_lo, mu_hi = sorted((v0 - (s / c) * reach, v0 + (s / c) * reach))
+    # _ERF_WINDOW/root_c.
     n_edges = _edge_count(l, root_c)
-    m_first = math.floor((mu_lo - _ERF_WINDOW / root_c) / l) - 1
-    m_last = math.floor((mu_hi - _ERF_WINDOW / root_c) / l) + n_edges + 1
-    sv_table = _sign_values(sv, np.arange(m_first, m_last + 1))
+    sv_table = _sign_table(sv, n_edges)
 
     magnitude = 0.0
     exponent_error = 0.0
@@ -303,7 +307,7 @@ def integrate_gaussian_lattice(
         weight *= np.exp(log_w - d2)
         mu = (v0 + (s / c) * d).ravel()
         k0 = np.floor((mu - _ERF_WINDOW / root_c) / l)
-        boxes = _erf_boxes(mu, k0, l, root_c, sv_table, m_first, n_edges)
+        boxes = _erf_boxes(mu, k0, l, root_c, sv_table, n_edges)
         hs, ha = boxes.sum(axis=1), np.abs(boxes, out=boxes).sum(axis=1)
         both = weight * hs.reshape(weight.shape)
         total += float(both[:, :full].sum())
@@ -347,12 +351,12 @@ def integrate_gaussian_lattice(
 def integrate_gaussian_line(
     l: float,
     sigma: float,
-    sign: Callable[[np.ndarray], np.ndarray],
+    sign: tuple[int, int],
     mean: float = 0.0,
     log_mass: float = 0.0,
 ) -> IntegralResult:
     """exp(log_mass) times the sum over m of sign(m) * P(N(mean, sigma**2) in
-    [m*l, (m+1)*l)), in closed form.
+    [m*l, (m+1)*l)), in closed form, for the sign pair ``sign`` = (s_even, s_odd).
 
     Half the signed erf differences of the boxes within _ERF_WINDOW erf
     widths (sigma*sqrt(2)) of the mean and one box more on each side, so
@@ -368,12 +372,13 @@ def integrate_gaussian_line(
     if not sigma > 0.0:
         raise InvalidScale(f"sigma must be positive, got {sigma!r}")
     _check_log_mass(log_mass)
+    sign = _sign_pair(sign)
     root_c = 1.0 / (math.sqrt(2.0) * sigma)
     reach = _ERF_WINDOW / root_c
     first, last = math.floor((mean - reach) / l) - 1, math.ceil((mean + reach) / l) + 1
-    signs = _sign_values(sign, np.arange(first, last))
     x = (np.arange(first, last + 1) * l - mean) * root_c
-    boxes = _erf_boxes(np.array([mean]), np.array([first]), l, root_c, signs, first, x.size)[0]
+    sign_table = _sign_table(sign, x.size)
+    boxes = _erf_boxes(np.array([mean]), np.array([first]), l, root_c, sign_table, x.size)[0]
     half_mass = 0.5 * math.exp(log_mass)
     value = half_mass * float(boxes.sum())
     magnitude = np.abs(boxes, out=boxes)
@@ -440,19 +445,15 @@ _SHORT_PLAN_BANDS = 16
 _SERIES_BLOCK_WASTE = 1 << 12
 
 
-@lru_cache(maxsize=64)
 def _sign_fourier(sign) -> tuple[float, float]:
-    """Fourier data of a sign function of period 2 in the box index.
+    """Fourier data of a sign pair (s0, s1) = (s_even, s_odd).
 
     On boxes of length l, u -> sign(floor(u/l)) has period 2l.  Its
-    coefficient of exp(i*pi*j*u/l) is (sign(0) + sign(1))/2 at j = 0,
-    (sign(0) - sign(1))/(i*pi*j) at odd j, and 0 at even j != 0.
+    coefficient of exp(i*pi*j*u/l) is (s0 + s1)/2 at j = 0,
+    (s0 - s1)/(i*pi*j) at odd j, and 0 at even j != 0.
     Returns ``(F0, f)``: the odd coefficients are -i * f / j.
     """
-    values = _sign_values(sign, np.arange(-2, 2))
-    if not np.array_equal(values[:2], values[2:]):
-        raise InvalidScale("Poisson summation needs a sign function of period 2")
-    s0, s1 = float(values[2]), float(values[3])
+    s0, s1 = _sign_pair(sign)
     return 0.5 * (s0 + s1), (s0 - s1) / math.pi
 
 
@@ -485,9 +486,9 @@ class PoissonSeries:
     su(n(u)) * sv(n(v)) for (u, v) normal with mean -(hu, hv) * l/2,
     (hu, hv) = ``mean_half_boxes``, and covariance [[c, s], [s, c]]/2
     (c = cosh 2r, s = sinh 2r), where n(u) is the box [n*l, (n+1)*l)
-    holding u.  Both sign functions must have period 2 in the box index.
-    Each is then a 2l-periodic step function with Fourier coefficients
-    F_j, G_k, and Poisson summation gives
+    holding u, and ``su``, ``sv`` are sign pairs (s_even, s_odd).  Each
+    is a 2l-periodic step function with Fourier coefficients F_j, G_k,
+    and Poisson summation gives
 
         exp(log_mass) * sum over (j, k) of F_j * G_k * (-i)**(hu*j + hv*k)
                         * exp(-pi**2/(4*l**2) * [exp(-2r)*(j**2 + k**2)
@@ -761,12 +762,6 @@ class PoissonSeries:
 _SERIES_RELATIVE_ERROR = 1e-12
 
 
-@lru_cache(maxsize=64)
-def _nonnegative(sign) -> bool:
-    """Whether a sign function of period 2 in the box index is >= 0 on every box."""
-    return bool((_sign_values(sign, np.arange(2)) >= 0.0).all())
-
-
 def _lost_digits(result: IntegralResult) -> bool:
     """Whether a nonzero series result has an error above _SERIES_RELATIVE_ERROR of its value."""
     return result.value != 0.0 and result.error_estimate > _SERIES_RELATIVE_ERROR * abs(result.value)
@@ -775,8 +770,8 @@ def _lost_digits(result: IntegralResult) -> bool:
 def integrate_gaussian_box_sums(
     l_values,
     r: float,
-    su: Callable[[np.ndarray], np.ndarray],
-    sv: Callable[[np.ndarray], np.ndarray],
+    su: tuple[int, int],
+    sv: tuple[int, int],
     log_masses,
     mean_half_boxes: tuple[int, int],
 ) -> list[IntegralResult]:
@@ -788,13 +783,14 @@ def integrate_gaussian_box_sums(
     (:func:`gaussian_lattice_work`); :func:`integrate_gaussian_lattice`
     runs elsewhere.  The series adds and subtracts terms as large as the
     mass, so a sum far below its mass keeps few digits, while with both
-    sign functions nonnegative the lattice only adds box masses and
+    sign pairs nonnegative the lattice only adds box masses and
     keeps them all: there the lattice also replaces a series result that
     lost its digits.  A series value of 0 means the mass underflowed,
     which the lattice would repeat.
     """
     series = PoissonSeries(l_values, r, su, sv, log_masses, mean_half_boxes)
     c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    nonnegative = min(*su, *sv) >= 0
     log_masses = series.log_mass
     summed = [
         i for i, (l, terms) in enumerate(zip(l_values, series.terms))
@@ -805,7 +801,7 @@ def integrate_gaussian_box_sums(
         results[i] = result
     for i, (l, terms, result) in enumerate(zip(l_values, series.terms, results)):
         # An empty series is an exact 0.
-        if terms and (result is None or _lost_digits(result) and _nonnegative(su) and _nonnegative(sv)):
+        if terms and (result is None or _lost_digits(result) and nonnegative):
             mean = tuple(-h * l / 2.0 for h in series.shifts)
             results[i] = integrate_gaussian_lattice(l, c, s, mean, su, sv, log_masses[i])
     return results

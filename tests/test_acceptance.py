@@ -23,7 +23,7 @@ from boxspin import (
     wavefunction,
 )
 from boxspin.acceptance import CRITERIA, _grid_search_chsh, format_result, run_criterion
-from boxspin.correlators import CorrelatorSet, _even, _parity, correlator_set, czz_sampled
+from boxspin.correlators import CorrelatorSet, correlator_set, czz_sampled
 
 _IDS = [f"{cid:02d}-{title.replace(' ', '-')}" for cid, title, _, _ in CRITERIA]
 
@@ -35,7 +35,11 @@ def test_criterion(cid):
     assert result.passed, f"criterion {result.cid} ({result.title}): {result.detail}"
 
 
-@pytest.mark.parametrize("pair, signs", [("zx", (_parity, _even)), ("xz", (_even, _parity))], ids=["zx", "xz"])
+# Sign pairs (even-box value, odd-box value): the parity and the even-box indicator.
+_PARITY, _EVEN = (1, -1), (1, 0)
+
+
+@pytest.mark.parametrize("pair, signs", [("zx", (_PARITY, _EVEN)), ("xz", (_EVEN, _PARITY))], ids=["zx", "xz"])
 def test_symmetry_criterion_fails_on_an_asymmetric_pair(monkeypatch, pair, signs):
     """Criterion 7 sums the cross sign pairs itself.  Without the x site's
     half-box shift, reflection maps its even boxes onto odd ones, the pair
