@@ -52,7 +52,6 @@ from .correlators import (
     correlator_grid,
     correlator_set,
     czz_sampled,
-    rotated_correlator,
     single_site,
 )
 from .errors import (

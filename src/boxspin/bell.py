@@ -1,7 +1,11 @@
 """CHSH combinations, their digit-XOR form, and local-model bounds.
 
-A measurement setting is a rotation angle in the x-z spin plane; the
-CHSH value for settings (alpha, beta | gamma, delta) is
+A plane setting t, an angle in the x-z spin plane, is the analyzer
+vector (cos t, sin t) over (z, x); a direction (theta, phi) is
+(cos theta, sin theta cos phi, sin theta sin phi) over (z, x, y).  The
+correlation matrix is diag(czz, cxx, cyy), so every correlator is the
+one bilinear form E(u, v) = sum_i u_i v_i c_ii, linear in the diagonal.
+The CHSH value for analyzers (alpha, beta | gamma, delta) is
 
     |E(alpha, gamma) + E(alpha, delta)| + |E(beta, gamma) - E(beta, delta)|
 
@@ -19,10 +23,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
-from .bits import TruncationWindow, xor_expectation
-from .correlators import CorrelatorSet, rotated_correlator
+from .bits import TruncationWindow
+from .correlators import CorrelatorSet
 from .errors import RangeError
 
 __all__ = [
@@ -53,9 +57,18 @@ def _wrap_angle(a: float) -> float:
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
+def _direction(theta: float, phi: float) -> tuple[float, float, float]:
+    """The analyzer vector (cos theta, sin theta cos phi, sin theta sin phi) over (z, x, y)."""
+    s = math.sin(theta)
+    return (math.cos(theta), s * math.cos(phi), s * math.sin(phi))
+
+
 @dataclass(frozen=True)
 class ChshSettings:
-    """Analyzer angles: alpha, beta on site 1 and gamma, delta on site 2."""
+    """Analyzer angles: alpha, beta on site 1 and gamma, delta on site 2.
+
+    Each is wrapped to [-pi, pi); ``_vectors`` (not a field) holds their (cos t, sin t).
+    """
 
     alpha: float
     beta: float
@@ -63,8 +76,12 @@ class ChshSettings:
     delta: float
 
     def __post_init__(self) -> None:
+        vectors = []
         for name in ("alpha", "beta", "gamma", "delta"):
-            object.__setattr__(self, name, _wrap_angle(getattr(self, name)))
+            t = _wrap_angle(getattr(self, name))
+            object.__setattr__(self, name, t)
+            vectors.append((math.cos(t), math.sin(t)))
+        object.__setattr__(self, "_vectors", tuple(vectors))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.alpha, self.beta, self.gamma, self.delta)
@@ -90,23 +107,45 @@ class BellReport:
             raise ValueError("violated flag is inconsistent with value and bound")
 
 
+def _correlator(u, v, diag) -> float:
+    """E(u, v) = sum_i u_i v_i diag_i over the 2 (z, x) or 3 (z, x, y) components of u and v."""
+    e = u[0] * v[0] * diag[0] + u[1] * v[1] * diag[1]
+    return e + u[2] * v[2] * diag[2] if len(u) > 2 else e
+
+
+def _correlators(vectors, diag) -> tuple[float, float, float, float]:
+    """E(a, g), E(a, d), E(b, g), E(b, d) for the analyzer vectors (a, b, g, d)."""
+    a, b, g, d = vectors
+    return (
+        _correlator(a, g, diag),
+        _correlator(a, d, diag),
+        _correlator(b, g, diag),
+        _correlator(b, d, diag),
+    )
+
+
 def _checked(e: float) -> float:
+    """The one range rule for a spin correlator: |e| <= 1 within _CORR_TOL."""
     if not abs(e) <= 1.0 + _CORR_TOL:
         raise RangeError(f"correlator {e!r} is not a number of magnitude <= 1")
     return float(e)
 
 
-def chsh_value(
-    correlator_of: Callable[[float, float], float],
-    settings: ChshSettings = STANDARD_SETTINGS,
-) -> BellReport:
-    """CHSH combination of spin correlators at the four setting pairs."""
-    a, b, g, d = settings.as_tuple()
-    e_ag = _checked(correlator_of(a, g))
-    e_ad = _checked(correlator_of(a, d))
-    e_bg = _checked(correlator_of(b, g))
-    e_bd = _checked(correlator_of(b, d))
-    value = abs(e_ag + e_ad) + abs(e_bg - e_bd)
+def _chsh(e_ag: float, e_ad: float, e_bg: float, e_bd: float) -> float:
+    """The CHSH sum |E(a, g) + E(a, d)| + |E(b, g) - E(b, d)|."""
+    return abs(e_ag + e_ad) + abs(e_bg - e_bd)
+
+
+def _chsh_at(vectors, diag) -> float:
+    """The CHSH value at analyzer vectors (a, b, g, d), each correlator checked."""
+    e_ag, e_ad, e_bg, e_bd = _correlators(vectors, diag)
+    return _chsh(_checked(e_ag), _checked(e_ad), _checked(e_bg), _checked(e_bd))
+
+
+def chsh_value(e_ag: float, e_ad: float, e_bg: float, e_bd: float) -> BellReport:
+    """CHSH combination of four spin correlators, each of magnitude <= 1 (within 1e-6)."""
+    e_ag, e_ad, e_bg, e_bd = map(_checked, (e_ag, e_ad, e_bg, e_bd))
+    value = _chsh(e_ag, e_ad, e_bg, e_bd)
     bound = _LHV_CHSH_MAX
     return BellReport(
         value=value,
@@ -124,30 +163,24 @@ def chsh_from_correlators(
     settings: ChshSettings = STANDARD_SETTINGS,
 ) -> BellReport:
     """CHSH report for one computed correlator set."""
-    return chsh_value(lambda a, b: rotated_correlator(a, b, corr), settings)
+    return chsh_value(*_correlators(settings._vectors, (corr.czz, corr.cxx, corr.cyy)))
 
 
-def bit_bell_value(
-    xor_of: Callable[[float, float], float],
-    settings: ChshSettings = STANDARD_SETTINGS,
-) -> BellReport:
-    """Digit form |E1 + E2 - 1| + |E3 - E4| from XOR expectations in [0, 1]."""
-    a, b, g, d = settings.as_tuple()
-    es = [xor_of(a, g), xor_of(a, d), xor_of(b, g), xor_of(b, d)]
-    for e in es:
-        if not -1e-9 <= e <= 1.0 + 1e-9:
-            raise RangeError(f"XOR expectation {e!r} is outside [0, 1]")
-    e1, e2, e3, e4 = es
-    value = abs(e1 + e2 - 1.0) + abs(e3 - e4)
+def bit_bell_value(x_ag: float, x_ad: float, x_bg: float, x_bd: float) -> BellReport:
+    """Digit form |E1 + E2 - 1| + |E3 - E4| from XOR expectations in [0, 1] (within 1e-9)."""
+    for x in (x_ag, x_ad, x_bg, x_bd):
+        if not -1e-9 <= x <= 1.0 + 1e-9:
+            raise RangeError(f"XOR expectation {x!r} is outside [0, 1]")
+    value = abs(x_ag + x_ad - 1.0) + abs(x_bg - x_bd)
     bound = _LHV_BIT_BELL_MAX
     return BellReport(
         value=value,
         bound=bound,
         violated=value > bound,
-        e_ag=e1,
-        e_ad=e2,
-        e_bg=e3,
-        e_bd=e4,
+        e_ag=x_ag,
+        e_ad=x_ad,
+        e_bg=x_bg,
+        e_bd=x_bd,
     )
 
 
@@ -155,11 +188,11 @@ def bit_bell_from_correlators(
     corr: CorrelatorSet,
     settings: ChshSettings = STANDARD_SETTINGS,
 ) -> BellReport:
-    """Digit form computed from spin correlators through E_xor = (1 - E)/2."""
-    return bit_bell_value(
-        lambda a, b: xor_expectation(rotated_correlator(a, b, corr)),
-        settings,
-    )
+    """Digit form through E_xor = (1 - E)/2, clipped to [0, 1], each E checked as by chsh_value."""
+    return bit_bell_value(*(
+        min(1.0, max(0.0, (1.0 - _checked(e)) / 2.0))
+        for e in _correlators(settings._vectors, (corr.czz, corr.cxx, corr.cyy))
+    ))
 
 
 def multibit_value(
@@ -179,7 +212,7 @@ def lhv_chsh_values() -> list[float]:
     """CHSH value of every deterministic +/-1 assignment (16 strategies)."""
     values = []
     for a, b, g, d in itertools.product((-1, 1), repeat=4):
-        values.append(abs(a * g + a * d) + abs(b * g - b * d))
+        values.append(_chsh(a * g, a * d, b * g, b * d))
     return values
 
 
@@ -207,37 +240,6 @@ def lhv_bit_bell_max() -> float:
 def lhv_multibit_bound(window: TruncationWindow) -> float:
     """Local bound of the weighted digit form over the window."""
     return window.weight_total() * _LHV_BIT_BELL_MAX
-
-
-def _chsh_of_angles(angles, corr: CorrelatorSet) -> float:
-    a, b, g, d = angles
-    e_ag = rotated_correlator(a, g, corr)
-    e_ad = rotated_correlator(a, d, corr)
-    e_bg = rotated_correlator(b, g, corr)
-    e_bd = rotated_correlator(b, d, corr)
-    return abs(e_ag + e_ad) + abs(e_bg - e_bd)
-
-
-def _spherical_correlator(t1: float, p1: float, t2: float, p2: float, corr: CorrelatorSet) -> float:
-    """Correlator for directions (theta, phi) on each site's spin sphere.
-
-    Direction components are (z, x, y) = (cos t, sin t cos p, sin t sin p).
-    The correlation matrix over (z, x, y) is diagonal for this state
-    (:class:`~boxspin.correlators.CorrelatorSet`), so only czz, cxx and cyy
-    enter.
-    """
-    z1, x1, y1 = math.cos(t1), math.sin(t1) * math.cos(p1), math.sin(t1) * math.sin(p1)
-    z2, x2, y2 = math.cos(t2), math.sin(t2) * math.cos(p2), math.sin(t2) * math.sin(p2)
-    return z1 * z2 * corr.czz + x1 * x2 * corr.cxx + y1 * y2 * corr.cyy
-
-
-def _chsh_of_directions(params, corr: CorrelatorSet) -> float:
-    ta, pa, tb, pb, tg, pg, td, pd = params
-    e_ag = _spherical_correlator(ta, pa, tg, pg, corr)
-    e_ad = _spherical_correlator(ta, pa, td, pd, corr)
-    e_bg = _spherical_correlator(tb, pb, tg, pg, corr)
-    e_bd = _spherical_correlator(tb, pb, td, pd, corr)
-    return abs(e_ag + e_ad) + abs(e_bg - e_bd)
 
 
 # The coordinate axes over (z, x) and over (z, x, y), each as (e, -e).
@@ -320,16 +322,17 @@ def optimize_settings(
     expression at the returned settings.  The result is deterministic,
     and the planar value is never below the standard-settings value.
     """
+    diag = (corr.czz, corr.cxx, corr.cyy)
     if include_y:
         directions = tuple(
             (_wrap_angle(math.atan2(math.hypot(x, y), z)), _wrap_angle(math.atan2(y, x)))
             for z, x, y in _optimal_vectors(corr, include_y=True)
         )
-        return directions, _chsh_of_directions([p for d in directions for p in d], corr)
+        return directions, _chsh_at([_direction(*d) for d in directions], diag)
 
     settings = ChshSettings(*(math.atan2(x, z) for z, x in _optimal_vectors(corr)))
-    value = _chsh_of_angles(settings.as_tuple(), corr)
-    standard_value = _chsh_of_angles(STANDARD_SETTINGS.as_tuple(), corr)
+    value = _chsh_at(settings._vectors, diag)
+    standard_value = _chsh_at(STANDARD_SETTINGS._vectors, diag)
     if value < standard_value:
         return STANDARD_SETTINGS, standard_value
     return settings, value

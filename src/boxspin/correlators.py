@@ -57,7 +57,6 @@ __all__ = [
     "single_site",
     "correlator_set",
     "correlator_grid",
-    "rotated_correlator",
     "czz_sampled",
     "clear_cache",
 ]
@@ -339,22 +338,6 @@ def correlator_grid(pairs, l_values, r: float) -> list[dict[str, tuple[float, fl
         {pair: _pair_value(pair, l, state, lambda name: pieces[name][i]) for pair in pairs}
         for i, l in enumerate(l_values)
     ]
-
-
-def rotated_correlator(
-    angle_a: float,
-    angle_b: float,
-    corr: CorrelatorSet,
-) -> float:
-    """Correlator of spins rotated in the x-z plane by the given angles.
-
-    Direction at angle t measures cos(t)*s_z + sin(t)*s_x, so with the
-    diagonal correlation matrix of ``corr`` the bilinear form is
-    ca*cb*czz + sa*sb*cxx.
-    """
-    ca, sa = math.cos(angle_a), math.sin(angle_a)
-    cb, sb = math.cos(angle_b), math.sin(angle_b)
-    return ca * cb * corr.czz + sa * sb * corr.cxx
 
 
 def czz_sampled(

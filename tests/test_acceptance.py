@@ -11,13 +11,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse as sp
 
-from boxspin import acceptance, boxops
+from boxspin import acceptance, bell, boxops
 from boxspin import (
+    ChshSettings,
     Grid,
     SqueezeState,
     build_spin_operator,
+    chsh_from_correlators,
     expectation,
     expectations,
     wavefunction,
@@ -71,19 +74,27 @@ def test_grid_search_is_pinned(fields, expected):
     assert _grid_search_chsh(_criterion_11_set(fields)) == expected
 
 
-def test_grid_search_refines_with_the_bell_objective(monkeypatch):
-    """The Nelder-Mead refinement evaluates bell's own CHSH of four angles."""
-    calls = []
-    real = acceptance._chsh_of_angles
+def test_grid_search_refines_without_the_bell_layer(monkeypatch):
+    """The Nelder-Mead refinement runs on the oracle's own objective, which
+    computes no correlator through bell and is minus the CHSH value."""
+    runs = []
+    real = scipy.optimize.minimize
 
-    def counted(angles, corr):
-        calls.append(corr)
-        return real(angles, corr)
+    def recorded(fun, x0, **kwargs):
+        runs.append((fun, x0))
+        return real(fun, x0, **kwargs)
 
-    monkeypatch.setattr(acceptance, "_chsh_of_angles", counted)
+    def unused(*args):
+        raise AssertionError("the oracle computed a correlator through bell")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", recorded)
+    monkeypatch.setattr(bell, "_correlator", unused)
     corr = _criterion_11_set(_CRITERION_11_SETS[2][0])
     assert _grid_search_chsh(corr) == _CRITERION_11_SETS[2][1]
-    assert calls and all(c is corr for c in calls)
+    monkeypatch.undo()
+    [(objective, start)] = runs
+    want = chsh_from_correlators(corr, ChshSettings(*start)).value
+    assert -objective(start) == pytest.approx(want, abs=1e-14)
 
 
 def _peak_mb(call) -> float:

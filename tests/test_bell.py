@@ -106,30 +106,43 @@ class TestSettings:
         )
 
 
+def _cosines(settings=STANDARD_SETTINGS):
+    """cos(a - b) at the four setting pairs: the correlators of czz = cxx = 1."""
+    a, b, g, d = settings.as_tuple()
+    return math.cos(a - g), math.cos(a - d), math.cos(b - g), math.cos(b - d)
+
+
 class TestChshValue:
     def test_cosine_correlators_reach_tsirelson(self):
-        report = chsh_value(lambda a, b: math.cos(a - b))
-        assert report.value == pytest.approx(2.0 * ROOT2, abs=1e-12)
-        assert report.bound == 2.0
-        assert report.violated
+        for report in (chsh_value(*_cosines()), chsh_from_correlators(_make_set(1.0, 1.0))):
+            assert report.value == pytest.approx(2.0 * ROOT2, abs=1e-12)
+            assert report.bound == 2.0
+            assert report.violated
 
     def test_arbitrary_settings_match_manual_sum(self):
         settings = ChshSettings(0.1, 1.2, 0.7, -0.4)
-        report = chsh_value(lambda a, b: math.cos(a - b), settings)
         want = abs(math.cos(0.1 - 0.7) + math.cos(0.1 + 0.4)) + abs(
             math.cos(1.2 - 0.7) - math.cos(1.2 + 0.4)
         )
+        report = chsh_from_correlators(_make_set(1.0, 1.0), settings)
         assert report.value == pytest.approx(want, abs=1e-14)
         assert report.e_ag == pytest.approx(math.cos(0.1 - 0.7))
+        e = _cosines(settings)
+        report = chsh_value(*e)
+        assert report.value == abs(e[0] + e[1]) + abs(e[2] - e[3])
+        assert (report.e_ag, report.e_ad, report.e_bg, report.e_bd) == e
 
-    def test_out_of_range_correlator_is_rejected(self):
+    @pytest.mark.parametrize("position", range(4))
+    def test_out_of_range_correlator_is_rejected(self, position):
+        es = [0.5] * 4
+        es[position] = 1.5
         with pytest.raises(RangeError):
-            chsh_value(lambda a, b: 1.5)
+            chsh_value(*es)
 
     @pytest.mark.parametrize("e", [math.nan, math.inf, -math.inf])
     def test_non_finite_correlator_is_rejected(self, e):
         with pytest.raises(RangeError, match=repr(e)):
-            chsh_value(lambda a, b: e)
+            chsh_value(0.0, 0.0, 0.0, e)
 
     def test_report_flag_must_match_value(self):
         with pytest.raises(ValueError):
@@ -148,11 +161,34 @@ class TestChshFromCorrelators:
         assert report.value == pytest.approx(ROOT2, abs=1e-12)
         assert not report.violated
 
+    def test_axis_extractions(self):
+        """Settings 0 and pi/2 read czz and cxx off the diagonal, and 0 across."""
+        settings = ChshSettings(0.0, math.pi / 2, 0.0, math.pi / 2)
+        report = chsh_from_correlators(_make_set(0.6, 0.5, cyy=-0.4), settings)
+        assert report.e_ag == pytest.approx(0.6)
+        assert report.e_bd == pytest.approx(0.5)
+        assert report.e_ad == pytest.approx(0.0, abs=1e-15)
+        assert report.e_bg == pytest.approx(0.0, abs=1e-15)
+
+    def test_bilinear_form(self):
+        """E(a, b) = cos a cos b czz + sin a sin b cxx at every setting pair."""
+        corr = _make_set(0.6, 0.5, cyy=-0.4)
+        rng = np.random.default_rng(7)
+        for angles in rng.uniform(-math.pi, math.pi, size=(20, 4)):
+            settings = ChshSettings(*angles)
+            report = chsh_from_correlators(corr, settings)
+            a, b, g, d = settings.as_tuple()
+            es = (report.e_ag, report.e_ad, report.e_bg, report.e_bd)
+            for e, (p, q) in zip(es, ((a, g), (a, d), (b, g), (b, d))):
+                want = math.cos(p) * math.cos(q) * 0.6 + math.sin(p) * math.sin(q) * 0.5
+                assert e == pytest.approx(want, abs=1e-14)
+
 
 class TestBitForm:
     def test_bit_value_is_half_the_spin_value(self):
-        spin = chsh_value(lambda a, b: math.cos(a - b))
-        bit = bit_bell_value(lambda a, b: 0.5 * (1.0 - math.cos(a - b)))
+        es = _cosines()
+        spin = chsh_value(*es)
+        bit = bit_bell_value(*(0.5 * (1.0 - e) for e in es))
         assert bit.bound == 1.0
         assert bit.value == pytest.approx(spin.value / 2.0, abs=1e-12)
 
@@ -164,21 +200,36 @@ class TestBitForm:
         assert bit.violated == (bit.value > 1.0)
 
     def test_algebraic_maximum(self):
-        table = {
-            (0.0, math.pi / 4.0): 0.0,
-            (0.0, -math.pi / 4.0): 0.0,
-            (math.pi / 2.0, math.pi / 4.0): 0.0,
-            (math.pi / 2.0, -math.pi / 4.0): 1.0,
-        }
-        report = bit_bell_value(lambda a, b: table[(a, b)])
+        report = bit_bell_value(0.0, 0.0, 0.0, 1.0)
         assert report.value == 2.0
         assert report.violated
 
-    def test_xor_expectations_must_be_probabilities(self):
+    @pytest.mark.parametrize("x", [-0.2, 1.2, math.nan, math.inf])
+    @pytest.mark.parametrize("position", range(4))
+    def test_xor_expectations_must_be_probabilities(self, x, position):
+        xs = [0.5] * 4
+        xs[position] = x
         with pytest.raises(RangeError):
-            bit_bell_value(lambda a, b: -0.2)
-        with pytest.raises(RangeError):
-            bit_bell_value(lambda a, b: 1.2)
+            bit_bell_value(*xs)
+
+    def test_both_forms_accept_and_reject_the_same_correlators(self):
+        """A correlator within the tolerance passes both forms, and its XOR value is clipped."""
+        settings = ChshSettings(0.0, math.pi / 2.0, 0.0, math.pi / 2.0)
+        corr = CorrelatorSet(1.0, 1.0, 1.0 + 5e-8, 0.5, -0.4, 1e-8, 0.0, 0.0)
+        spin = chsh_from_correlators(corr, settings)
+        bit = bit_bell_from_correlators(corr, settings)
+        assert spin.e_ag == 1.0 + 5e-8
+        assert spin.value == pytest.approx(1.50000005, abs=1e-15)
+        assert bit.e_ag == 0.0
+        assert bit.value == 0.75
+        assert optimize_settings(corr)[1] == pytest.approx(2.0 * math.hypot(1.0 + 5e-8, 0.5), abs=1e-15)
+        beyond = CorrelatorSet(1.0, 1.0, 1.0 + 2e-6, 0.0, 0.0, 1e-6, 0.0, 0.0)
+        for form in (chsh_from_correlators, bit_bell_from_correlators):
+            with pytest.raises(RangeError, match="1.000002"):
+                form(beyond, settings)
+        for include_y in (False, True):
+            with pytest.raises(RangeError, match="1.000002"):
+                optimize_settings(beyond, include_y=include_y)
 
 
 class TestMultibit:
@@ -216,7 +267,7 @@ class TestLocalBounds:
             raise AssertionError("the strategies were enumerated again")
 
         monkeypatch.setattr(bell, "lhv_chsh_values", unused)
-        report = chsh_value(lambda a, b: math.cos(a - b))
+        report = chsh_value(*_cosines())
         assert report.bound == lhv_chsh_max() == 2.0
 
     def test_bit_bound_is_one(self):
@@ -228,7 +279,7 @@ class TestLocalBounds:
             raise AssertionError("the strategies were enumerated again")
 
         monkeypatch.setattr(bell.itertools, "product", unused)
-        report = bit_bell_value(lambda a, b: 0.5 * (1.0 - math.cos(a - b)))
+        report = bit_bell_value(*(0.5 * (1.0 - e) for e in _cosines()))
         window = TruncationWindow(k_hi=1, k_lo=-3)
         assert report.bound == lhv_bit_bell_max() == 1.0
         assert lhv_multibit_bound(window) == window.weight_total()
@@ -348,6 +399,32 @@ def test_closed_form_is_the_maximum(czz, cxx, cyy):
     assert abs(value - 2.0 * math.hypot(t1, t2)) <= 4 * _EPS
     assert value == pytest.approx(_directions_chsh(_matrix(corr, True), directions), abs=4 * _EPS)
     assert value >= planar - 4 * _EPS
+
+
+_angle = st.floats(-math.pi, math.pi)
+_angles = st.tuples(_angle, _angle, _angle, _angle)
+
+
+@hypothesis_settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(czz=_unit, cxx=_unit, cyy=_unit, angles=_angles)
+@example(czz=1.0, cxx=1.0, cyy=-1.0, angles=STANDARD_SETTINGS.as_tuple())
+def test_digit_form_is_half_the_chsh_value(czz, cxx, cyy, angles):
+    """At any settings the digit form of a valid set is half its CHSH value."""
+    corr = _make_set(czz, cxx, cyy=cyy)
+    settings = ChshSettings(*angles)
+    bit = bit_bell_from_correlators(corr, settings)
+    assert abs(bit.value - chsh_from_correlators(corr, settings).value / 2.0) <= 1e-15
+
+
+@hypothesis_settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(czz=_unit, cxx=_unit, cyy=_unit, angles=_angles)
+@example(czz=0.0, cxx=-0.0, cyy=-1.0, angles=(0.0, math.pi / 2.0, -math.pi, 0.0))
+def test_plane_settings_are_directions_at_phi_zero(czz, cxx, cyy, angles):
+    """A plane setting t has the correlators of the direction (t, 0), up to the sign of a zero."""
+    settings = ChshSettings(*angles)
+    diag = (czz, cxx, cyy)
+    directions = [bell._direction(t, 0.0) for t in settings.as_tuple()]
+    assert bell._correlators(settings._vectors, diag) == bell._correlators(directions, diag)
 
 
 def _check_triples(t, triples):

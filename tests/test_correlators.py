@@ -42,7 +42,6 @@ from boxspin import (
     correlator_set,
     czz_sampled,
     integrate_gaussian_lattice,
-    rotated_correlator,
     single_site,
     wavefunction,
 )
@@ -340,27 +339,6 @@ class TestStructure:
         d = cs.as_dict()
         assert set(d) == {"l", "r", "czz", "cxx", "cyy", "czx", "cxz", "errs"}
         assert set(d["errs"]) == {"czz", "cxx", "cyy", "czx", "cxz"}
-
-
-class TestRotation:
-    def _synthetic(self):
-        return CorrelatorSet(
-            l=1.0, r=0.0, czz=0.6, cxx=0.5, cyy=-0.4,
-            czz_err=0.0, cxx_err=0.0, cyy_err=0.0,
-        )
-
-    def test_axis_extractions(self):
-        cs = self._synthetic()
-        assert rotated_correlator(0.0, 0.0, cs) == pytest.approx(0.6)
-        assert rotated_correlator(math.pi / 2, math.pi / 2, cs) == pytest.approx(0.5)
-        assert rotated_correlator(0.0, math.pi / 2, cs) == pytest.approx(0.0, abs=1e-15)
-
-    def test_bilinear_form(self):
-        cs = self._synthetic()
-        rng = np.random.default_rng(7)
-        for a, b in rng.uniform(-math.pi, math.pi, size=(20, 2)):
-            want = math.cos(a) * math.cos(b) * 0.6 + math.sin(a) * math.sin(b) * 0.5
-            assert rotated_correlator(a, b, cs) == pytest.approx(want, abs=1e-14)
 
 
 class TestValidation:
